@@ -140,17 +140,21 @@ def _descent_record(curve, pt) -> dict:
 
 def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
     """Run every driver, push survivors through the descent maps, and emit
-    the certificate.  Returns (certificate, exit_code)."""
-    from .padic import rank1_driver, rank2_driver
+    the certificate.  Returns (certificate, exit_code).
+
+    Only a `PrecisionError` (a coset the truncation cannot decide) makes
+    the certificate partial; any other exception is a fault and propagates.
+    """
+    from . import padic
 
     drivers, descents, failing = [], [], []
     pairs = set()
     for cid in RANK1_IDS + RANK2_IDS:
         curve = CURVE_BY_ID[cid]
-        run = rank2_driver if curve.rank == 2 else rank1_driver
+        run = padic.rank2_driver if curve.rank == 2 else padic.rank1_driver
         try:
             result = run(curve, k=precision)
-        except Exception as exc:                      # inconclusive coset
+        except padic.PrecisionError as exc:           # inconclusive coset
             failing.append({"curve": cid, "error": str(exc)})
             continue
         drivers.append(_driver_record(curve, result))
@@ -164,7 +168,8 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
         driver_records=drivers, descent_records=descents,
         final_pairs=sorted(pairs), partial=bool(failing), failing=failing)
     for p, q in cert.final_pairs:
-        assert is_perfect_square(lucas_u(LucasParams(p, q), 8))
+        if not is_perfect_square(lucas_u(LucasParams(p, q), 8)):
+            raise ArithmeticError(f"final pair ({p}, {q}): U_8 is not a square")
     if out:
         dump(cert.to_json(), out)
     return cert, (2 if cert.partial else 0)
@@ -251,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full n = 8 certification pipeline")
     v.add_argument("--precision", type=int, default=5,
                    help="3-adic working precision k (modulus 3^k)")
-    v.add_argument("--float-digits", type=int, default=50)
     v.add_argument("--out", type=str, default=None,
                    help="write the JSON certificate here")
 
@@ -263,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("heights", help="height-bound report for one curve")
     h.add_argument("curve", type=str)
     h.add_argument("--float-digits", type=int, default=30)
-    h.add_argument("--tol", type=float, default=1e-5)
 
     sub.add_parser("catalog", help="dump the descent-curve table")
     return ap
@@ -278,7 +281,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify-theorem":
             cert, code = cmd_verify_theorem(args.precision, args.out)
-            print(dumps(cert.to_json()))
+            if args.out:
+                print(f"final_pairs {cert.final_pairs} partial "
+                      f"{str(cert.partial).lower()} certificate {args.out}")
+            else:
+                print(dumps(cert.to_json()))
             return code
         if args.command == "classify":
             print(dumps(cmd_classify(args.n, args.P, args.Q)))

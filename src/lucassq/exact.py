@@ -137,9 +137,6 @@ class Poly:
             k >>= 1
         return result
 
-    def truncate_total_degree(self, d: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= d})
-
     def mul_truncated(self, other: "Poly", d: int) -> "Poly":
         """Product with all terms of total degree > d dropped."""
         other = self._coerce(other)
@@ -188,19 +185,6 @@ class Poly:
         if total is None:
             return 0
         return total
-
-    def as_univariate_coeffs(self, i: int) -> list:
-        """Dense coefficient list of this poly viewed in variable i, with
-        coefficients Polys in the remaining variables (same nvars, var i
-        unused)."""
-        d = self.degree_in(i)
-        coeffs = [Poly(self.nvars) for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[i]
-            rest[i] = 0
-            coeffs[k] = coeffs[k] + Poly(self.nvars, {tuple(rest): c})
-        return coeffs
 
     def __repr__(self):
         if not self.terms:

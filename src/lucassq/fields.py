@@ -3,20 +3,23 @@
 K1 = Q(theta) with theta^4 + 2 theta^2 - 1 = 0  (theta ~ 0.6435942529)
 K2 = Q(phi)   with phi^4 + 4 phi^2 - 4 = 0      (phi   ~ 0.9101797211)
 
-Elements are stored over the power basis (1, alpha, alpha^2, alpha^3) with
-rational coordinates.  Maximal-order membership is a predicate against the
-stored integral basis, never a change of representation.
+An element (n0 + n1 alpha + n2 alpha^2 + n3 alpha^3) / d is stored as four
+integer numerators and one common denominator in canonical form: d > 0 and
+gcd(n0, n1, n2, n3, d) = 1 (Cohen, GTM 138, 4.2).  Both defining polynomials
+are even, X^4 + c2 X^2 + c0, so products fold with alpha^4 = -c2 alpha^2 - c0
+and inverses go through the quadratic subfield Q(alpha^2) (see `adjugate`).
+Maximal-order membership is a predicate against the stored integral basis,
+never a change of representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 import mpmath
-
-from .exact import sylvester_resultant_univariate
 
 
 def _frac_rows(rows) -> tuple:
@@ -33,24 +36,36 @@ class FieldDescriptor:
     real_root_approx: float
 
     def __post_init__(self):
-        # alpha^4 = -(c0 + c1 a + c2 a^2 + c3 a^3), and the reductions of
-        # alpha^5, alpha^6 derived from it; precomputed once.
-        c = [Fraction(x) for x in self.defining_poly[:4]]
-        r4 = tuple(-x for x in c)
-        r5 = _shift_reduce(r4, r4)
-        r6 = _shift_reduce(r5, r4)
-        object.__setattr__(self, "_reductions", (r4, r5, r6))
-        object.__setattr__(self, "_order_inv", _invert4(self.order_basis))
+        # the fold in _mul_int and the subfield formulas rely on this shape
+        c0, c1, c2, c3, c4 = (Fraction(c) for c in self.defining_poly)
+        if not (c4 == 1 and c1 == c3 == 0
+                and c0.denominator == c2.denominator == 1):
+            raise ValueError("defining polynomial must be X^4 + c2 X^2 + c0 "
+                             "with integer c2, c0")
+        object.__setattr__(self, "_c0", int(c0))
+        object.__setattr__(self, "_c2", int(c2))
+        # x is in the order iff n . inv is integral over d; inv = adj / den
+        inv = _invert4(self.order_basis)
+        den = 1
+        for row in inv:
+            for c in row:
+                den = den * c.denominator // gcd(den, c.denominator)
+        object.__setattr__(self, "_order_inv", (
+            tuple(tuple(int(inv[j][i] * den) for j in range(4)) for i in range(4)),
+            den))
 
     def element(self, c0=0, c1=0, c2=0, c3=0) -> "FieldElement":
-        return FieldElement(self, (Fraction(c0), Fraction(c1),
-                                   Fraction(c2), Fraction(c3)))
+        return FieldElement(self, (c0, c1, c2, c3))
+
+    def integral(self, n) -> "FieldElement":
+        """The element with integer coordinates n (denominator 1)."""
+        return _raw(self, tuple(n), 1)
 
     def zero(self) -> "FieldElement":
-        return self.element()
+        return _raw(self, (0, 0, 0, 0), 1)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return _raw(self, (1, 0, 0, 0), 1)
 
     def roots(self, digits: int = 30) -> list:
         """The four roots of the defining polynomial, ordered to match the
@@ -65,13 +80,6 @@ class FieldDescriptor:
 
     def __repr__(self):
         return f"FieldDescriptor({self.id})"
-
-
-def _shift_reduce(row: tuple, r4: tuple) -> tuple:
-    """Given alpha^k = row over the power basis, return alpha^(k+1)."""
-    shifted = (Fraction(0),) + row[:3]
-    top = row[3]
-    return tuple(s + top * r for s, r in zip(shifted, r4))
 
 
 def _invert4(rows) -> tuple:
@@ -91,77 +99,174 @@ def _invert4(rows) -> tuple:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def _raw(fld: FieldDescriptor, n: tuple, d: int) -> "FieldElement":
+    """An element from numerators and a denominator already in canonical
+    form."""
+    x = object.__new__(FieldElement)
+    x.field, x._n, x._d = fld, n, d
+    return x
+
+
+def _make(fld: FieldDescriptor, n0: int, n1: int, n2: int, n3: int,
+          d: int) -> "FieldElement":
+    """An element from any numerators and a nonzero denominator."""
+    g = gcd(d, n0, n1, n2, n3)
+    if d < 0:
+        g = -g
+    if g != 1:
+        return _raw(fld, (n0 // g, n1 // g, n2 // g, n3 // g), d // g)
+    return _raw(fld, (n0, n1, n2, n3), d)
+
+
+def _mul_int(fld: FieldDescriptor, a: tuple, b: tuple) -> tuple:
+    """Product of two integer coordinate vectors, folded with
+    alpha^4 = -c2 alpha^2 - c0."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    p6 = a3 * b3
+    p5 = a2 * b3 + a3 * b2
+    p4 = a1 * b3 + a2 * b2 + a3 * b1
+    p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    p2 = a0 * b2 + a1 * b1 + a2 * b0
+    p1 = a0 * b1 + a1 * b0
+    p0 = a0 * b0
+    c2, c0 = fld._c2, fld._c0
+    if p6:                      # alpha^6 = -c2 alpha^4 - c0 alpha^2
+        p4 -= c2 * p6
+        p2 -= c0 * p6
+    return (p0 - c0 * p4, p1 - c0 * p5, p2 - c2 * p4, p3 - c2 * p5)
+
+
+def _subfield_norm(fld: FieldDescriptor, n: tuple) -> tuple:
+    """(a, b) with n sigma(n) = a + b alpha^2, sigma: alpha -> -alpha.
+    Writing n = E + alpha O with E, O in Q(alpha^2), this is E^2 - alpha^2 O^2."""
+    n0, n1, n2, n3 = n
+    c2, c0 = fld._c2, fld._c0
+    e0, e1 = n0 * n0 - c0 * n2 * n2, 2 * n0 * n2 - c2 * n2 * n2      # E^2
+    o0, o1 = n1 * n1 - c0 * n3 * n3, 2 * n1 * n3 - c2 * n3 * n3      # O^2
+    return e0 + c0 * o1, e1 - o0 + c2 * o1
+
+
+def adjugate(fld: FieldDescriptor, n: tuple) -> tuple:
+    """(r, N) with n * r = N for a nonzero integer coordinate vector n:
+    r is an integer vector and N = norm(n) a nonzero integer.
+
+    With n sigma(n) = a + b alpha^2 (see `_subfield_norm`),
+    (a + b alpha^2)(a - b c2 - b alpha^2) = a^2 - a b c2 + b^2 c0 = N,
+    so r = sigma(n) (a - b c2 - b alpha^2)."""
+    n0, n1, n2, n3 = n
+    c2, c0 = fld._c2, fld._c0
+    a, b = _subfield_norm(fld, n)
+    s = a - b * c2                        # cofactor s - b alpha^2
+    norm = a * s + b * b * c0
+    # r = (E - alpha O)(s - b alpha^2) with (u + v beta)(s - b beta) =
+    # (u s + v b c0) + (v s - u b + v b c2) beta, beta = alpha^2
+    r0, r2 = n0 * s + n2 * b * c0, n2 * s - n0 * b + n2 * b * c2
+    r1, r3 = n1 * s + n3 * b * c0, n3 * s - n1 * b + n3 * b * c2
+    return (r0, -r1, r2, -r3), norm
+
+
+def charpoly(fld: FieldDescriptor, n: tuple) -> tuple:
+    """Characteristic polynomial (low to high, monic, integer) of
+    multiplication by the integer coordinate vector n.
+
+    It is the product of X^2 - 2E X + A over the two embeddings of
+    Q(alpha^2), where n + sigma(n) = 2E, n sigma(n) = A = a + b alpha^2 and
+    the two conjugates of alpha^2 sum to -c2 with product c0."""
+    n0, n2 = n[0], n[2]
+    c2, c0 = fld._c2, fld._c0
+    a, b = _subfield_norm(fld, n)
+    e_sum = 2 * n0 - c2 * n2                          # E + E'
+    e_prod = n0 * n0 - c2 * n0 * n2 + c0 * n2 * n2    # E E'
+    cross = 2 * n0 * a - c2 * (n0 * b + n2 * a) + 2 * c0 * n2 * b  # E A' + E' A
+    return (a * a - c2 * a * b + c0 * b * b, -2 * cross,
+            2 * a - c2 * b + 4 * e_prod, -2 * e_sum, 1)
+
+
 class FieldElement:
-    """c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 with rational coordinates."""
+    """(n0 + n1*alpha + n2*alpha^2 + n3*alpha^3) / d in canonical form."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "_n", "_d")
 
-    def __init__(self, fld: FieldDescriptor, coords: Sequence[Fraction]):
+    def __init__(self, fld: FieldDescriptor, coords: Sequence):
+        fs = [Fraction(c) for c in coords]
+        d = 1
+        for c in fs:
+            d = d * c.denominator // gcd(d, c.denominator)
+        # d is the lcm of reduced denominators, so the form is canonical
         self.field = fld
-        self.coords = tuple(coords)
+        self._n = tuple(c.numerator * (d // c.denominator) for c in fs)
+        self._d = d
+
+    @property
+    def coords(self) -> tuple:
+        """The four rational coordinates over the power basis."""
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
-        return NotImplemented
+    def _check(self, other) -> "FieldElement":
+        if other.field is not self.field:
+            raise ValueError("field mismatch")
+        return other
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
+        if isinstance(other, FieldElement):
+            o = self._check(other)
+            (a0, a1, a2, a3), ad = self._n, self._d
+            (b0, b1, b2, b3), bd = o._n, o._d
+            if ad == bd:
+                return _make(self.field, a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+            if gcd(ad, bd) == 1:        # the sum is canonical already
+                return _raw(self.field, (a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                                         a2 * bd + b2 * ad, a3 * bd + b3 * ad),
+                            ad * bd)
+            return _make(self.field, a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                         a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            n, d = self._n, self._d
+            if q == 1:                  # an integer shift keeps the form
+                return _raw(self.field, (n[0] + p * d,) + n[1:], d)
+            return _make(self.field, n[0] * q + p * d, n[1] * q, n[2] * q,
+                         n[3] * q, d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        n = self._n
+        return _raw(self.field, (-n[0], -n[1], -n[2], -n[3]), self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self.coords, o.coords
-        prod = [Fraction(0)] * 7
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = list(prod[:4])
-        reductions = self.field._reductions
-        for k in (4, 5, 6):
-            if prod[k]:
-                red = reductions[k - 4]
-                for i in range(4):
-                    out[i] += prod[k] * red[i]
-        return FieldElement(self.field, out)
+        if isinstance(other, FieldElement):
+            o = self._check(other)
+            return _make(self.field, *_mul_int(self.field, self._n, o._n),
+                         self._d * o._d)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            n = self._n
+            return _make(self.field, n[0] * p, n[1] * p, n[2] * p, n[3] * p,
+                         self._d * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field,
-                                tuple(a / Fraction(other) for a in self.coords))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inv()
+            return self * Fraction(other.denominator, other.numerator)
+        if isinstance(other, FieldElement):
+            return self * other.inv()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -179,83 +284,52 @@ class FieldElement:
         return out
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse, by solving x*z = 1 as a 4x4 system."""
+        """Multiplicative inverse: x^-1 = d r / N with (r, N) the
+        adjugate of the numerators."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        # columns of the multiplication-by-x matrix
-        cols = [(self * self.field.element(*[int(i == j) for i in range(4)])).coords
-                for j in range(4)]
-        mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-        inv = _invert4(mat)
-        return FieldElement(self.field, tuple(row[0] for row in inv))
+        r, norm = adjugate(self.field, self._n)
+        d = self._d
+        return _make(self.field, r[0] * d, r[1] * d, r[2] * d, r[3] * d, norm)
 
     # -- predicates / comparisons -------------------------------------------
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self._n)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return (self.field is other.field and self._n == other._n
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+            n = self._n
+            return (not (n[1] or n[2] or n[3])
+                    and n[0] * other.denominator == other.numerator * self._d)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.id, self.coords))
+        if self.is_rational():          # equal to a rational: hash like one
+            return hash(Fraction(self._n[0], self._d))
+        return hash((self.field.id, self._n, self._d))
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self._n[1:])
 
     def rational_value(self) -> Optional[Fraction]:
-        return self.coords[0] if self.is_rational() else None
+        return Fraction(self._n[0], self._d) if self.is_rational() else None
 
     # -- invariants ----------------------------------------------------------
 
     def norm(self) -> Fraction:
-        """Product of the four conjugates: resultant of the defining
-        polynomial (monic) with the coordinate polynomial."""
-        g = list(self.coords)
-        if not any(g):
+        """Product of the four conjugates."""
+        if not self:
             return Fraction(0)
-        return sylvester_resultant_univariate(list(self.field.defining_poly), g)
-
-    def trace(self) -> Fraction:
-        """Trace of the multiplication-by-x matrix."""
-        cols = [(self * self.field.element(*[int(i == j) for i in range(4)])).coords
-                for j in range(4)]
-        return sum(cols[j][j] for j in range(4))
-
-    def embeddings(self, digits: int = 30) -> list:
-        """Values of the element at the four roots of the defining
-        polynomial (mpmath complex numbers)."""
-        with mpmath.workdps(digits):
-            out = []
-            for r in self.field.roots(digits):
-                v = mpmath.mpc(0)
-                for c in reversed(self.coords):
-                    v = v * r + Fraction(c)
-                out.append(v)
-            return out
+        return Fraction(adjugate(self.field, self._n)[1], self._d ** 4)
 
     def in_maximal_order(self) -> bool:
-        inv = self.field._order_inv
-        for i in range(4):
-            s = sum(inv[j][i] * self.coords[j] for j in range(4))
-            if s.denominator != 1:
-                return False
-        return True
-
-    def order_coordinates(self) -> Optional[tuple]:
-        """Coordinates over the integral basis, or None."""
-        inv = self.field._order_inv
-        out = []
-        for i in range(4):
-            s = sum(inv[j][i] * self.coords[j] for j in range(4))
-            if s.denominator != 1:
-                return None
-            out.append(s.numerator)
-        return tuple(out)
+        mat, den = self.field._order_inv
+        n, m = self._n, den * self._d
+        return all(sum(a * b for a, b in zip(row, n)) % m == 0 for row in mat)
 
     def __repr__(self):
         sym = "theta" if self.field.id == "K1" else "phi"
@@ -291,9 +365,6 @@ EPS1 = K2.element(0, Fraction(1, 2), 0, Fraction(1, 4))
 EPS2 = K2.element(2, 2, Fraction(1, 2), Fraction(1, 2))
 PI = K2.element(1, Fraction(3, 2), 0, Fraction(1, 4))
 
-UNITS = {"K1": {"eta1": ETA1, "eta2": ETA2},
-         "K2": {"eps1": EPS1, "eps2": EPS2}}
-
 
 def two_factorization_holds(fld: FieldDescriptor) -> bool:
     """Verify the stored factorization of 2 in the given field."""
@@ -326,13 +397,7 @@ def three_adic_valuation(x: FieldElement) -> Optional[int]:
     over coordinates of ord_3(numerator) - ord_3(denominator).  None for 0."""
     if not x:
         return None
-    best = None
-    for c in x.coords:
-        if not c:
-            continue
-        v = _ord3(c.numerator) - _ord3(c.denominator)
-        best = v if best is None else min(best, v)
-    return best
+    return min(_ord3(c) for c in x._n if c) - _ord3(x._d)
 
 
 def _ord3(n: int) -> int:

@@ -22,7 +22,8 @@ import numpy as np
 from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
                      on_curve, scalar_mul)
 from .exact import perfect_square_root
-from .fields import FieldElement, K1, K2, ONE_PLUS_THETA, PI, pi_valuation
+from .fields import (FieldElement, K1, K2, ONE_PLUS_THETA, PI, adjugate,
+                     charpoly, pi_valuation)
 
 
 @dataclass(frozen=True)
@@ -252,26 +253,10 @@ def height_diff_bound(curve_id: str, digits: int = 30):
 
 def _charpoly_fractions(x: FieldElement) -> list:
     """Exact characteristic polynomial (low-to-high, Fractions, monic) of
-    multiplication by x."""
-    fld = x.field
-    cols = []
-    for i in range(4):
-        e = [Fraction(0)] * 4
-        e[i] = Fraction(1)
-        cols.append((x * FieldElement(fld, tuple(e))).coords)
-    m = [[cols[j][i] for j in range(4)] for i in range(4)]
-    # Faddeev-LeVerrier
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, 5):
-        ck = -sum(mk[i][i] for i in range(4)) / k
-        coeffs.append(ck)
-        if k < 4:
-            for i in range(4):
-                mk[i][i] += ck
-            mk = [[sum(m[i][t] * mk[t][j] for t in range(4))
-                   for j in range(4)] for i in range(4)]
-    return list(reversed(coeffs))  # low-to-high
+    multiplication by x = n / d: charpoly(n)(d X) / d^4."""
+    d = x._d
+    return [Fraction(c, d ** (4 - k))
+            for k, c in enumerate(charpoly(x.field, x._n))]
 
 
 def naive_height(x: FieldElement, digits: int = 40) -> mp.mpf:
@@ -308,45 +293,6 @@ def _content(values):
     return g or 1
 
 
-def _clear_denoms(x: FieldElement):
-    """x = u / w with u having integer coordinates and w a positive integer."""
-    w = 1
-    for c in x.coords:
-        w = w * c.denominator // gcd(w, c.denominator)
-    u = FieldElement(x.field, tuple(c * w for c in x.coords))
-    return u, w
-
-
-def _int_mult_matrix(u: FieldElement):
-    """Multiplication-by-u matrix on the power basis (integer entries)."""
-    fld = u.field
-    cols = []
-    for i in range(4):
-        e = [Fraction(0)] * 4
-        e[i] = Fraction(1)
-        prod = u * FieldElement(fld, tuple(e))
-        assert all(c.denominator == 1 for c in prod.coords)
-        cols.append([c.numerator for c in prod.coords])
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def _det_adj4(m):
-    """Determinant and adjugate of an integer 4x4 matrix."""
-    def det3(a):
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    cof = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            minor = [[m[r][c] for c in range(4) if c != j]
-                     for r in range(4) if r != i]
-            cof[i][j] = (-1) ** (i + j) * det3(minor)
-    det = sum(m[0][j] * cof[0][j] for j in range(4))
-    adj = [[cof[j][i] for j in range(4)] for i in range(4)]
-    return det, adj
-
-
 def canonical_height(curve: CurveInstance, pt: CurvePoint,
                      tol: float = 1e-6) -> mp.mpf:
     """hhat(P) = h(x(2^m P)) / (2*4^m) + O(C / (2*4^m)); m chosen from the
@@ -366,35 +312,30 @@ def canonical_height(curve: CurveInstance, pt: CurvePoint,
     while float(C) / (2 * 4 ** m) >= tol:
         m += 1
     fld = pt.x.field
-    s = 1
-    for coeff in (*curve.a.coords, *curve.b.coords):
-        s = s * coeff.denominator // gcd(s, coeff.denominator)
-    a = FieldElement(fld, tuple(c * s for c in curve.a.coords))
-    b = FieldElement(fld, tuple(c * s for c in curve.b.coords))
-    u, w = _clear_denoms(pt.x)
+    s = curve.a._d * curve.b._d // gcd(curve.a._d, curve.b._d)
+    a = curve.a * s
+    b = curve.b * s
+    u, w = fld.integral(pt.x._n), pt.x._d
     for _ in range(m):
         u2 = u * u
         w2 = w * w
         num = u2 * s - b * w2
         num = num * num
         den = u * (u2 * s + a * u * w + b * w2)
-        if all(c == 0 for c in den.coords):
+        if not den:
             return mp.mpf(0)  # hit the 2-torsion point or infinity
-        det, adj = _det_adj4(_int_mult_matrix(den))
-        ncoords = [c.numerator for c in num.coords]
-        ucoords = [sum(adj[i][j] * ncoords[j] for j in range(4))
-                   for i in range(4)]
-        w = det * 4 * s * w
-        g = _content([w] + ucoords)
+        r, norm = adjugate(fld, den._n)
+        ucoords = (num * fld.integral(r))._n
+        w = norm * 4 * s * w
+        g = _content((w,) + ucoords)
         if w < 0:
             g = -g
-        u = FieldElement(fld, tuple(Fraction(c // g) for c in ucoords))
+        u = fld.integral(c // g for c in ucoords)
         w //= g
     digits = 30 + 2 * m
     mp.mp.dps = digits
-    cp = _charpoly_fractions(u)
-    assert all(c.denominator == 1 for c in cp)
-    scaled = [cp[k].numerator * w ** k for k in range(5)]
+    cp = charpoly(fld, u._n)
+    scaled = [cp[k] * w ** k for k in range(5)]
     lead = w ** 4 // _content(scaled)
     total = mp.log(abs(mp.mpf(lead)))
     winv = 1 / mp.mpf(w)

@@ -1,8 +1,7 @@
 """JSON encoding for certificates and reports.
 
 Schema: rationals as {"num": str, "den": str}; field elements as 4-arrays of
-rationals plus a field tag; points as {"x":..., "y":...} or "infinity";
-3-adic values as integer coordinate arrays with "mod": "3^k".
+rationals plus a field tag; points as {"x":..., "y":...} or "infinity".
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ def decode_point(d):
     if d == "infinity":
         return INFINITY
     return CurvePoint(decode_field_element(d["x"]), decode_field_element(d["y"]))
-
-
-def encode_padic(coords, k: int) -> dict:
-    return {"coords": [int(c) for c in coords], "mod": f"3^{k}"}
 
 
 def dump(obj, path: str):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .exact import perfect_square_root
 
@@ -32,6 +32,7 @@ class Degeneracy(Enum):
     sequence is periodic or polynomially sparse in a trivializing way."""
 
     NONE = "none"
+    ZERO_P = "zero_p"                    # (P, Q) = (0, ±1): alpha/beta = -1, U_2n = 0
     PERIOD_THREE = "period_three"        # (P, Q) = (±1, 1): U vanishes at 3|n
     ODD_SQUARE_INDEX = "odd_square_index"  # (P, Q) = (-2, 1): U_n = ±n, n odd squares
     SQUARE_INDEX = "square_index"        # (P, Q) = (2, 1): U_n = n
@@ -39,6 +40,8 @@ class Degeneracy(Enum):
 
 def classify_degenerate(params: LucasParams) -> Degeneracy:
     p, q = params.p, params.q
+    if p == 0:                           # coprimality forces Q = ±1
+        return Degeneracy.ZERO_P
     if q == 1:
         if p in (1, -1):
             return Degeneracy.PERIOD_THREE
@@ -99,22 +102,3 @@ def scaled_pair(params: LucasParams, k: int) -> tuple[int, int]:
     """The image (kP, k^2 Q) of the scaling that sends U_n to k^(n-1) U_n.
     Returned as a raw tuple since the image is generally not coprime."""
     return k * params.p, k * k * params.q
-
-
-_SQUARE_MASK_64 = frozenset((i * i) % 64 for i in range(64))
-_SQUARE_MASK_63 = frozenset((i * i) % 63 for i in range(63))
-_SQUARE_MASK_65 = frozenset((i * i) % 65 for i in range(65))
-
-
-def fast_square_root(u: int) -> Optional[int]:
-    """perfect_square_root with cheap residue pre-filters, for scan loops."""
-    if u < 0:
-        return None
-    if u % 64 not in _SQUARE_MASK_64:
-        return None
-    if u % 63 not in _SQUARE_MASK_63:
-        return None
-    if u % 65 not in _SQUARE_MASK_65:
-        return None
-    r = math.isqrt(u)
-    return r if r * r == u else None

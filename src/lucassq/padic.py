@@ -27,14 +27,13 @@ class PrecisionError(ArithmeticError):
 
 # --- reduction helpers ------------------------------------------------------
 
-def _inv_mod(a: int, m: int) -> int:
-    return pow(a % m, -1, m)
-
-
-def fraction_mod(q: Fraction, modulus: int) -> int:
-    if q.denominator % P3 == 0:
+def _residues(x: FieldElement, modulus: int) -> tuple:
+    """The integer coordinates of x modulo a power of 3, through one
+    inverse of the common denominator."""
+    if x._d % P3 == 0:
         raise ValueError("denominator not coprime to 3")
-    return q.numerator * _inv_mod(q.denominator, modulus) % modulus
+    dinv = pow(x._d, -1, modulus)
+    return tuple(c * dinv % modulus for c in x._n)
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,7 @@ class PadicQuartic:
 
     @classmethod
     def from_element(cls, x: FieldElement, k: int) -> "PadicQuartic":
-        m = P3 ** k
-        return cls(x.field.id, k, tuple(fraction_mod(c, m) for c in x.coords))
+        return cls(x.field.id, k, _residues(x, P3 ** k))
 
     def valuation(self) -> int:
         """min_i v_3(c_i), capped at k."""
@@ -68,9 +66,7 @@ class PadicQuartic:
 
 def reduce_element(x: FieldElement, k: int) -> FieldElement:
     """Small exact representative of x mod 3^k (integer coordinates)."""
-    m = P3 ** k
-    return FieldElement(x.field, tuple(Fraction(fraction_mod(c, m))
-                                       for c in x.coords))
+    return x.field.integral(_residues(x, P3 ** k))
 
 
 # --- series utilities (dicts degree -> coefficient) -------------------------
@@ -271,8 +267,7 @@ def poly_components_mod(poly: Poly, k: int) -> list:
     m = P3 ** k
     comps = [dict() for _ in range(4)]
     for e, c in poly.terms.items():
-        for i in range(4):
-            v = fraction_mod(c.coords[i], m)
+        for i, v in enumerate(_residues(c, m)):
             if v:
                 comps[i][e] = v
     return [Poly(poly.nvars, d) for d in comps]
@@ -669,19 +664,19 @@ def _strassman_with_floor(series: Poly, kk: int, floor: Callable[[int], int]) ->
     return n_big
 
 
-def _scan_condition_points(curve: CurveInstance, span: int) -> dict:
-    """Exact scan: {(m, eps): point} for multiples m in [-span, span] of the
-    generator (+ eps*T) whose condition value is rational."""
-    from .curves import CurvePoint as _CP
+def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
+    """Exact scan of the multiples m in [-span, span] of the generator
+    (+ eps*T).  Returns ({(m, eps): point} for those whose condition value
+    is rational, [0*G, 1*G, ..., span*G])."""
     G = curve.gens[0]
-    T = CurvePoint(curve.field.zero(), curve.field.zero())
+    T = curve.torsion
     found = {}
-    pt = INFINITY
+    mults = [INFINITY]
     pts = {0: INFINITY}
     for m in range(1, span + 1):
-        pt = add_points(curve, pt, G)
-        pts[m] = pt
-        pts[-m] = -pt
+        mults.append(add_points(curve, mults[-1], G))
+        pts[m] = mults[m]
+        pts[-m] = -mults[m]
     for m, p in pts.items():
         for eps in (0, 1):
             q = add_points(curve, p, T) if eps else p
@@ -689,7 +684,7 @@ def _scan_condition_points(curve: CurveInstance, span: int) -> dict:
                 continue
             if condition_value(curve, q) is not None:
                 found[(m, eps)] = q
-    return found
+    return found, mults
 
 
 def reduction_order(curve: CurveInstance, cap: int = 300) -> int:
@@ -724,14 +719,13 @@ def _rank1_once(curve: CurveInstance, k: int) -> DriverResult:
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     m0 = reduction_order(curve)
-    G = curve.gens[0]
-    T = CurvePoint(curve.field.zero(), curve.field.zero())
+    T = curve.torsion
     order = k + 2
     pack = derive_formal_series(curve, order + 3)
-    Q1 = scalar_mul(curve, m0, G)
+    known, mults = _scan_condition_points(curve, 2 * m0)
+    Q1 = mults[m0]
     L1 = padic_log(pack, z_of_point(Q1), k + 4)
     zpoly = z_linear_combo(pack, [L1], k)
-    known = _scan_condition_points(curve, 2 * m0)
     reports = []
     survivors = [pt for pt in known.values()]
     for eps in (0, 1):
@@ -750,8 +744,7 @@ def _rank1_once(curve: CurveInstance, k: int) -> DriverResult:
                 reports.append(CosetReport(c, eps, "strassman",
                                            tuple(roots), idx, bound))
                 continue
-            base = scalar_mul(curve, c, G)
-            base = add_points(curve, base, T) if eps else base
+            base = add_points(curve, mults[c], T) if eps else mults[c]
             bv = three_adic_valuation(base.x)
             if bv is not None and bv < 0:
                 raise PrecisionError(
@@ -792,9 +785,12 @@ def _rank2_once(curve: CurveInstance, k: int) -> DriverResult:
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     P1, P2 = curve.gens
-    T = CurvePoint(curve.field.zero(), curve.field.zero())
-    Q1 = add_points(curve, P1, scalar_mul(curve, 8, P2))
-    Q2 = scalar_mul(curve, 24, P2)
+    T = curve.torsion
+    mults = [INFINITY]                    # c * P2 for c = 0..12
+    for _ in range(12):
+        mults.append(add_points(curve, mults[-1], P2))
+    Q1 = add_points(curve, P1, mults[8])
+    Q2 = add_points(curve, mults[12], mults[12])
     order = k + 2
     pack = derive_formal_series(curve, order + 3)
     L1 = padic_log(pack, z_of_point(Q1), k + 4)
@@ -855,8 +851,7 @@ def _rank2_once(curve: CurveInstance, k: int) -> DriverResult:
     for eps in (0, 1):
         krange = range(1, 13) if eps == 0 else range(0, 13)
         for c in krange:
-            base = scalar_mul(curve, c, P2)
-            base = add_points(curve, base, T) if eps else base
+            base = add_points(curve, mults[c], T) if eps else mults[c]
             bv = three_adic_valuation(base.x) if not base.at_infinity else None
             if bv is not None and bv < 0:
                 raise PrecisionError(

@@ -3,10 +3,8 @@ are the expensive steps, so each runs at most once per session."""
 
 import pytest
 
+from lucassq.cli import RANK1_IDS
 from lucassq.curves import CURVE_BY_ID
-
-RANK1_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
-             "E9", "E11", "E12")
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from lucassq import padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
-                         cmd_heights, cmd_search, main)
+                         cmd_heights, cmd_search, cmd_verify_theorem, main)
 
 
 def test_classify_reports():
@@ -23,6 +24,11 @@ def test_classify_rejects_bad_n():
     with pytest.raises(ValueError):
         cmd_classify(9, 1, 1)
     assert main(["classify", "9", "1", "1"]) == 3
+
+
+def test_classify_zero_p_is_degenerate():
+    rep = cmd_classify(8, 0, 1)
+    assert rep["u_n"] == 0 and rep["degeneracy"] == "ZERO_P"
 
 
 def test_classify_nonsquare():
@@ -67,3 +73,45 @@ def test_parser_defaults():
     assert args.p_max == 200 and args.q_max == 200 and args.n_max == 50
     args = build_parser().parse_args(["verify-theorem"])
     assert args.precision == 5 and args.out is None
+    for argv in (["verify-theorem", "--float-digits", "9"],
+                 ["heights", "E1", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+def _driver_raising(exc):
+    def run(curve, k=5):
+        raise exc
+    return run
+
+
+def test_verify_theorem_precision_error_is_partial(monkeypatch):
+    monkeypatch.setattr(padic, "rank1_driver",
+                        _driver_raising(padic.PrecisionError("too coarse")))
+    monkeypatch.setattr(padic, "rank2_driver",
+                        _driver_raising(padic.PrecisionError("too coarse")))
+    cert, code = cmd_verify_theorem()
+    assert code == 2 and cert.partial and cert.final_pairs == []
+    assert [f["curve"] for f in cert.failing][:2] == ["E1", "E2"]
+    assert len(cert.failing) == 12
+
+
+def test_verify_theorem_fault_propagates(monkeypatch):
+    monkeypatch.setattr(padic, "rank1_driver",
+                        _driver_raising(TypeError("a bug, not a coset")))
+    with pytest.raises(TypeError):
+        cmd_verify_theorem()
+
+
+def test_verify_theorem_out_prints_summary(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(padic, "rank1_driver",
+                        _driver_raising(padic.PrecisionError("too coarse")))
+    monkeypatch.setattr(padic, "rank2_driver",
+                        _driver_raising(padic.PrecisionError("too coarse")))
+    out = tmp_path / "cert.json"
+    assert main(["verify-theorem", "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert printed == f"final_pairs [] partial true certificate {out}\n"
+    assert json.loads(out.read_text())["partial"] is True
+    assert main(["verify-theorem"]) == 2
+    assert json.loads(capsys.readouterr().out)["partial"] is True

@@ -60,6 +60,14 @@ def test_degeneracy_classes():
     assert not is_degenerate(LucasParams(3, 2))
 
 
+def test_zero_p_is_degenerate():
+    """(0, ±1) has alpha/beta = -1: every even-index term vanishes."""
+    for q in (1, -1):
+        params = LucasParams(0, q)
+        assert classify_degenerate(params) is Degeneracy.ZERO_P
+        assert all(u == 0 for n, u in lucas_u_iter(params, 20) if n % 2 == 0)
+
+
 def test_square_term_indices_fibonacci():
     hits = square_term_indices(FIB, 50)
     assert (12, 12) in hits            # F_12 = 144
