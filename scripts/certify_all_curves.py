@@ -5,7 +5,8 @@ Runs the 3-adic driver on every rank-1 curve and the two-variable driver
 on the rank-2 curve, then the full height/box certification on each, and
 prints a one-line verdict per curve.  The gating acceptance suite only
 certifies the first and the rank-2 curve; this script covers the rest
-with the same per-curve coefficient ranges.
+with the same per-curve coefficient ranges.  Exits with status 1 if any
+curve's certification FAILED.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """
@@ -36,13 +37,14 @@ def run_one(curve):
     print(f"{curve.id:4s} rank {curve.rank}  "
           f"driver: {len(result.survivors):2d} survivors in {t_driver:6.1f}s  "
           f"heights: {verdict} in {t_cert:6.1f}s  box classes: {names}")
+    return not verdict.startswith("FAILED")
 
 
-def main(argv):
+def main(argv) -> int:
     ids = argv or [c.id for c in CURVES]
-    for cid in ids:
-        run_one(CURVE_BY_ID[cid])
+    ok = [run_one(CURVE_BY_ID[cid]) for cid in ids]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

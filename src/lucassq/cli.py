@@ -212,12 +212,12 @@ def cmd_classify(n: int, p: int, q: int) -> dict:
     return rep
 
 
-def cmd_heights(curve_id: str, digits: int = 30) -> dict:
+def cmd_heights(curve_id: str) -> dict:
     from .heights import epsilon_nonarchimedean, height_diff_bound
     if curve_id not in CURVE_BY_ID:
         raise ValueError(f"unknown curve {curve_id!r}")
     curve = CURVE_BY_ID[curve_id]
-    c, eps = height_diff_bound(curve_id, digits)
+    c, eps = height_diff_bound(curve_id)
     epi, exact = epsilon_nonarchimedean(curve)
     return {
         "curve": curve_id,
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("heights", help="height-bound report for one curve")
     h.add_argument("curve", type=str)
-    h.add_argument("--float-digits", type=int, default=30)
 
     sub.add_parser("catalog", help="dump the descent-curve table")
     return ap
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
             print(dumps(cmd_classify(args.n, args.P, args.Q)))
             return 0
         if args.command == "heights":
-            print(dumps(cmd_heights(args.curve, args.float_digits)))
+            print(dumps(cmd_heights(args.curve)))
             return 0
         if args.command == "catalog":
             print(dumps(cmd_catalog()))

@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
-from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
-                     on_curve, scalar_mul)
-from .exact import perfect_square_root
-from .fields import (FieldElement, K1, K2, ONE_PLUS_THETA, PI, adjugate,
-                     charpoly, pi_valuation)
+from .curves import CurveInstance, CurvePoint, add_points, scalar_mul
+from .fields import FieldElement, K2, adjugate, charpoly, pi_valuation
+
+# decimal digits of the height computations; the epsilons, C and the caps
+# carry 15 guard digits on top
+DIGITS = 30
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class EpsilonProblem:
 
     def real_fg(self, place: int, digits: int):
         """Coefficient lists (low-to-high, mpf) of f and g at a real place."""
-        mp.mp.dps = digits
         roots = self.curve.field.roots(digits)
         r = roots[place]
         a = _embed(self.curve.a, r)
@@ -47,7 +47,6 @@ class EpsilonProblem:
     def complex_fg(self, digits: int):
         """Real-coefficient quartics F2 (with F^2 = 16 X^2 * F2-part folded
         in) and G at the complex place."""
-        mp.mp.dps = digits
         roots = self.curve.field.roots(digits)
         r1, r2 = roots[2], roots[3]
         a1, b1 = _embed(self.curve.a, r1), _embed(self.curve.b, r1)
@@ -92,10 +91,10 @@ def epsilon_archimedean(problem: EpsilonProblem, place: int,
                         digits: int = 30, grid: int = 2000) -> mp.mpf:
     """epsilon_nu for place in {0,1} (real) or 2 (complex): inverse of the
     infimum of max(|f|,|g|)/max(1,|X|)^4 over the allowed region."""
-    mp.mp.dps = digits + 15
-    if place in (0, 1):
-        return 1 / _real_infimum(problem, place, digits, grid)
-    return 1 / _complex_infimum(problem, digits, grid)
+    with mp.workdps(digits + 15):
+        if place in (0, 1):
+            return 1 / _real_infimum(problem, place, digits, grid)
+        return 1 / _complex_infimum(problem, digits, grid)
 
 
 def _real_objective(f, g, x):
@@ -207,10 +206,12 @@ def _real_roots(coeffs):
 
 # --- non-archimedean epsilon ----------------------------------------------------
 
+@lru_cache(maxsize=None)
 def epsilon_nonarchimedean(curve: CurveInstance) -> tuple:
     """(epsilon_pi, exact_flag) for K2 curves: scan O_2 mod pi^12 for the
     largest valuation of g(X) = (X^2 - B)^2; epsilon = 2^(v/4).  K1 curves
-    have mu = 0 at the finite place and contribute nothing."""
+    have mu = 0 at the finite place and contribute nothing.  Computed once
+    per curve."""
     if curve.field.id != "K2":
         return (mp.mpf(1), True)
     vmax = 0
@@ -230,25 +231,26 @@ def epsilon_nonarchimedean(curve: CurveInstance) -> tuple:
                     if vmax >= 12:
                         raise ArithmeticError(
                             "g vanishes to order >= pi^12; no bound")
-    return (mp.mpf(2) ** (Fraction(vmax, 4)), vmax < 12)
+    with mp.workdps(DIGITS + 15):
+        return (mp.mpf(2) ** (Fraction(vmax, 4)), vmax < 12)
 
 
 # --- the bound C and canonical heights -------------------------------------------
 
 @lru_cache(maxsize=None)
-def height_diff_bound(curve_id: str, digits: int = 30):
+def height_diff_bound(curve_id: str):
     """C with h(P) - 2 hhat(P) <= C, assembled from the mu/n/epsilon data."""
     from .curves import CURVE_BY_ID
     curve = CURVE_BY_ID[curve_id]
     prob = EpsilonProblem(curve)
-    e1 = epsilon_archimedean(prob, 0, digits)
-    e2 = epsilon_archimedean(prob, 1, digits)
-    e3 = epsilon_archimedean(prob, 2, digits)
-    total = (mp.log(e1) + mp.log(e2) + 2 * mp.log(e3)) / 3
-    if curve.field.id == "K2":
-        epi, _ = epsilon_nonarchimedean(curve)
-        total += mp.log(epi)  # mu_pi * n_pi = (1/4) * 4
-    return total / 4, (e1, e2, e3)
+    e1 = epsilon_archimedean(prob, 0, DIGITS)
+    e2 = epsilon_archimedean(prob, 1, DIGITS)
+    e3 = epsilon_archimedean(prob, 2, DIGITS)
+    epi, _ = epsilon_nonarchimedean(curve)
+    with mp.workdps(DIGITS + 15):
+        # mu_pi * n_pi = (1/4) * 4; log(epi) = 0 on K1
+        total = (mp.log(e1) + mp.log(e2) + 2 * mp.log(e3)) / 3 + mp.log(epi)
+        return total / 4, (e1, e2, e3)
 
 
 def _charpoly_fractions(x: FieldElement) -> list:
@@ -271,14 +273,14 @@ def naive_height(x: FieldElement, digits: int = 40) -> mp.mpf:
     for c in ints:
         g = gcd(g, c)
     ints = [c // g for c in ints]
-    mp.mp.dps = digits
     # the charpoly roots are exactly the embeddings of x (with multiplicity
     # if x lies in a subfield), so evaluate those instead of root-finding a
     # quartic whose integer coefficients may be astronomically large
-    total = mp.log(abs(mp.mpf(ints[-1])))
-    for root in x.field.roots(digits):
-        total += mp.log(max(1, abs(_embed(x, root))))
-    return total / 4
+    with mp.workdps(digits):
+        total = mp.log(abs(mp.mpf(ints[-1])))
+        for root in x.field.roots(digits):
+            total += mp.log(max(1, abs(_embed(x, root))))
+        return total / 4
 
 
 def _content(values):
@@ -332,16 +334,16 @@ def canonical_height(curve: CurveInstance, pt: CurvePoint,
             g = -g
         u = fld.integral(c // g for c in ucoords)
         w //= g
-    digits = 30 + 2 * m
-    mp.mp.dps = digits
+    digits = DIGITS + 2 * m
     cp = charpoly(fld, u._n)
     scaled = [cp[k] * w ** k for k in range(5)]
     lead = w ** 4 // _content(scaled)
-    total = mp.log(abs(mp.mpf(lead)))
-    winv = 1 / mp.mpf(w)
-    for root in fld.roots(digits):
-        total += mp.log(max(1, abs(_embed(u, root) * winv)))
-    return total / (8 * 4 ** m)
+    with mp.workdps(digits):
+        total = mp.log(abs(mp.mpf(lead)))
+        winv = 1 / mp.mpf(w)
+        for root in fld.roots(digits):
+            total += mp.log(max(1, abs(_embed(u, root) * winv)))
+        return total / (8 * 4 ** m)
 
 
 def height_pairing(curve: CurveInstance, p: CurvePoint, q: CurvePoint,
@@ -391,25 +393,6 @@ def shape_ranges(shape: CandidateShape, B) -> list:
     return out
 
 
-def enumerate_candidates(curve: CurveInstance, B) -> Iterator[tuple]:
-    """Yield (shape_tag, coeff_tuple, poly_low_to_high_fractions)."""
-    for shape in candidate_shapes(curve):
-        ranges = shape_ranges(shape, B)
-        for coeffs in itertools.product(*[range(-r, r + 1) for r in ranges]):
-            ok = True
-            for idx, modulus, residue in shape.parities:
-                if coeffs[idx] % modulus != residue:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            poly = [Fraction(1)]
-            for c, mult in zip(coeffs, shape.multipliers):
-                poly.append(Fraction(c * mult))
-            poly[-1] /= shape.denominator
-            yield shape.tag, coeffs, list(reversed(poly))
-
-
 # --- roots in the field and point lifting ------------------------------------------
 
 def _round_fraction(v: float, max_den: int = 16, tol: float = 1e-6):
@@ -419,125 +402,71 @@ def _round_fraction(v: float, max_den: int = 16, tol: float = 1e-6):
     return None
 
 
-def roots_in_field(fld, poly, digits: int = 30) -> list:
-    """Exact elements of the field that are roots of the rational-coefficient
-    polynomial (low-to-high).  Numeric roots are matched to embeddings in a
-    conjugation-respecting way, reconstructed through the inverted
-    Vandermonde system, rounded to denominator <= 16, and verified exactly."""
-    coeffs = [Fraction(c) for c in poly]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    deg = len(coeffs) - 1
-    if deg == 0:
+def roots_in_field(fld, coeffs, digits: int = 30) -> list:
+    """Exact elements of the field that are roots of the polynomial with
+    coefficients `coeffs` (low-to-high, rationals or elements of fld).
+
+    A root x has a real image among the real numeric roots at each real
+    place, some image r among the roots at the first complex place, and
+    conj(r) at the second.  The inverse Vandermonde matrix of the embeddings
+    maps each such assignment to coordinates, which are rounded to
+    denominator 16 and verified exactly.  If nothing is found, or a root
+    search does not converge, the search is repeated once at 60 digits."""
+    cs = [c if isinstance(c, FieldElement) else fld.element(c) for c in coeffs]
+    while len(cs) > 1 and not cs[-1]:
+        cs.pop()
+    if len(cs) == 1:
         return []
-    if deg == 1:
-        return [fld.element(-coeffs[0] / coeffs[1], 0, 0, 0)]
-    mp.mp.dps = digits
-    try:
-        roots = mp.polyroots([mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                              for c in reversed(coeffs)],
-                             maxsteps=200, extraprec=80)
-    except mp.libmp.NoConvergence:
-        if digits < 60:
-            return roots_in_field(fld, poly, 60)
-        return []
-    emb = fld.roots(digits)
-    emb = [mp.mpc(e) for e in emb]
+    if len(cs) == 2:
+        return [-cs[0] / cs[1]]
     found = []
-    # assign a root value to each embedding; embeddings 2,3 are complex
-    # conjugates, so their assigned values must be too
-    tol = mp.mpf(10) ** (-digits // 3)
-    for assign in itertools.product(roots, repeat=2):
-        for r3 in roots:
-            vals = [mp.mpc(assign[0]), mp.mpc(assign[1]), mp.mpc(r3),
-                    mp.conj(mp.mpc(r3))]
-            if abs(mp.im(vals[0])) > tol or abs(mp.im(vals[1])) > tol:
-                continue
-            coords = _solve_vandermonde(emb, vals)
-            if coords is None:
-                continue
+    with mp.workdps(digits):
+        tol = mp.mpf(10) ** (-(digits // 3))
+        try:
+            places = [mp.polyroots([_embed(c, e) for c in reversed(cs)],
+                                   maxsteps=200, extraprec=80)
+                      for e in fld.roots(digits)[:3]]
+        except mp.libmp.NoConvergence:
+            places = [[]] * 3
+        for i in (0, 1):
+            places[i] = [mp.re(r) for r in places[i] if abs(mp.im(r)) <= tol]
+        vinv = _vandermonde_inverse(fld, digits)
+        for r0, r1, r2 in itertools.product(*places):
+            vals = (r0, r1, r2, mp.conj(r2))
             cand = []
-            ok = True
-            for c in coords:
+            for row in vinv:
+                c = sum(v * r for v, r in zip(row, vals))
                 if abs(mp.im(c)) > 1e-4:
-                    ok = False
                     break
                 fc = _round_fraction(float(mp.re(c)))
                 if fc is None:
-                    ok = False
                     break
                 cand.append(fc)
-            if not ok:
-                continue
-            x = fld.element(*cand)
-            # exact verification
-            acc = fld.zero()
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            if not acc and all(x != f for f in found):
-                found.append(x)
+            else:
+                x = fld.element(*cand)
+                if x not in found and not _poly_eval(cs, x):
+                    found.append(x)
     if not found and digits < 60:
-        return roots_in_field(fld, poly, 60)
+        return roots_in_field(fld, cs, 60)
     return found
 
 
-def _solve_vandermonde(emb, vals):
-    n = 4
-    a = [[emb[i] ** j for j in range(n)] for i in range(n)]
-    b = list(vals)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < mp.mpf(10) ** (-mp.mp.dps + 8):
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            fac = a[r][col] / a[col][col]
-            for cc in range(col, n):
-                a[r][cc] -= fac * a[col][cc]
-            b[r] -= fac * b[col]
-    x = [mp.mpc(0)] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - sum(a[r][cc] * x[cc] for cc in range(r + 1, n))) / a[r][r]
-    return x
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(fld, digits: int) -> tuple:
+    """Rows of the inverse of (e_i^j), e_i the four embeddings of the field
+    generator, at `digits` decimal digits."""
+    with mp.workdps(digits):
+        inv = mp.inverse(mp.matrix([[e ** j for j in range(4)]
+                                    for e in fld.roots(digits)]))
+        return tuple(tuple(inv[k, i] for i in range(4)) for k in range(4))
 
 
-def field_sqrt(fld, w: FieldElement, digits: int = 30) -> Optional[FieldElement]:
+def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
     """Exact square root of w in the field, if one exists."""
     if not w:
         return fld.zero()
-    embs = fld.roots(digits)
-    vals = [_embed(w, mp.mpc(r)) for r in embs]
-    if abs(mp.im(vals[0])) < 1e-20 and mp.re(vals[0]) < 0:
-        return None
-    if abs(mp.im(vals[1])) < 1e-20 and mp.re(vals[1]) < 0:
-        return None
-    s = [mp.sqrt(v) for v in vals]
-    for signs in itertools.product((1, -1), repeat=3):
-        vals2 = [signs[0] * s[0], signs[1] * s[1],
-                 signs[2] * s[2], mp.conj(signs[2] * s[2])]
-        coords = _solve_vandermonde([mp.mpc(e) for e in embs], vals2)
-        if coords is None:
-            continue
-        cand = []
-        ok = True
-        for c in coords:
-            if abs(mp.im(c)) > 1e-4:
-                ok = False
-                break
-            fc = _round_fraction(float(mp.re(c)))
-            if fc is None:
-                ok = False
-                break
-            cand.append(fc)
-        if not ok:
-            continue
-        y = fld.element(*cand)
-        if y * y == w:
-            return y
-    if digits < 60:
-        return field_sqrt(fld, w, 60)
-    return None
+    roots = roots_in_field(fld, [-w, 0, 1])
+    return roots[0] if roots else None
 
 
 def lift_x_to_point(curve: CurveInstance, x: FieldElement) -> Optional[CurvePoint]:
@@ -555,10 +484,9 @@ def halving_candidates(curve: CurveInstance, pt: CurvePoint) -> list:
         raise ValueError("finite point required")
     xg = pt.x
     A, B = curve.a, curve.b
-    quart_coeffs = [B * B, -4 * B * xg, -(2 * B + 4 * A * xg), -4 * xg,
-                    curve.field.one()]
+    quart_coeffs = [B * B, -4 * B * xg, -(2 * B + 4 * A * xg), -4 * xg, 1]
     out = []
-    for x in _roots_in_field_elementcoeffs(curve.field, quart_coeffs):
+    for x in roots_in_field(curve.field, quart_coeffs):
         q = lift_x_to_point(curve, x)
         if q is None:
             continue
@@ -566,48 +494,6 @@ def halving_candidates(curve: CurveInstance, pt: CurvePoint) -> list:
             if add_points(curve, cand, cand) == pt and cand not in out:
                 out.append(cand)
     return out
-
-
-def _roots_in_field_elementcoeffs(fld, coeffs, digits: int = 40) -> list:
-    """Roots in the field of a polynomial whose coefficients are field
-    elements: match numeric roots per embedding and reconstruct."""
-    mp.mp.dps = digits
-    embs = [mp.mpc(e) for e in fld.roots(digits)]
-    per_place = []
-    for e_idx, r in enumerate(embs):
-        cs = [_embed(c, r) if isinstance(c, FieldElement) else mp.mpc(c)
-              for c in coeffs]
-        try:
-            rts = mp.polyroots(list(reversed(cs)), maxsteps=300, extraprec=100)
-        except mp.libmp.NoConvergence:
-            return []
-        per_place.append(rts)
-    found = []
-    for combo in itertools.product(*per_place):
-        coords = _solve_vandermonde(embs, [mp.mpc(v) for v in combo])
-        if coords is None:
-            continue
-        cand = []
-        ok = True
-        for c in coords:
-            if abs(mp.im(c)) > 1e-4:
-                ok = False
-                break
-            fc = _round_fraction(float(mp.re(c)))
-            if fc is None:
-                ok = False
-                break
-            cand.append(fc)
-        if not ok:
-            continue
-        x = fld.element(*cand)
-        acc = fld.zero()
-        for c in reversed(coeffs):
-            cc = c if isinstance(c, FieldElement) else fld.element(c, 0, 0, 0)
-            acc = acc * x + cc
-        if not acc and all(x != f for f in found):
-            found.append(x)
-    return found
 
 
 # --- certification ------------------------------------------------------------------
@@ -631,13 +517,14 @@ _SCREEN_CACHE = {}
 
 def _screen_data(curve: CurveInstance):
     if curve.id not in _SCREEN_CACHE:
-        emb = [complex(e) for e in curve.field.roots(30)]
+        emb = [complex(e) for e in curve.field.roots(DIGITS)]
         V = np.array([[e ** j for j in range(4)] for e in emb])
         ab = []
-        for r in emb[:2]:
-            a = complex(_embed(curve.a, mp.mpc(r))).real
-            b = complex(_embed(curve.b, mp.mpc(r))).real
-            ab.append((a, b))
+        with mp.workdps(DIGITS):
+            for r in emb[:2]:
+                a = complex(_embed(curve.a, mp.mpc(r))).real
+                b = complex(_embed(curve.b, mp.mpc(r))).real
+                ab.append((a, b))
         _SCREEN_CACHE[curve.id] = (np.linalg.inv(V), ab)
     return _SCREEN_CACHE[curve.id]
 
@@ -780,70 +667,69 @@ def _names_for_survivors(curve: CurveInstance, survivors, span: int = 2):
     return names
 
 
-def certify_generators(curve: CurveInstance, digits: int = 30) -> HeightCertificate:
-    """Full certification pipeline: 2-indivisibility, the bound C, the
-    H-cap, box enumeration, and survivor matching."""
-    C, eps = height_diff_bound(curve.id, digits)
-    eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
-                "inf3": float(eps[2])}
-    if curve.field.id == "K2":
-        epi, exact = epsilon_nonarchimedean(curve)
-        eps_dict["pi"] = float(epi)
-    T = CurvePoint(curve.field.zero(), curve.field.zero())
-    if curve.rank == 1:
-        G = curve.gens[0]
-        if halving_candidates(curve, G):
-            raise ArithmeticError(f"{curve.id}: generator is divisible by 2")
-        hg = canonical_height(curve, G, tol=1e-5)
-        # the cap only enters through floor()ed box bounds, so the cheap
-        # tolerance plus a one-sided inflation by the tail bound is safe
-        cap = mp.e ** (C + 2 * (hg + mp.mpf(1e-5)) / 9)
-        survivors = _search_box(curve, cap)
-        names = _names_for_survivors(curve, survivors)
-        if any(n is None for n in names):
-            bad = survivors[names.index(None)]
-            raise ArithmeticError(
-                f"{curve.id}: certification failed, unexplained point "
-                f"X = {bad.coords}")
-        shapes = [(s.tag, shape_ranges(s, cap)) for s in candidate_shapes(curve)]
-        return HeightCertificate(
-            curve.id, eps_dict, float(C), [float(hg)], float(cap), shapes,
-            survivors, names, "generator")
-    # rank 2
-    P1, P2 = curve.gens
-    odd_classes = {
-        "P1": P1, "P2": P2, "P1+P2": add_points(curve, P1, P2), "T": T,
-        "P1+T": add_points(curve, P1, T), "P2+T": add_points(curve, P2, T),
-        "P1+P2+T": add_points(curve, add_points(curve, P1, P2), T)}
-    for name, rep in odd_classes.items():
-        if halving_candidates(curve, rep):
-            raise ArithmeticError(
-                f"{curve.id}: class {name} is halvable; index is even")
-    h1 = canonical_height(curve, P1, tol=1e-5)
-    h2 = canonical_height(curve, P2, tol=1e-5)
-    pairing = height_pairing(curve, P1, P2, tol=1e-5)
-    cap1 = mp.e ** (C + 2 * (h1 + mp.mpf(1e-5)) / 9)
-    survivors = _search_box(curve, cap1)
+def _named_survivors(curve: CurveInstance, B, what: str) -> tuple:
+    """The box survivors for cap B and their names; raise if one of them
+    is not a small combination of the generators and torsion."""
+    survivors = _search_box(curve, B)
     names = _names_for_survivors(curve, survivors)
-    if any(n is None for n in names):
+    if None in names:
         bad = survivors[names.index(None)]
         raise ArithmeticError(
-            f"{curve.id}: certification failed, unexplained point "
-            f"X = {bad.coords}")
-    hg2_bound = h1 / 4 + abs(pairing) / 6 + h2 / 9 + mp.mpf(5e-5)
-    cap2 = mp.e ** (C + 2 * hg2_bound)
-    survivors2 = _search_box(curve, cap2)
-    names2 = _names_for_survivors(curve, survivors2)
-    if any(n is None for n in names2):
-        bad = survivors2[names2.index(None)]
-        raise ArithmeticError(
-            f"{curve.id}: second enumeration found unexplained point "
-            f"X = {bad.coords}")
-    shapes = [(s.tag, shape_ranges(s, cap1)) for s in candidate_shapes(curve)]
-    shapes2 = [(s.tag, shape_ranges(s, cap2)) for s in candidate_shapes(curve)]
-    return HeightCertificate(
-        curve.id, eps_dict, float(C), [float(h1), float(h2)], float(cap1),
-        shapes, survivors, names, "generators",
-        extra={"pairing": float(pairing), "g2_height_bound": float(hg2_bound),
-               "cap2": float(cap2), "shapes2": shapes2,
-               "survivors2_names": names2})
+            f"{curve.id}: {what} found unexplained point X = {bad.coords}")
+    return survivors, names
+
+
+def certify_generators(curve: CurveInstance) -> HeightCertificate:
+    """Full certification pipeline: 2-indivisibility, the bound C, the
+    H-cap, box enumeration, and survivor matching."""
+    with mp.workdps(DIGITS + 15):
+        C, eps = height_diff_bound(curve.id)
+        eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
+                    "inf3": float(eps[2])}
+        if curve.field.id == "K2":
+            eps_dict["pi"] = float(epsilon_nonarchimedean(curve)[0])
+        T = CurvePoint(curve.field.zero(), curve.field.zero())
+        if curve.rank == 1:
+            G = curve.gens[0]
+            if halving_candidates(curve, G):
+                raise ArithmeticError(
+                    f"{curve.id}: generator is divisible by 2")
+            hg = canonical_height(curve, G, tol=1e-5)
+            # the cap only enters through floor()ed box bounds, so the cheap
+            # tolerance plus a one-sided inflation by the tail bound is safe
+            cap = mp.e ** (C + 2 * (hg + mp.mpf(1e-5)) / 9)
+            survivors, names = _named_survivors(curve, cap, "certification")
+            shapes = [(s.tag, shape_ranges(s, cap))
+                      for s in candidate_shapes(curve)]
+            return HeightCertificate(
+                curve.id, eps_dict, float(C), [float(hg)], float(cap), shapes,
+                survivors, names, "generator")
+        # rank 2
+        P1, P2 = curve.gens
+        odd_classes = {
+            "P1": P1, "P2": P2, "P1+P2": add_points(curve, P1, P2), "T": T,
+            "P1+T": add_points(curve, P1, T), "P2+T": add_points(curve, P2, T),
+            "P1+P2+T": add_points(curve, add_points(curve, P1, P2), T)}
+        for name, rep in odd_classes.items():
+            if halving_candidates(curve, rep):
+                raise ArithmeticError(
+                    f"{curve.id}: class {name} is halvable; index is even")
+        h1 = canonical_height(curve, P1, tol=1e-5)
+        h2 = canonical_height(curve, P2, tol=1e-5)
+        pairing = height_pairing(curve, P1, P2, tol=1e-5)
+        cap1 = mp.e ** (C + 2 * (h1 + mp.mpf(1e-5)) / 9)
+        survivors, names = _named_survivors(curve, cap1, "certification")
+        hg2_bound = h1 / 4 + abs(pairing) / 6 + h2 / 9 + mp.mpf(5e-5)
+        cap2 = mp.e ** (C + 2 * hg2_bound)
+        _, names2 = _named_survivors(curve, cap2, "second enumeration")
+        shapes = [(s.tag, shape_ranges(s, cap1))
+                  for s in candidate_shapes(curve)]
+        shapes2 = [(s.tag, shape_ranges(s, cap2))
+                   for s in candidate_shapes(curve)]
+        return HeightCertificate(
+            curve.id, eps_dict, float(C), [float(h1), float(h2)], float(cap1),
+            shapes, survivors, names, "generators",
+            extra={"pairing": float(pairing),
+                   "g2_height_bound": float(hg2_bound),
+                   "cap2": float(cap2), "shapes2": shapes2,
+                   "survivors2_names": names2})

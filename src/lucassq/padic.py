@@ -377,40 +377,24 @@ def _coeff_val(c: int, cap: int) -> int:
     return v
 
 
-def strassman_bound(series: Poly, k: int, divided_by: int = 0) -> int:
-    """Largest index attaining the minimal coefficient valuation of a
-    one-variable series known mod 3^(k) whose tail obeys the floor
-    fact2_floor(d) - divided_by.  Raises PrecisionError if the truncation
-    cannot certify the answer."""
+def strassman_bound(series: Poly, k: int,
+                    floor: Callable[[int], int] = fact2_floor) -> int:
+    """Largest index attaining the minimal coefficient valuation mu of a
+    one-variable series known mod 3^k whose coefficients beyond the stored
+    ones have valuation >= floor(d) at degree d (floor nondecreasing).
+    Raises PrecisionError unless mu < k and floor(dmax + 1) > mu."""
     if series.nvars != 1:
         raise ValueError("one-variable series required")
     if series.is_zero():
-        raise PrecisionError("series identically zero mod 3^k")
+        raise PrecisionError("series vanishes mod 3^k")
     vals = {e[0]: _coeff_val(c, k) for e, c in series.terms.items()}
     mu = min(vals.values())
     if mu >= k:
-        raise PrecisionError("precision insufficient: all coefficients vanish")
-    n_big = max(d for d, v in vals.items() if v == mu)
-    dmax = max(vals)
-    # truncated-to-zero low-degree coefficients: true valuation >= k
-    if mu >= k:
         raise PrecisionError("precision insufficient")
-    # every degree beyond the stored ones must have tail valuation > mu
-    d = n_big + 1
-    while True:
-        if d > dmax:
-            floor = fact2_floor(d) - divided_by
-            if floor > mu:
-                break
-            raise PrecisionError(f"precision insufficient: tail degree {d}")
-        v = vals.get(d)
-        if v is None or v >= k:
-            # known only to vanish mod 3^k; true valuation >= k - but the
-            # stored poly is exact mod 3^k, so v >= k > mu iff mu < k
-            if k <= mu:
-                raise PrecisionError("precision insufficient")
-        d += 1
-    return n_big
+    tail = max(vals) + 1
+    if floor(tail) <= mu:
+        raise PrecisionError(f"tail degree {tail} not dominated")
+    return max(d for d, v in vals.items() if v == mu)
 
 
 @dataclass(frozen=True)
@@ -631,37 +615,16 @@ def _known_count_strassman(components: list, k: int, known: int,
                 if any(e[0] % 2 for e in ser.terms):
                     raise PrecisionError("series not even")
                 ser_m = Poly(1, {(e[0] // 2,): c for e, c in ser.terms.items()})
-                bound = _strassman_with_floor(ser_m, k - j, lambda e: e + 1 - j)
+                bound = strassman_bound(ser_m, k - j, lambda e: e + 1 - j)
             else:
-                bound = _strassman_with_floor(ser, k - j,
-                                              lambda d: fact2_floor(d) - j)
+                bound = strassman_bound(ser, k - j,
+                                        lambda d: fact2_floor(d) - j)
         except PrecisionError as exc:
             last_err = exc
             continue
         if bound <= known:
             return i + 1, bound
     raise last_err or PrecisionError("no component certifies the root count")
-
-
-def _strassman_with_floor(series: Poly, kk: int, floor: Callable[[int], int]) -> int:
-    """Strassman bound for a 1-variable series known mod 3^kk whose degree-d
-    tail coefficients have valuation >= floor(d)."""
-    if series.is_zero():
-        raise PrecisionError("series vanishes mod 3^k")
-    vals = {e[0]: _coeff_val(c, kk) for e, c in series.terms.items()}
-    mu = min(vals.values())
-    if mu >= kk:
-        raise PrecisionError("precision insufficient")
-    n_big = max(d for d, v in vals.items() if v == mu)
-    dmax = max(vals)
-    d = n_big + 1
-    while True:
-        if d > dmax:
-            if floor(d) > mu:
-                break
-            raise PrecisionError(f"tail degree {d} not dominated")
-        d += 1
-    return n_big
 
 
 def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:

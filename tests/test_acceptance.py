@@ -335,7 +335,7 @@ def _minimal_polynomial(x):
 
 def _box_vector(shape, poly):
     """The integer box coordinates of a monic polynomial (low-to-high) in a
-    candidate shape, inverting the map of `enumerate_candidates`; None if
+    candidate shape, inverting the map of `_shape_coefficients`; None if
     the degree differs or a coordinate is not an integer."""
     if len(poly) != len(shape.multipliers) + 1:
         return None

@@ -74,7 +74,8 @@ def test_parser_defaults():
     args = build_parser().parse_args(["verify-theorem"])
     assert args.precision == 5 and args.out is None
     for argv in (["verify-theorem", "--float-digits", "9"],
-                 ["heights", "E1", "--tol", "1e-3"]):
+                 ["heights", "E1", "--tol", "1e-3"],
+                 ["heights", "E1", "--float-digits", "9"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 

@@ -1,15 +1,17 @@
 """Archimedean epsilon data, canonical heights, and the X-coordinate
 enumeration/lifting toolkit."""
 
+import itertools
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import lucassq.heights as heights
 from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
 from lucassq.fields import K1, K2
-from lucassq.heights import (CandidateShape, candidate_shapes,
-                             canonical_height, enumerate_candidates,
+from lucassq.heights import (_charpoly_fractions, _shape_coefficients,
+                             candidate_shapes, canonical_height,
                              epsilon_nonarchimedean, field_sqrt,
                              halving_candidates, height_diff_bound,
                              lift_x_to_point, naive_height, roots_in_field,
@@ -71,7 +73,6 @@ def test_height_difference_one_sided():
 def test_roots_in_field_recovers_minimal_polynomial_roots():
     """Feed the exact minimal polynomial of a known field element back in."""
     x = E9.gens[0].x                      # (1, 1/2, 0, 1/4) in K2
-    from lucassq.heights import _charpoly_fractions
     cp = _charpoly_fractions(x)
     roots = roots_in_field(K2, cp)
     assert any(r == x for r in roots)
@@ -123,8 +124,101 @@ def test_candidate_shapes_and_ranges():
 
 
 def test_enumerate_candidates_small_box():
-    cands = list(enumerate_candidates(E9, 2.0))
-    assert cands, "a nonempty box must produce candidates"
-    # every candidate is monic over Q
-    for tag, coeffs, poly in cands:
-        assert poly[-1] == 1              # monic lead (low-to-high layout)
+    """The box rows of each shape are exactly the integer tuples within
+    shape_ranges that satisfy the shape's parities."""
+    for curve in (E1, E9):
+        for shape in candidate_shapes(curve):
+            ranges = shape_ranges(shape, 2.0)
+            rows = {tuple(int(c) for c in row)
+                    for row in _shape_coefficients(shape, 2.0)}
+            assert rows, shape.tag
+            expected = {
+                v for v in itertools.product(*[range(-r, r + 1)
+                                               for r in ranges])
+                if all(v[i] % modulus == residue
+                       for i, modulus, residue in shape.parities)}
+            assert rows == expected, shape.tag
+
+
+# --- the shared numeric-roots -> exact-element routine ------------------------
+
+sixteenths = st.tuples(*(st.integers(-160, 160).map(lambda n: Fraction(n, 16))
+                         for _ in range(4)))
+fields = st.sampled_from([K1, K2])
+
+
+@given(fields, sixteenths)
+@settings(max_examples=40, deadline=None)
+def test_roots_in_field_reconstructs_from_embeddings(fld, cs):
+    """The numeric roots of the characteristic polynomial of x are the
+    embeddings of x; reconstructing from them returns x."""
+    x = fld.element(*cs)
+    if x.is_rational():
+        x = x + fld.element(0, 1)
+    roots = roots_in_field(fld, _charpoly_fractions(x))
+    assert x in roots
+    assert len(set(roots)) == len(roots)
+
+
+@given(fields, sixteenths, sixteenths)
+@settings(max_examples=25, deadline=None)
+def test_roots_in_field_element_coefficients(fld, a, b):
+    """(X - x)(X - y) with coefficients in the field has the roots x, y."""
+    x, y = fld.element(*a), fld.element(*b)
+    roots = roots_in_field(fld, [x * y, -(x + y), 1])
+    assert set(roots) == {x, y}
+
+
+def test_roots_in_field_irrational_pair():
+    x = K2.element(1, Fraction(1, 2), 0, Fraction(1, 4))
+    y = K2.element(Fraction(-3, 16), 0, 2, -1)
+    roots = roots_in_field(K2, [x * y, -(x + y), K2.one()])
+    assert len(roots) == 2 and set(roots) == {x, y}
+    # degree 1 is solved exactly
+    assert roots_in_field(K2, [-x * y, y]) == [x]
+
+
+def test_field_sqrt_nonsquare_positive_at_real_places(monkeypatch):
+    """1 + phi^2 = 2 sqrt(2) - 1 is positive at both real places of K2 but
+    not a square in K2: the search finds nothing at 30 digits, repeats at
+    60, and returns None."""
+    w = K2.element(1, 0, 1, 0)
+    for root in K2.roots():
+        assert mp.re(heights._embed(w, root)) > 0 or mp.im(root) != 0
+    seen = []
+    inner = heights.roots_in_field
+
+    def spy(fld, coeffs, digits=30):
+        seen.append(digits)
+        return inner(fld, coeffs, digits)
+
+    monkeypatch.setattr(heights, "roots_in_field", spy)
+    assert field_sqrt(K2, w) is None
+    assert seen == [30, 60]
+    assert field_sqrt(K2, w * w * 4) in (2 * w, -2 * w)
+
+
+def test_no_global_precision_change():
+    G = E1.gens[0]
+    with mp.workdps(20):
+        height_diff_bound("E1")
+        assert mp.dps == 20
+        naive_height(G.x)
+        assert mp.dps == 20
+        canonical_height(E1, G, tol=1e-3)
+        assert mp.dps == 20
+        roots_in_field(K2, [-2, 0, 1])
+        assert mp.dps == 20
+
+
+def test_height_diff_bound_independent_of_call_order():
+    """The same C after cache_clear(), whether or not canonical_height (at
+    another working precision) ran first."""
+    before = height_diff_bound("E1")
+    height_diff_bound.cache_clear()
+    with mp.workdps(20):
+        canonical_height(E1, E1.gens[0], tol=1e-3)
+    after = height_diff_bound("E1")
+    assert after == before
+    height_diff_bound.cache_clear()
+    assert height_diff_bound("E1") == before

@@ -8,7 +8,8 @@ import pytest
 from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
 from lucassq.exact import Poly
 from lucassq.fields import K2, three_adic_valuation
-from lucassq.padic import (_nonrational_components, beta_x_series, build_skolem_system,
+from lucassq.padic import (PrecisionError, _known_count_strassman,
+                           _nonrational_components, beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, padic_exp, padic_log,
                            poly_components_mod, poly_mod, poly_shift,
@@ -161,6 +162,27 @@ def test_strassman_bound_basic():
     # known the bound certifies completeness
     f = Poly(1, {(1,): 3, (2,): 1})
     assert strassman_bound(f, K) >= 1
+
+
+def test_strassman_bound_tail_not_dominated():
+    # 9x: mu = 2, but the tail floor at degree 2 is fact2_floor(2) = 2
+    f = Poly(1, {(1,): 9})
+    with pytest.raises(PrecisionError, match="tail degree 2"):
+        strassman_bound(f, K)
+    assert strassman_bound(f, K, floor=lambda d: d + 1) == 1
+    with pytest.raises(PrecisionError):
+        strassman_bound(Poly(1, {(1,): M}), K)       # vanishes mod 3^K
+
+
+def test_known_count_strassman_even_floor():
+    """After 3^j is divided out of a series even in n, the substitution
+    m = n^2 bounds the tail by e + 1 - j, not by fact2_floor(d) - j."""
+    comp = Poly(1, {(2,): 9})                        # 9 n^2: j = 2, m
+    assert _known_count_strassman([comp], K, 1, even_in_var=True) == (1, 1)
+    with pytest.raises(PrecisionError):              # floor(3) - 2 = 0
+        _known_count_strassman([comp], K, 1)
+    with pytest.raises(PrecisionError):              # j = 3: 2 + 1 - 3 = 0
+        _known_count_strassman([Poly(1, {(2,): 27})], K, 1, even_in_var=True)
 
 
 def _coset_thetas(pack, zpoly, c, eps):
