@@ -8,7 +8,6 @@ Exit codes: 0 success / complete certificate, 2 partial certificate,
 from __future__ import annotations
 
 import argparse
-import math
 import multiprocessing
 import sys
 import time
@@ -21,51 +20,63 @@ from .elementary import square_criterion, u7_solutions
 from .exact import is_perfect_square, perfect_square_root
 from .jsonio import dump, dumps, encode_point, encode_rational
 from .lucas import (LucasParams, classify_degenerate, is_degenerate, lucas_u,
-                    square_term_indices)
+                    square_terms)
 
 
 # --- square search ----------------------------------------------------------
 
-def _scan_strip(args) -> list:
-    """Hits (p, q, n, root) for one value of p over the whole q range."""
-    p, q_max, n_max = args
-    out = []
-    for q in range(-q_max, q_max + 1):
-        if q == 0 or math.gcd(p, q) != 1:
-            continue
-        params = LucasParams(p, q)
-        if is_degenerate(params):
-            continue
-        for n, r in square_term_indices(params, n_max):
-            out.append((p, q, n, r))
-    return out
+# (P, Q) pairs per sieve block.  The block's int64 arrays set the memory of
+# a scan; larger blocks take more memory and run no faster.
+SEARCH_BLOCK_PAIRS = 10_000
+SEARCH_EXAMPLES = 4           # smallest (p, q, r) reported per index
+
+
+def _search_block(args) -> tuple:
+    """For one block of P values: n -> (hit count, up to SEARCH_EXAMPLES
+    smallest (p, q, r)), and the pairs whose U_8 is a square."""
+    ps, q_max, n_max = args
+    per_n: dict = {}
+    for p, q, n, r in square_terms(ps, q_max, n_max):
+        per_n.setdefault(n, []).append((p, q, r))
+    return ({n: (len(v), v[:SEARCH_EXAMPLES]) for n, v in per_n.items()},
+            [(p, q) for p, q, _ in per_n.get(8, [])])
 
 
 def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
     """Scan all coprime nondegenerate (P, Q) with 0 < |P| <= p_max,
     0 < |Q| <= q_max for square terms U_n, 2 <= n <= n_max.
 
-    The merge is a deterministic sort, so the report is independent of the
-    worker count.
+    The box is cut into blocks of whole P values of about
+    SEARCH_BLOCK_PAIRS pairs each, scanned by `square_terms`.  A block
+    returns only counts, examples and n = 8 pairs, so the memory of a scan
+    does not grow with the box.  The merge is order-independent, so the
+    report does not depend on the worker count.
     """
     if min(p_max, q_max, n_max, workers) < 1:
         raise ValueError("all bounds must be >= 1")
-    strips = [(p, q_max, n_max) for p in range(-p_max, p_max + 1) if p != 0]
+    ps = [p for p in range(-p_max, p_max + 1) if p != 0]
+    step = max(1, SEARCH_BLOCK_PAIRS // (2 * q_max))
+    blocks = [(ps[i:i + step], q_max, n_max) for i in range(0, len(ps), step)]
     t0 = time.monotonic()
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_scan_strip, strips, chunksize=8)
+            results = pool.map(_search_block, blocks)
     else:
-        chunks = [_scan_strip(s) for s in strips]
-    hits = sorted(h for chunk in chunks for h in chunk)
-    per_n: dict = {}
-    for p, q, n, r in hits:
-        per_n.setdefault(n, []).append((p, q, r))
+        results = [_search_block(b) for b in blocks]
+    counts: dict = {}
+    examples: dict = {}
+    n8 = set()
+    for per_n, pairs in results:
+        for n, (count, ex) in per_n.items():
+            counts[n] = counts.get(n, 0) + count
+            examples[n] = sorted(examples.get(n, []) + ex)[:SEARCH_EXAMPLES]
+        n8.update(pairs)
     return {
         "p_max": p_max, "q_max": q_max, "n_max": n_max,
-        "indices": sorted(per_n),
-        "hits_per_n": {str(n): len(v) for n, v in sorted(per_n.items())},
-        "n8_pairs": sorted({(p, q) for p, q, _ in per_n.get(8, [])}),
+        "indices": sorted(counts),
+        "hits_per_n": {str(n): counts[n] for n in sorted(counts)},
+        "n8_pairs": sorted(n8),
+        "examples_per_n": {str(n): examples[n] for n in sorted(counts)},
         "elapsed_s": round(time.monotonic() - t0, 2),
     }
 
@@ -218,13 +229,12 @@ def cmd_heights(curve_id: str) -> dict:
         raise ValueError(f"unknown curve {curve_id!r}")
     curve = CURVE_BY_ID[curve_id]
     c, eps = height_diff_bound(curve_id)
-    epi, exact = epsilon_nonarchimedean(curve)
+    epi = epsilon_nonarchimedean(curve)
     return {
         "curve": curve_id,
         "epsilon_real": [mp_str(eps[0]), mp_str(eps[1])],
         "epsilon_complex": mp_str(eps[2]),
         "epsilon_finite": mp_str(epi),
-        "epsilon_finite_exact": exact,
         "height_diff_bound": mp_str(c),
     }
 

@@ -207,13 +207,13 @@ def _real_roots(coeffs):
 # --- non-archimedean epsilon ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def epsilon_nonarchimedean(curve: CurveInstance) -> tuple:
-    """(epsilon_pi, exact_flag) for K2 curves: scan O_2 mod pi^12 for the
-    largest valuation of g(X) = (X^2 - B)^2; epsilon = 2^(v/4).  K1 curves
-    have mu = 0 at the finite place and contribute nothing.  Computed once
-    per curve."""
+def epsilon_nonarchimedean(curve: CurveInstance) -> mp.mpf:
+    """epsilon_pi for K2 curves: scan O_2 mod pi^12 for the largest
+    valuation v of g(X) = (X^2 - B)^2; epsilon = 2^(v/4).  A scan that
+    reaches v >= 12 gives no bound and raises.  K1 curves have mu = 0 at
+    the finite place and contribute nothing.  Computed once per curve."""
     if curve.field.id != "K2":
-        return (mp.mpf(1), True)
+        return mp.mpf(1)
     vmax = 0
     basis = [K2.element(*row) for row in
              [(1, 0, 0, 0), (0, 1, 0, 0),
@@ -232,7 +232,7 @@ def epsilon_nonarchimedean(curve: CurveInstance) -> tuple:
                         raise ArithmeticError(
                             "g vanishes to order >= pi^12; no bound")
     with mp.workdps(DIGITS + 15):
-        return (mp.mpf(2) ** (Fraction(vmax, 4)), vmax < 12)
+        return mp.mpf(2) ** (Fraction(vmax, 4))
 
 
 # --- the bound C and canonical heights -------------------------------------------
@@ -246,7 +246,7 @@ def height_diff_bound(curve_id: str):
     e1 = epsilon_archimedean(prob, 0, DIGITS)
     e2 = epsilon_archimedean(prob, 1, DIGITS)
     e3 = epsilon_archimedean(prob, 2, DIGITS)
-    epi, _ = epsilon_nonarchimedean(curve)
+    epi = epsilon_nonarchimedean(curve)
     with mp.workdps(DIGITS + 15):
         # mu_pi * n_pi = (1/4) * 4; log(epi) = 0 on K1
         total = (mp.log(e1) + mp.log(e2) + 2 * mp.log(e3)) / 3 + mp.log(epi)
@@ -687,7 +687,7 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
         eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
                     "inf3": float(eps[2])}
         if curve.field.id == "K2":
-            eps_dict["pi"] = float(epsilon_nonarchimedean(curve)[0])
+            eps_dict["pi"] = float(epsilon_nonarchimedean(curve))
         T = CurvePoint(curve.field.zero(), curve.field.zero())
         if curve.rank == 1:
             G = curve.gens[0]

@@ -1,11 +1,12 @@
-"""Lucas sequence core: terms, degeneracy classification, square scans."""
+"""Lucas sequence core: terms, degeneracy classification, and the
+residue-sieve scan for square terms."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .exact import perfect_square_root
 
@@ -84,17 +85,22 @@ def lucas_v(params: LucasParams, n: int) -> int:
     return a
 
 
-def square_term_indices(params: LucasParams, n_max: int) -> list[tuple[int, int]]:
+def square_term_indices(params: LucasParams, n_max: int,
+                        indices: Optional[list[int]] = None) -> list[tuple[int, int]]:
     """All (n, r) with 2 <= n <= n_max and U_n = r^2 a perfect square
-    (r >= 0).  Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares
-    for every pair."""
+    (r >= 0), by the recurrence and one exact square root per term.
+    Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
+    pair.  With `indices`, only those n are checked: `square_terms` passes
+    the indices its residue sieve did not rule out."""
+    wanted = set(range(2, n_max + 1))
+    if indices is not None:
+        wanted &= set(indices)
     hits = []
-    for n, u in lucas_u_iter(params, n_max):
-        if n < 2:
-            continue
-        r = perfect_square_root(u)
-        if r is not None:
-            hits.append((n, r))
+    for n, u in lucas_u_iter(params, max(wanted, default=1)):
+        if n in wanted:
+            r = perfect_square_root(u)
+            if r is not None:
+                hits.append((n, r))
     return hits
 
 
@@ -102,3 +108,72 @@ def scaled_pair(params: LucasParams, k: int) -> tuple[int, int]:
     """The image (kP, k^2 Q) of the scaling that sends U_n to k^(n-1) U_n.
     Returned as a raw tuple since the image is generally not coprime."""
     return k * params.p, k * k * params.q
+
+
+# --- residue-sieve scan for square terms -------------------------------------
+
+# The factors of each combined modulus M.  The recurrence runs mod M in
+# int64: with residues in [0, M), P*U - Q*U' lies within 2 M^2 < 2^63, so no
+# product overflows.  A square is a square modulo every factor, so a term
+# whose residue is not a square modulo some factor is not a square.
+SIEVE_MODULI = ((64, 63, 65, 11, 17, 19),
+                (23, 29, 31, 37, 41, 43),
+                (47,))
+assert all(2 * math.prod(f) ** 2 < 2 ** 63 for f in SIEVE_MODULI)
+
+
+def square_residue_table(m: int):
+    """numpy bool array t of length m with t[r] true iff r = x^2 mod m."""
+    import numpy as np
+    x = np.arange(m, dtype=np.int64)
+    table = np.zeros(m, dtype=bool)
+    table[x * x % m] = True
+    return table
+
+
+def _coprime_nondegenerate_pairs(ps, q_max: int):
+    """int64 arrays (P, Q) of the coprime nondegenerate pairs with P in ps
+    and 0 < |Q| <= q_max, in (P, Q) order.  The degeneracy test is
+    `classify_degenerate`'s: P = 0, or Q = 1 with |P| <= 2."""
+    import numpy as np
+    p = np.asarray(ps, dtype=np.int64)
+    q = np.arange(-q_max, q_max + 1, dtype=np.int64)
+    q = q[q != 0]
+    P, Q = np.repeat(p, q.size), np.tile(q, p.size)
+    keep = ((np.gcd(P, Q) == 1) & (P != 0)
+            & ~((Q == 1) & (np.abs(P) <= 2)))
+    return P[keep], Q[keep]
+
+
+def square_terms(ps, q_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """All (p, q, n, r), sorted, with p in ps, 0 < |q| <= q_max, (p, q)
+    coprime and nondegenerate, 2 <= n <= n_max and U_n(p, q) = r^2 (r >= 0).
+    Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
+    pair.
+
+    Each term is reduced modulo the combined SIEVE_MODULI and dropped when
+    it is not a square modulo one of their factors; the few that pass are
+    recomputed exactly by `square_term_indices`, one pass per pair.  Memory
+    is a few int64 arrays the size of the pair set."""
+    import numpy as np
+    P, Q = _coprime_nondegenerate_pairs(ps, q_max)
+    M = np.array([math.prod(f) for f in SIEVE_MODULI], dtype=np.int64)[:, None]
+    pm, qm = P % M, Q % M           # one row per combined modulus
+    a, b = np.zeros_like(pm), np.ones_like(pm)      # U_0, U_1
+    checks = [(row, f, square_residue_table(f))
+              for row, factors in enumerate(SIEVE_MODULI) for f in factors]
+    candidates: dict = {}           # pair index -> indices the sieve kept
+    for n in range(2, n_max + 1):
+        a, b = b, (pm * b - qm * a) % M             # b = U_n mod M
+        alive = np.arange(P.size)
+        for row, f, table in checks:
+            alive = alive[table[b[row, alive] % f]]
+        for i in alive.tolist():
+            candidates.setdefault(i, []).append(n)
+    hits = []
+    for i, ns in candidates.items():
+        p, q = int(P[i]), int(Q[i])
+        hits += [(p, q, n, r) for n, r in
+                 square_term_indices(LucasParams(p, q), n_max, ns)]
+    hits.sort()
+    return hits

@@ -47,6 +47,8 @@ def test_criterion_2_search_box():
     assert time.monotonic() - t0 < 300
     assert set(rep["indices"]) == {2, 3, 4, 5, 6, 7, 8, 12}
     assert rep["n8_pairs"] == [(1, -4), (4, -17)]
+    assert rep["hits_per_n"] == {"2": 3533, "3": 800, "4": 90, "5": 28,
+                                 "6": 8, "7": 8, "8": 2, "12": 1}
 
 
 # --- 3. the n = 7 family ------------------------------------------------------

@@ -1,12 +1,16 @@
 """CLI plumbing: argument handling, report shapes, and determinism."""
 
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lucassq import padic
+from lucassq import cli, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
+from lucassq.lucas import LucasParams, is_degenerate, square_terms
 
 
 def test_classify_reports():
@@ -47,6 +51,45 @@ def test_search_tiny_box_deterministic():
 def test_search_finds_first_theorem_pair():
     rep = cmd_search(4, 4, 8, workers=1)
     assert rep["n8_pairs"] == [(1, -4)]
+
+
+def _scalar_census(p_max, q_max, n_max) -> list:
+    """Every (p, q, n, r) of the box with U_n = r^2, sorted: the plain
+    recurrence and one isqrt per term over every coprime nondegenerate pair."""
+    hits = []
+    for p in range(-p_max, p_max + 1):
+        for q in range(-q_max, q_max + 1):
+            if (p == 0 or q == 0 or math.gcd(p, q) != 1
+                    or is_degenerate(LucasParams(p, q))):
+                continue
+            a, b = 0, 1                           # U_0, U_1
+            for n in range(2, n_max + 1):
+                a, b = b, p * b - q * a           # b = U_n
+                if b >= 0 and math.isqrt(b) ** 2 == b:
+                    hits.append((p, q, n, math.isqrt(b)))
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_max=st.integers(2, 15), q_max=st.integers(1, 15),
+       n_max=st.integers(1, 60), block=st.integers(1, 200))
+@example(p_max=2, q_max=1, n_max=60, block=1)
+def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
+    """The sieve census equals the scalar scan on boxes that hold the
+    degenerate pairs (+-1, 1) and (+-2, 1) and the boundary Q = 1, cut
+    into blocks of every size from one P value to the whole box."""
+    hits = _scalar_census(p_max, q_max, n_max)
+    ps = [p for p in range(-p_max, p_max + 1) if p]
+    assert square_terms(ps, q_max, n_max) == hits
+    per_n = {}
+    for p, q, n, r in hits:
+        per_n.setdefault(n, []).append((p, q, r))
+    with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", block):
+        rep = cmd_search(p_max, q_max, n_max, workers=1)
+    assert rep["indices"] == sorted(per_n)
+    assert rep["hits_per_n"] == {str(n): len(v) for n, v in sorted(per_n.items())}
+    assert rep["n8_pairs"] == sorted({(p, q) for p, q, _ in per_n.get(8, [])})
+    assert rep["examples_per_n"] == {str(n): v[:4] for n, v in sorted(per_n.items())}
 
 
 def test_search_rejects_bad_bounds():

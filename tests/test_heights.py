@@ -24,10 +24,11 @@ E10 = CURVE_BY_ID["E10"]
 
 def test_epsilon_nonarchimedean():
     # K1 curves contribute nothing at the finite place
-    eps, exact = epsilon_nonarchimedean(E1)
-    assert eps == 1 and exact
-    eps, exact = epsilon_nonarchimedean(E10)
-    assert exact and float(eps) > 1
+    assert epsilon_nonarchimedean(E1) == 1
+    # on E10 the scan's largest valuation is v = 10: 2^(10/4) = 4 sqrt(2)
+    with mp.workdps(heights.DIGITS + 15):
+        assert mp.almosteq(epsilon_nonarchimedean(E10), 4 * mp.sqrt(2),
+                           rel_eps=mp.mpf(10) ** -(heights.DIGITS + 10))
 
 
 def test_height_diff_bound_positive_and_cached():

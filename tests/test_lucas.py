@@ -1,14 +1,17 @@
 """Lucas sequences, degeneracy classes, and square-term scans."""
 
+import math
+
 from hypothesis import given, strategies as st
 
-from lucassq.lucas import (Degeneracy, LucasParams, classify_degenerate,
-                           is_degenerate, lucas_u, lucas_u_iter, lucas_v,
-                           scaled_pair, square_term_indices)
+from lucassq.lucas import (SIEVE_MODULI, Degeneracy, LucasParams,
+                           classify_degenerate, is_degenerate, lucas_u,
+                           lucas_u_iter, lucas_v, scaled_pair,
+                           square_residue_table, square_term_indices,
+                           square_terms)
 
 FIB = LucasParams(1, -1)
 
-import math
 
 coprime_pairs = st.tuples(
     st.integers(-80, 80).filter(bool),
@@ -69,14 +72,30 @@ def test_zero_p_is_degenerate():
 
 
 def test_square_term_indices_fibonacci():
-    hits = square_term_indices(FIB, 50)
-    assert (12, 12) in hits            # F_12 = 144
-    assert all(n in (2, 12) for n, _ in hits)
+    # F_2 = 1 and F_12 = 144; (1, 1) is degenerate, so P = 1, |Q| <= 1 is
+    # the Fibonacci sequence alone
+    assert square_term_indices(FIB, 50) == [(2, 1), (12, 12)]
+    assert square_term_indices(FIB, 50, [3, 12, 49, 51]) == [(12, 12)]
+    assert square_terms([1], 1, 50) == [(1, -1, 2, 1), (1, -1, 12, 12)]
 
 
 def test_square_term_indices_theorem_pairs():
     assert (8, 21) in square_term_indices(LucasParams(1, -4), 8)
     assert (8, 620) in square_term_indices(LucasParams(4, -17), 8)
+    assert (1, -4, 8, 21) in square_terms([1], 4, 8)
+    assert (4, -17, 8, 620) in square_terms([4], 17, 8)
+
+
+def test_square_residue_tables():
+    """Each sieve table holds x^2 mod m for every x, and nothing else; each
+    combined modulus keeps its int64 recurrence products below 2^63."""
+    for factors in SIEVE_MODULI:
+        assert 2 * math.prod(factors) ** 2 < 2 ** 63
+        for m in factors:
+            table = square_residue_table(m)
+            squares = {x * x % m for x in range(m)}
+            assert len(table) == m and int(table.sum()) == len(squares)
+            assert all(table[s] for s in squares)
 
 
 @given(coprime_pairs, st.integers(1, 8))
