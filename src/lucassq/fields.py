@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 import mpmath
@@ -371,6 +372,35 @@ def two_factorization_holds(fld: FieldDescriptor) -> bool:
     if fld.id == "K1":
         return ETA1 ** (-4) * ETA2 ** 2 * ONE_PLUS_THETA ** 4 == 2
     return EPS2 ** (-2) * PI ** 4 == 2
+
+
+@lru_cache(maxsize=None)
+def split_primes(fld: FieldDescriptor, count: int) -> tuple:
+    """The first `count` odd primes p at which the defining polynomial has
+    four distinct roots mod p, each as (p, roots).  Each root a gives a ring
+    map Z_(p)[alpha] -> F_p, alpha -> a (see `residue`); p does not divide
+    the discriminant of the defining polynomial, so Z_(p)[alpha] is the
+    integral closure of Z_(p) in the field, and it is F_p^4 mod p."""
+    f = [int(c) for c in fld.defining_poly]
+    out = []
+    p = 3
+    while len(out) < count:
+        if all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            roots = tuple(a for a in range(p)
+                          if sum(c * a ** k for k, c in enumerate(f)) % p == 0)
+            if len(roots) == 4:
+                out.append((p, roots))
+        p += 2
+    return tuple(out)
+
+
+def residue(x: FieldElement, p: int, a: int) -> Optional[int]:
+    """The image of x in F_p under alpha -> a, a root of the defining
+    polynomial mod p; None when p divides the denominator of x."""
+    if x._d % p == 0:
+        return None
+    n0, n1, n2, n3 = x._n
+    return (((n3 * a + n2) * a + n1) * a + n0) * pow(x._d, -1, p) % p
 
 
 def pi_valuation(x: FieldElement, cap: int = 24) -> int:

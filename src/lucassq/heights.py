@@ -1,6 +1,12 @@
 """Mordell-Weil generator certification: Siksek-style height-difference
-bounds, canonical heights by the doubling limit, and bounded enumeration of
-candidate X-coordinate minimal polynomials.
+bounds, canonical heights by the doubling limit, and an exact search of the
+boxes of candidate X-coordinate minimal polynomials.
+
+The box search (`_search_box`) streams each box in int64 blocks through a
+sieve at primes that split completely in the field and rebuilds the roots
+of the surviving rows by Hensel lifting; no floating point enters it.  The
+same maps to F_p prove non-squares and non-halvable points before the
+numeric root search of `roots_in_field`.
 
 The local data follow the usual normalization n_nu = [K_nu : Q_nu] with
 h(x) = (1/4) sum_nu n_nu log max(1, |x|_nu); equivalently (1/4) log of the
@@ -13,14 +19,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
 from .curves import CurveInstance, CurvePoint, add_points, scalar_mul
-from .fields import FieldElement, K2, adjugate, charpoly, pi_valuation
+from .fields import (FieldElement, K2, _invert4, adjugate, charpoly,
+                     pi_valuation, residue, split_primes)
 
 # decimal digits of the height computations; the epsilons, C and the caps
 # carry 15 guard digits on top
@@ -461,10 +468,86 @@ def _vandermonde_inverse(fld, digits: int) -> tuple:
         return tuple(tuple(inv[k, i] for i in range(4)) for k in range(4))
 
 
+# --- split primes: exact arithmetic mod p ----------------------------------------------
+
+SIEVE_PRIMES = 8          # split primes of the box sieve and the local pre-checks
+SPLIT, REPEATED = 1, 2    # `_classify` codes; 0 rejects
+
+
+def _zeros_mod_p(c: np.ndarray, p: int) -> np.ndarray:
+    """(rows, p) mask of the residues at which monic polynomials mod p
+    vanish.  Row k of c holds the coefficients below the leading 1, high
+    to low, in [0, p); for degree <= 4 and p < 2^12 the values stay below
+    p^5 < 2^63 without reduction."""
+    residues = np.arange(p, dtype=np.int64)
+    val = np.ones((len(c), p), dtype=np.int64)
+    for k in range(c.shape[1]):
+        val = val * residues + c[:, k:k + 1]
+    return val % p == 0
+
+
+def _root_counts(c: np.ndarray, p: int) -> np.ndarray:
+    """The number of distinct roots in F_p of monic polynomials mod p
+    (coefficient rows as in `_zeros_mod_p`), in blocks of 512 rows."""
+    count = np.empty(len(c), dtype=np.int64)
+    for s in range(0, len(c), 512):
+        count[s:s + 512] = _zeros_mod_p(c[s:s + 512], p).sum(axis=1)
+    return count
+
+
+def _disc_formula(c: np.ndarray) -> np.ndarray:
+    """The discriminants of monic polynomials of degree 1, 2 or 4 from their
+    coefficient rows (as in `_zeros_mod_p`): exact for object arrays, and in
+    int64 for entries below 450 (|disc| <= 1069 * max|entry|^6 < 2^63)."""
+    d = c.shape[1]
+    if d == 1:
+        return np.ones(len(c), dtype=c.dtype)
+    if d == 2:
+        b, e = c.T
+        return b * b - 4 * e
+    b, a, f, e = c.T                      # X^4 + b X^3 + a X^2 + f X + e
+    return (256 * e**3 - 192 * b * f * e**2 - 128 * a**2 * e**2
+            + 144 * a * f**2 * e - 27 * f**4 + 144 * b**2 * a * e**2
+            - 6 * b**2 * f**2 * e - 80 * b * a**2 * f * e + 18 * b * a * f**3
+            + 16 * a**4 * e - 4 * a**3 * f**2 - 27 * b**4 * e**2
+            + 18 * b**3 * a * f * e - 4 * b**3 * f**3 - 4 * b**2 * a**3 * e
+            + b**2 * a**2 * f**2)
+
+
+def _classify(c: np.ndarray, p: int) -> np.ndarray:
+    """SPLIT where the monic polynomial (coefficient rows mod p) has as many
+    distinct roots in F_p as its degree, else REPEATED where its
+    discriminant vanishes mod p, else 0."""
+    if p >= 450:
+        raise ValueError(f"{p}: the int64 discriminant needs p < 450")
+    return np.where(_root_counts(c, p) == c.shape[1], SPLIT,
+                    np.where(_disc_formula(c) % p == 0, REPEATED, 0))
+
+
+def _no_root_at_split_prime(fld, coeffs) -> bool:
+    """True when the monic polynomial with coefficients `coeffs` (low to
+    high, in fld or Q) has no root in the field, proved at a map
+    alpha -> a of a split prime p at which every coefficient is p-integral:
+    its image has no root in F_p.  Sound because a root in the field is
+    integral over Z_(p)[alpha], the integral closure of Z_(p), so it lies
+    there and maps to a root mod p.  For X^2 - w with w a unit at the map
+    this is Euler's criterion, w(a)^((p-1)/2) = -1."""
+    cs = [c if isinstance(c, FieldElement) else fld.element(c) for c in coeffs]
+    for p, roots in split_primes(fld, SIEVE_PRIMES):
+        images = [[residue(c, p, a) for c in cs[-2::-1]] for a in roots]
+        images = [im for im in images if None not in im]
+        if images and (_root_counts(np.array(images), p) == 0).any():
+            return True
+    return False
+
+
 def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
-    """Exact square root of w in the field, if one exists."""
+    """Exact square root of w in the field, if one exists; None at once
+    when a split prime shows that w is not a square."""
     if not w:
         return fld.zero()
+    if _no_root_at_split_prime(fld, [-w, 0, 1]):
+        return None
     roots = roots_in_field(fld, [-w, 0, 1])
     return roots[0] if roots else None
 
@@ -477,14 +560,21 @@ def lift_x_to_point(curve: CurveInstance, x: FieldElement) -> Optional[CurvePoin
     return CurvePoint(x, y)
 
 
+def _duplication_quartic(curve: CurveInstance, xp: FieldElement) -> list:
+    """x^4 - 4 x_P x^3 - (2B + 4A x_P) x^2 - 4B x_P x + B^2 (low to high),
+    whose roots are the x(Q) with 2Q = P."""
+    A, B = curve.a, curve.b
+    return [B * B, -4 * B * xp, -(2 * B + 4 * A * xp), -4 * xp, 1]
+
+
 def halving_candidates(curve: CurveInstance, pt: CurvePoint) -> list:
-    """Points Q with 2Q = pt, found through the duplication quartic
-    x^4 - 4 x_P x^3 - (2B + 4A x_P) x^2 - 4B x_P x + B^2."""
+    """Points Q with 2Q = pt, found through the duplication quartic; [] at
+    once when a split prime shows that the quartic has no root."""
     if pt.at_infinity:
         raise ValueError("finite point required")
-    xg = pt.x
-    A, B = curve.a, curve.b
-    quart_coeffs = [B * B, -4 * B * xg, -(2 * B + 4 * A * xg), -4 * xg, 1]
+    quart_coeffs = _duplication_quartic(curve, pt.x)
+    if _no_root_at_split_prime(curve.field, quart_coeffs):
+        return []
     out = []
     for x in roots_in_field(curve.field, quart_coeffs):
         q = lift_x_to_point(curve, x)
@@ -512,121 +602,308 @@ class HeightCertificate:
     extra: dict = field(default_factory=dict)
 
 
-_SCREEN_CACHE = {}
+# --- the box sieve -------------------------------------------------------------------
+
+# Every root x of a box row has 4x integral (4^d g(X/4) has integer
+# coefficients when g is monic with coefficients in (1/4)Z), and the maximal
+# order of either field lies in (1/4)Z[alpha], so 16x has integer coordinates.
+DENOMINATOR = 16
+BOX_CHUNK_ROWS = 1 << 16  # rows per int64 block of the streamed box
 
 
-def _screen_data(curve: CurveInstance):
-    if curve.id not in _SCREEN_CACHE:
-        emb = [complex(e) for e in curve.field.roots(DIGITS)]
-        V = np.array([[e ** j for j in range(4)] for e in emb])
-        ab = []
-        with mp.workdps(DIGITS):
-            for r in emb[:2]:
-                a = complex(_embed(curve.a, mp.mpc(r))).real
-                b = complex(_embed(curve.b, mp.mpc(r))).real
-                ab.append((a, b))
-        _SCREEN_CACHE[curve.id] = (np.linalg.inv(V), ab)
-    return _SCREEN_CACHE[curve.id]
+def _shape_rows(shape: CandidateShape, B):
+    """The rows of the shape's box (integer tuples within shape_ranges that
+    meet its parities) in lexicographic order, as int64 arrays of at most
+    BOX_CHUNK_ROWS rows, so that memory does not grow with the box."""
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in shape_ranges(shape, B)]
+    for idx, modulus, rem in shape.parities:
+        axes[idx] = axes[idx][axes[idx] % modulus == rem]
+    sizes = [len(a) for a in axes]
+    total = prod(sizes)
+    for start in range(0, total, BOX_CHUNK_ROWS):
+        flat = np.arange(start, min(total, start + BOX_CHUNK_ROWS))
+        digits = np.unravel_index(flat, sizes)
+        yield np.stack([a[i] for a, i in zip(axes, digits)], axis=1)
 
 
-def _shape_coefficients(shape: CandidateShape, B) -> np.ndarray:
-    """All integer coefficient tuples of the shape (N, deg), parity-filtered."""
-    ranges = shape_ranges(shape, B)
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in ranges]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coeff = np.stack([g.ravel() for g in grids], axis=1)
-    for idx, modulus, residue in shape.parities:
-        coeff = coeff[coeff[:, idx] % modulus == residue]
-    return coeff
+def _shape_fractions(shape: CandidateShape) -> tuple:
+    """(multipliers, denominators): row entry k times multipliers[k] over
+    denominators[k] is the coefficient of X^(d-1-k) of the row's monic
+    polynomial."""
+    d = len(shape.multipliers)
+    return (np.array(shape.multipliers, dtype=np.int64),
+            (1,) * (d - 1) + (shape.denominator,))
 
 
-def _batch_roots(scaled: np.ndarray) -> np.ndarray:
-    """Roots of monic polynomials x^d + s0 x^(d-1) + ... + s_(d-1), batched
-    through companion-matrix eigenvalues; scaled has shape (N, d)."""
-    n, deg = scaled.shape
-    if deg == 1:
-        return (-scaled).astype(complex)
-    comp = np.zeros((n, deg, deg))
-    idx = np.arange(deg - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, deg - 1] = -scaled[:, ::-1]
-    return np.linalg.eigvals(comp)
+def _monic_mod(num: np.ndarray, den: tuple, m: int) -> np.ndarray:
+    """num[:, k] / den[k] mod m (m < 2^31 coprime to every den[k]): the
+    coefficients below the leading 1, high to low, of monic polynomials."""
+    c = num % m
+    for k, v in enumerate(den):
+        if v != 1:
+            c[:, k] = c[:, k] * pow(v, -1, m) % m
+    return c
 
 
-def _screen_shape(curve: CurveInstance, shape: CandidateShape, B):
-    """Float screen over a whole coefficient box at once.
+def _table_index(c: np.ndarray, p: int) -> np.ndarray:
+    """Coefficient rows mod p read as base-p numbers."""
+    return c @ p ** np.arange(c.shape[1] - 1, -1, -1, dtype=np.int64)
 
-    A root x in K of a candidate polynomial has its two real-embedding
-    images among the real roots (with x(x^2+Ax+B) >= 0 there, else no point
-    lifts) and its complex-embedding image among all roots; solving the
-    fixed Vandermonde system for every such assignment in one batched
-    matmul proposes rational coordinate vectors, and only those hits are
-    handed to exact arithmetic.  Yields (coeff_row, coords) pairs."""
-    vinv, ab = _screen_data(curve)
-    coeff = _shape_coefficients(shape, B)
-    if len(coeff) == 0:
-        return
-    scaled = coeff.astype(float) * np.array(shape.multipliers, dtype=float)
-    scaled[:, -1] /= shape.denominator
-    roots = _batch_roots(scaled)
-    deg = roots.shape[1]
-    is_real = np.abs(roots.imag) < 1e-7
-    rr = roots.real
-    place_ok = []
-    for a, b in ab:
-        w = rr * (rr ** 2 + a * rr + b)
-        place_ok.append(is_real & (w > -1e-6))
-    vt = vinv.T
-    for i in range(deg):          # index of the place-1 image
-        for j in range(deg):      # index of the place-2 image
-            pair_ok = place_ok[0][:, i] & place_ok[1][:, j]
-            if not pair_ok.any():
-                continue
-            sel = np.nonzero(pair_ok)[0]
-            for k in range(deg):  # index of the complex-place image
-                vals = np.empty((len(sel), 4), dtype=complex)
-                vals[:, 0] = rr[sel, i]
-                vals[:, 1] = rr[sel, j]
-                vals[:, 2] = roots[sel, k]
-                vals[:, 3] = roots[sel, k].conjugate()
-                coords = vals @ vt
-                near_real = np.max(np.abs(coords.imag), axis=1) < 1e-6
-                re = coords.real
-                on_grid = (np.max(np.abs(re * 16 - np.round(re * 16)),
-                                  axis=1) < 1e-5)
-                for t in np.nonzero(near_real & on_grid)[0]:
-                    frac = tuple(Fraction(int(v), 16)
-                                 for v in np.round(re[t] * 16).astype(int))
-                    yield coeff[sel[t]], frac
+
+def _poly_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise products mod p of polynomials with coefficients high to low."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            out[:, i + j] += a[:, i] * b[:, j]
+    return out % p
+
+
+@lru_cache(maxsize=None)
+def _classify_table(p: int, d: int) -> np.ndarray:
+    """`_classify` of every monic polynomial of degree d in {1, 2, 4} mod p,
+    indexed by `_table_index`, built from factorisations instead of
+    evaluations: a product of d distinct linear factors is SPLIT; a squared
+    linear factor times any monic polynomial, or for d = 4 the square of a
+    quadratic, is REPEATED; everything else is 0."""
+    def monic(tails):
+        return np.hstack([np.ones((len(tails), 1), dtype=np.int64), tails])
+
+    def tuples(iterable, k):
+        return np.fromiter(itertools.chain.from_iterable(iterable),
+                           dtype=np.int64).reshape(-1, k)
+
+    table = np.zeros(p ** d, dtype=np.int8)
+    if d >= 2:
+        linear = monic(-np.arange(p, dtype=np.int64).reshape(-1, 1) % p)
+        square = _poly_mul_mod(linear, linear, p)
+        cofactors = (monic(tuples(itertools.product(range(p), repeat=2), 2))
+                     if d == 4 else np.ones((1, 1), dtype=np.int64))
+        repeated = _poly_mul_mod(np.repeat(square, len(cofactors), axis=0),
+                                 np.tile(cofactors, (p, 1)), p)
+        table[_table_index(repeated[:, 1:], p)] = REPEATED
+        if d == 4:
+            squares = _poly_mul_mod(cofactors, cofactors, p)
+            table[_table_index(squares[:, 1:], p)] = REPEATED
+    roots = tuples(itertools.combinations(range(p), d), d)
+    split = np.ones((len(roots), 1), dtype=np.int64)
+    for k in range(d):
+        split = _poly_mul_mod(split, monic(-roots[:, k:k + 1] % p), p)
+    table[_table_index(split[:, 1:], p)] = SPLIT
+    return table
+
+
+def _sieve(fld, num: np.ndarray, den: tuple) -> tuple:
+    """Indices of the monic polynomials num / den (as in `_monic_mod`) that
+    no sieve prime rejects, and for each the index into split_primes of
+    the first prime at which it is SPLIT (-1 if none).  The first prime
+    goes by table lookup."""
+    d = num.shape[1]
+    idx, first = np.arange(len(num)), np.full(len(num), -1)
+    for i, (p, _) in enumerate(split_primes(fld, SIEVE_PRIMES)):
+        c = _monic_mod(num[idx], den, p)
+        code = (_classify_table(p, d)[_table_index(c, p)] if i == 0
+                else _classify(c, p))
+        first[(first < 0) & (code == SPLIT)] = i
+        idx, first = idx[code > 0], first[code > 0]
+    return idx, first
+
+
+def _discriminant(num: np.ndarray, den: tuple) -> np.ndarray:
+    """Exact discriminants, up to a nonzero factor, of the monic polynomials
+    g = num / den: those of the integer monic G(X) = D^d g(X / D), D the
+    largest of den (a multiple of the others)."""
+    top = max(den)
+    return _disc_formula(num.astype(object)
+                         * [top ** (k + 1) // v for k, v in enumerate(den)])
+
+
+def _late_split_index(fld, num: np.ndarray, den: tuple, disc: int):
+    """For one polynomial (num a 1-row array, disc its nonzero `_discriminant`)
+    that is REPEATED at every sieve prime: None if a later split prime
+    rejects it, else the index of the first split prime at which it is
+    SPLIT."""
+    i = SIEVE_PRIMES
+    while True:
+        p, _ = split_primes(fld, i + 1)[i]
+        if _root_counts(_monic_mod(num, den, p), p)[0] == num.shape[1]:
+            return i
+        if disc % p:
+            return None
+        i += 1
+
+
+@lru_cache(maxsize=None)
+def _dual_norm(fld) -> Fraction:
+    """An exact bound on max_i |coordinate i of x| / max_sigma |sigma(x)|.
+
+    The coordinates of x are T^-1 t, with T = (Tr alpha^(i+k)) the trace
+    matrix of the power basis and t_k = Tr(x alpha^k), and
+    |t_k| <= 4 max|sigma(x)| rho^k for rho = 1 + max|c_k|, the Cauchy bound
+    on the roots of the defining polynomial."""
+    alpha = fld.element(0, 1)
+    traces = [-_charpoly_fractions(alpha ** m)[3] for m in range(7)]
+    tinv = _invert4([[traces[i + k] for k in range(4)] for i in range(4)])
+    rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])
+    return max(sum(abs(t) * 4 * rho ** k for k, t in enumerate(row))
+               for row in tinv)
+
+
+def _hensel_modulus(p: int, bound: int) -> int:
+    """The least power q of p with q > 2 * bound, so that symmetric residues
+    mod q determine integers of absolute value at most bound."""
+    q = p
+    while q <= 2 * bound:
+        q *= p
+    if q >= 1 << 31:
+        raise ValueError(f"modulus {q} too large for int64 reconstruction")
+    return q
+
+
+def _hensel(c: np.ndarray, roots: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Lift the roots mod p of monic polynomials that split into distinct
+    linear factors mod p (coefficient rows mod q < 2^31 as in
+    `_zeros_mod_p`, one row of all d roots per polynomial) to roots mod
+    q = p^k, one digit per step:
+    r <- r - p^j (h(r) / p^j) / h'(r) mod p^(j+1), where
+    h'(r_i) = prod_{j != i} (r_i - r_j) mod p."""
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)],
+                       dtype=np.int64)
+    der = np.ones_like(roots)
+    for j in range(roots.shape[1]):
+        diff = (roots - roots[:, j:j + 1]) % p
+        diff[:, j] = 1
+        der = der * diff % p
+    u = inverse[der]
+    pj = p
+    while pj < q:
+        val = np.ones_like(roots)
+        for k in range(c.shape[1]):
+            val = (val * roots + c[:, k:k + 1]) % q
+        roots = (roots - pj * ((val // pj) % p * u % p)) % q
+        pj *= p
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde_mod(fld, prime: tuple, q: int) -> np.ndarray:
+    """W = DENOMINATOR * V^-1 mod q, V = (a_j^i), for the roots a_j of the
+    defining polynomial at the split prime (p, roots) lifted to mod q:
+    W @ (x(a_1), ..., x(a_4)) = DENOMINATOR * coordinates of x.  Column j
+    is the Lagrange polynomial prod_{k != j} (X - a_k) / (a_j - a_k)."""
+    p, roots = prime
+    f = np.array([[int(c) for c in fld.defining_poly[-2::-1]]], dtype=np.int64)
+    a = [int(r) for r in _hensel(f % q, np.array([roots]), p, q)[0]]
+    w = np.zeros((4, 4), dtype=np.int64)
+    for j in range(4):
+        num, den = [1], 1                                 # num low to high
+        for k in range(4):
+            if k != j:
+                num = [(lo - a[k] * hi) % q
+                       for lo, hi in zip([0] + num, num + [0])]
+                den = den * (a[j] - a[k]) % q
+        scale = DENOMINATOR * pow(den, -1, q) % q
+        w[:, j] = [c * scale % q for c in num]
+    return w
+
+
+def _assignments(d: int) -> np.ndarray:
+    """The ways to assign the d roots mod p of a minimal polynomial g of
+    degree d to the four maps: the characteristic polynomial g^(4/d)
+    splits mod p as prod_j (X - x(a_j)), so each root is taken 4/d times."""
+    return np.array(sorted(set(itertools.permutations(
+        [r for r in range(d) for _ in range(4 // d)]))), dtype=np.int64)
+
+
+def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> np.ndarray:
+    """DENOMINATOR times the coordinates, as symmetric residues mod q, of
+    every assignment of the roots of each monic polynomial to the four maps
+    of the split prime (p, roots); shape (polynomials, assignments, 4).
+
+    c holds the coefficients mod q (as in `_hensel`) of polynomials of
+    degree d with d distinct roots mod p.  Every x in the field whose
+    characteristic polynomial is g^(4/d) appears for g, provided
+    q > 2 * DENOMINATOR * max|coordinate of x|."""
+    p = prime[0]
+    roots = np.nonzero(_zeros_mod_p(c % p, p))[1].reshape(c.shape)
+    roots = _hensel(c, roots, p, q)
+    w = _inverse_vandermonde_mod(fld, prime, q)
+    vals = roots[:, _assignments(c.shape[1])]        # (rows, assignments, maps)
+    nums = sum(vals[..., j, None] * w[:, j] % q for j in range(4)) % q
+    return np.where(nums > q // 2, nums - q, nums)
+
+
+def _box_elements(fld, shape: CandidateShape, B) -> list:
+    """Every x in the field whose minimal polynomial is a row of the shape's
+    box (see `_search_box`)."""
+    mult, den = _shape_fractions(shape)
+    rows, first = [], []
+    for block in _shape_rows(shape, B):
+        idx, fst = _sieve(fld, block * mult, den)
+        rows.append(block[idx])
+        first.append(fst)
+    rows, first = np.concatenate(rows), np.concatenate(first)
+    groups = {int(i): [rows[first == i]] for i in np.unique(first) if i >= 0}
+    late = rows[first < 0]
+    for row, disc in zip(late, _discriminant(late * mult, den)):
+        if disc:                  # else it is no minimal polynomial
+            i = _late_split_index(fld, row[None] * mult, den, disc)
+            if i is not None:
+                groups.setdefault(i, []).append(row[None])
+    # Cauchy: every root of a row has |sigma(x)| <= 1 + max|coefficient|
+    top = max(Fraction(int(m) * r, v) for m, r, v in
+              zip(mult, shape_ranges(shape, B), den))
+    bound = int(DENOMINATOR * (1 + top) * _dual_norm(fld))
+    found = []
+    for i in sorted(groups):
+        group = np.concatenate(groups[i])
+        prime = split_primes(fld, i + 1)[i]
+        q = _hensel_modulus(prime[0], bound)
+        nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
+        for r, k in zip(*np.nonzero((np.abs(nums) <= bound).all(axis=2))):
+            x = fld.element(*(Fraction(int(n), DENOMINATOR) for n in nums[r, k]))
+            poly = _row_poly(shape, group[r])
+            want = [Fraction(1)]
+            for _ in range(4 // len(mult)):
+                want = list(np.convolve(want, poly))
+            if _charpoly_fractions(x) == want:   # so poly is its minimal polynomial
+                found.append(x)
+    return found
+
+
+def _row_poly(shape: CandidateShape, row) -> list:
+    """The monic polynomial (low to high, Fractions) of a box row."""
+    mult, den = _shape_fractions(shape)
+    return [Fraction(int(m * c), v) for m, c, v in zip(mult, row, den)][::-1] + [Fraction(1)]
 
 
 def _search_box(curve: CurveInstance, B) -> list:
-    """All exact X-coordinates of curve points whose minimal polynomial lies
-    in the coefficient boxes for height cap B."""
-    fld = curve.field
+    """The X-coordinates of the points of the curve whose minimal polynomial
+    is a row of the box, for cap B, of a candidate shape of its degree:
+    {x in K : minpoly(x) is such a row, and x lifts to a point}.
+
+    Sieve.  Each shape's rows are streamed in int64 blocks and tested at
+    the first SIEVE_PRIMES split primes p (`split_primes`).  A row g of
+    degree d is dropped when, at some such p, p does not divide disc(g) and
+    g mod p has fewer than d distinct roots in F_p.  That is sound for the
+    minimal polynomial g of any x in K: x lies in Z_(p)[alpha] (its
+    coordinates are in (1/16)Z), whose reduction mod p is F_p^4 through the
+    four maps alpha -> a_j, so g^(4/d), the characteristic polynomial of
+    x, is prod_j (X - x(a_j)) mod p; g splits mod p, and with p not
+    dividing disc(g) its d roots are distinct.
+
+    Reconstruction.  At a prime where g has d distinct roots mod p they
+    are Hensel-lifted to p^k > 2 * 16 * (a bound on the coordinates of any
+    root of a row: the Cauchy root bound times `_dual_norm`), every
+    assignment of them to the four maps is sent to 16 times coordinates by
+    the inverse Vandermonde matrix mod p^k, and symmetric residues within
+    the bound are kept when the characteristic polynomial of the element
+    is exactly g^(4/d), which makes g its minimal polynomial.  A row with
+    exact discriminant 0 is no minimal polynomial.  No float is used."""
     survivors = []
-    lift_cache = {}
     for shape in candidate_shapes(curve):
-        seen_pairs = set()
-        for crow, coords in _screen_shape(curve, shape, B):
-            key = (tuple(int(c) for c in crow), coords)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            poly = [Fraction(1)]
-            for c, mult in zip(crow, shape.multipliers):
-                poly.append(Fraction(int(c) * mult))
-            poly[-1] /= shape.denominator
-            poly = list(reversed(poly))
-            x = fld.element(*coords)
-            acc = fld.zero()  # exact root check against this polynomial
-            for c in reversed(poly):
-                acc = acc * x + c
-            if acc:
-                continue
-            if x.coords not in lift_cache:
-                lift_cache[x.coords] = lift_x_to_point(curve, x) is not None
-            if lift_cache[x.coords] and not any(x == s for s in survivors):
+        for x in _box_elements(curve.field, shape, B):
+            if lift_x_to_point(curve, x) is not None:
                 survivors.append(x)
     return survivors
 

@@ -4,22 +4,30 @@ enumeration/lifting toolkit."""
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import lucassq.heights as heights
 from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
-from lucassq.fields import K1, K2
-from lucassq.heights import (_charpoly_fractions, _shape_coefficients,
+from lucassq.exact import sylvester_resultant_univariate
+from lucassq.fields import K1, K2, split_primes
+from lucassq.heights import (DENOMINATOR, SIEVE_PRIMES, _charpoly_fractions,
+                             _classify, _classify_table, _monic_mod,
                              candidate_shapes, canonical_height,
                              epsilon_nonarchimedean, field_sqrt,
                              halving_candidates, height_diff_bound,
                              lift_x_to_point, naive_height, roots_in_field,
                              shape_ranges)
+from test_acceptance import _minimal_polynomial
 
 E1 = CURVE_BY_ID["E1"]
 E9 = CURVE_BY_ID["E9"]
 E10 = CURVE_BY_ID["E10"]
+
+sixteenths = st.tuples(*(st.integers(-160, 160).map(lambda n: Fraction(n, 16))
+                         for _ in range(4)))
+fields = st.sampled_from([K1, K2])
 
 
 def test_epsilon_nonarchimedean():
@@ -124,28 +132,152 @@ def test_candidate_shapes_and_ranges():
         assert all(r >= 0 for r in rng)
 
 
-def test_enumerate_candidates_small_box():
-    """The box rows of each shape are exactly the integer tuples within
-    shape_ranges that satisfy the shape's parities."""
+def test_enumerate_candidates_small_box(monkeypatch):
+    """The streamed box rows of each shape, over all blocks, are exactly the
+    integer tuples within shape_ranges that satisfy the shape's parities,
+    each once, in blocks of at most BOX_CHUNK_ROWS rows."""
+    monkeypatch.setattr(heights, "BOX_CHUNK_ROWS", 7)
     for curve in (E1, E9):
         for shape in candidate_shapes(curve):
             ranges = shape_ranges(shape, 2.0)
-            rows = {tuple(int(c) for c in row)
-                    for row in _shape_coefficients(shape, 2.0)}
-            assert rows, shape.tag
+            blocks = list(heights._shape_rows(shape, 2.0))
+            assert all(0 < len(b) <= 7 for b in blocks), shape.tag
+            rows = [tuple(int(c) for c in row) for b in blocks for row in b]
             expected = {
                 v for v in itertools.product(*[range(-r, r + 1)
                                                for r in ranges])
                 if all(v[i] % modulus == residue
                        for i, modulus, residue in shape.parities)}
-            assert rows == expected, shape.tag
+            assert rows, shape.tag
+            assert len(rows) == len(set(rows)), shape.tag
+            assert set(rows) == expected, shape.tag
+
+
+# --- the exact box sieve -------------------------------------------------------
+
+
+def _as_num_den(poly):
+    """Numerators (1-row int64 array) and denominators of the coefficients
+    below the leading 1, high to low."""
+    tail = poly[-2::-1]
+    return (np.array([[c.numerator for c in tail]], dtype=np.int64),
+            tuple(c.denominator for c in tail))
+
+
+def test_split_primes():
+    for fld in (K1, K2):
+        primes = split_primes(fld, SIEVE_PRIMES)
+        assert [p for p, _ in primes] == [41, 113, 137, 257, 313, 337, 353, 409]
+        for p, roots in primes:
+            assert len(set(roots)) == 4
+            assert all(sum(int(c) * a ** k for k, c in
+                           enumerate(fld.defining_poly)) % p == 0 for a in roots)
+        # the order lies in (1/4)Z[alpha], which DENOMINATOR relies on
+        assert all((4 * c).denominator == 1 for row in fld.order_basis for c in row)
+
+
+def test_classify_table_matches_evaluation():
+    """The first-prime table, built from factorisations, agrees with root
+    counting at every monic polynomial mod small primes."""
+    for p in (7, 13):
+        for d in (1, 2, 4):
+            polys = np.array(list(itertools.product(range(p), repeat=d)),
+                             dtype=np.int64)
+            table = _classify_table(p, d)
+            assert (table[heights._table_index(polys, p)]
+                    == _classify(polys, p)).all(), (p, d)
+    # (X - 1)^2 (X^2 + 1) and (X^2 + 2)^2 mod 7 are REPEATED, X^4 - 1 is 0
+    c = np.array([[5, 2, 5, 1], [0, 4, 0, 4], [0, 0, 0, 6]])
+    assert list(_classify(c, 7)) == [heights.REPEATED, heights.REPEATED, 0]
+
+
+def test_discriminant_formula():
+    """The integer discriminant formula vanishes exactly where the
+    resultant of g and g' does, on rows of every shape."""
+    for curve in (E1, E9):
+        for shape in candidate_shapes(curve):
+            mult, den = heights._shape_fractions(shape)
+            rows = next(heights._shape_rows(shape, 2.0))[::37]
+            discs = heights._discriminant(rows * mult, den)
+            for row, disc in zip(rows, discs):
+                g = heights._row_poly(shape, row)
+                res = sylvester_resultant_univariate(g, heights._poly_diff(g))
+                assert (res == 0) == (disc == 0), (shape.tag, row)
+
+
+@given(fields, sixteenths)
+@settings(max_examples=60, deadline=None)
+@example(K1, (0, 41, 0, 0))                     # X^4 at 41: REPEATED there
+@example(K2, (Fraction(1, 16), 113, 0, 0))      # REPEATED at 113
+@example(K1, (3, 0, 41, 0))                     # degree 2
+@example(K2, (Fraction(-7, 16), 0, 0, 0))       # degree 1
+@example(K1, (Fraction(1, 16), Fraction(-1, 16), Fraction(5, 16), Fraction(3, 16)))
+def test_sieve_keeps_and_reconstructs_minimal_polynomials(fld, cs):
+    """For x with coordinates in (1/16)Z, the minimal polynomial of x is
+    kept at every sieve prime and at later split primes, and the
+    reconstruction from its roots mod p returns x exactly."""
+    _check_keep_and_reconstruct(fld.element(*cs))
+
+
+def test_sieve_late_split_path(monkeypatch):
+    """A minimal polynomial whose discriminant every sieve prime divides
+    is placed at the first later split prime where it splits."""
+    monkeypatch.setattr(heights, "SIEVE_PRIMES", 2)
+    c = 41 * 113
+    for x in (K1.element(0, c), K2.element(0, 0, c), K2.element(1, c, 0, c)):
+        _check_keep_and_reconstruct(x, late=True)
+
+
+def _check_keep_and_reconstruct(x, late=False):
+    fld = x.field
+    num, den = _as_num_den(_minimal_polynomial(x))
+    idx, first = heights._sieve(fld, num, den)
+    assert list(idx) == [0]
+    assert (first[0] < 0) == late
+    disc = heights._discriminant(num, den)[0]
+    assert disc != 0
+    for p, _ in split_primes(fld, heights.SIEVE_PRIMES + 4):    # later primes too
+        count = heights._root_counts(_monic_mod(num, den, p), p)[0]
+        assert count == num.shape[1] or disc % p == 0, p
+    i = (int(first[0]) if first[0] >= 0
+         else heights._late_split_index(fld, num, den, disc))
+    prime = split_primes(fld, i + 1)[i]
+    bound = DENOMINATOR * max(abs(c) for c in x.coords)
+    q = heights._hensel_modulus(prime[0], bound)
+    nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
+    got = {fld.element(*(Fraction(int(n), DENOMINATOR) for n in v))
+           for v in nums[0] if (np.abs(v) <= bound).all()}
+    assert x in got
+
+
+@given(fields, sixteenths)
+@settings(max_examples=60, deadline=None)
+def test_local_precheck_never_rejects_squares(fld, cs):
+    x = fld.element(*cs)
+    assert not heights._no_root_at_split_prime(fld, [-(x * x), 0, 1])
+
+
+@given(st.sampled_from(["E1", "E5", "E9", "E10"]), st.integers(-2, 2),
+       st.integers(-2, 2), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_halving_precheck_passes_doubles(cid, m1, m2, torsion):
+    """x(2Q) always has the root x(Q) of its duplication quartic, so the
+    local pre-check never rejects it."""
+    curve = CURVE_BY_ID[cid]
+    q = scalar_mul(curve, m1, curve.gens[0])
+    if curve.rank == 2:
+        q = add_points(curve, q, scalar_mul(curve, m2, curve.gens[1]))
+    if torsion:
+        q = add_points(curve, q, CurvePoint(curve.field.zero(),
+                                            curve.field.zero()))
+    p = add_points(curve, q, q)
+    if p.at_infinity:
+        return
+    quartic = heights._duplication_quartic(curve, p.x)
+    assert not heights._no_root_at_split_prime(curve.field, quartic)
 
 
 # --- the shared numeric-roots -> exact-element routine ------------------------
-
-sixteenths = st.tuples(*(st.integers(-160, 160).map(lambda n: Fraction(n, 16))
-                         for _ in range(4)))
-fields = st.sampled_from([K1, K2])
 
 
 @given(fields, sixteenths)
@@ -181,8 +313,8 @@ def test_roots_in_field_irrational_pair():
 
 def test_field_sqrt_nonsquare_positive_at_real_places(monkeypatch):
     """1 + phi^2 = 2 sqrt(2) - 1 is positive at both real places of K2 but
-    not a square in K2: the search finds nothing at 30 digits, repeats at
-    60, and returns None."""
+    not a square in K2: a split prime proves it, so no numeric root search
+    runs, and field_sqrt returns None."""
     w = K2.element(1, 0, 1, 0)
     for root in K2.roots():
         assert mp.re(heights._embed(w, root)) > 0 or mp.im(root) != 0
@@ -195,7 +327,7 @@ def test_field_sqrt_nonsquare_positive_at_real_places(monkeypatch):
 
     monkeypatch.setattr(heights, "roots_in_field", spy)
     assert field_sqrt(K2, w) is None
-    assert seen == [30, 60]
+    assert seen == []
     assert field_sqrt(K2, w * w * 4) in (2 * w, -2 * w)
 
 
