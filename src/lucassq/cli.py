@@ -158,6 +158,8 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
     """
     from . import padic
 
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     drivers, descents, failing = [], [], []
     pairs = set()
     for cid in RANK1_IDS + RANK2_IDS:

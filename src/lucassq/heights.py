@@ -4,9 +4,10 @@ boxes of candidate X-coordinate minimal polynomials.
 
 The box search (`_search_box`) streams each box in int64 blocks through a
 sieve at primes that split completely in the field and rebuilds the roots
-of the surviving rows by Hensel lifting; no floating point enters it.  The
-same maps to F_p prove non-squares and non-halvable points before the
-numeric root search of `roots_in_field`.
+of the surviving rows by Hensel lifting.  `roots_in_field`, behind point
+lifting, square roots and halving, finds the roots in the field of any
+polynomial over it through the same maps to F_p and the same lifting, so
+no floating point enters the box search, lifting or halving.
 
 The local data follow the usual normalization n_nu = [K_nu : Q_nu] with
 h(x) = (1/4) sum_nu n_nu log max(1, |x|_nu); equivalently (1/4) log of the
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional
 
 import mpmath as mp
@@ -400,78 +401,20 @@ def shape_ranges(shape: CandidateShape, B) -> list:
     return out
 
 
-# --- roots in the field and point lifting ------------------------------------------
-
-def _round_fraction(v: float, max_den: int = 16, tol: float = 1e-6):
-    best = Fraction(round(v * max_den), max_den)
-    if abs(float(best) - v) < tol:
-        return best
-    return None
-
-
-def roots_in_field(fld, coeffs, digits: int = 30) -> list:
-    """Exact elements of the field that are roots of the polynomial with
-    coefficients `coeffs` (low-to-high, rationals or elements of fld).
-
-    A root x has a real image among the real numeric roots at each real
-    place, some image r among the roots at the first complex place, and
-    conj(r) at the second.  The inverse Vandermonde matrix of the embeddings
-    maps each such assignment to coordinates, which are rounded to
-    denominator 16 and verified exactly.  If nothing is found, or a root
-    search does not converge, the search is repeated once at 60 digits."""
-    cs = [c if isinstance(c, FieldElement) else fld.element(c) for c in coeffs]
-    while len(cs) > 1 and not cs[-1]:
-        cs.pop()
-    if len(cs) == 1:
-        return []
-    if len(cs) == 2:
-        return [-cs[0] / cs[1]]
-    found = []
-    with mp.workdps(digits):
-        tol = mp.mpf(10) ** (-(digits // 3))
-        try:
-            places = [mp.polyroots([_embed(c, e) for c in reversed(cs)],
-                                   maxsteps=200, extraprec=80)
-                      for e in fld.roots(digits)[:3]]
-        except mp.libmp.NoConvergence:
-            places = [[]] * 3
-        for i in (0, 1):
-            places[i] = [mp.re(r) for r in places[i] if abs(mp.im(r)) <= tol]
-        vinv = _vandermonde_inverse(fld, digits)
-        for r0, r1, r2 in itertools.product(*places):
-            vals = (r0, r1, r2, mp.conj(r2))
-            cand = []
-            for row in vinv:
-                c = sum(v * r for v, r in zip(row, vals))
-                if abs(mp.im(c)) > 1e-4:
-                    break
-                fc = _round_fraction(float(mp.re(c)))
-                if fc is None:
-                    break
-                cand.append(fc)
-            else:
-                x = fld.element(*cand)
-                if x not in found and not _poly_eval(cs, x):
-                    found.append(x)
-    if not found and digits < 60:
-        return roots_in_field(fld, cs, 60)
-    return found
-
-
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(fld, digits: int) -> tuple:
-    """Rows of the inverse of (e_i^j), e_i the four embeddings of the field
-    generator, at `digits` decimal digits."""
-    with mp.workdps(digits):
-        inv = mp.inverse(mp.matrix([[e ** j for j in range(4)]
-                                    for e in fld.roots(digits)]))
-        return tuple(tuple(inv[k, i] for i in range(4)) for k in range(4))
-
-
 # --- split primes: exact arithmetic mod p ----------------------------------------------
 
-SIEVE_PRIMES = 8          # split primes of the box sieve and the local pre-checks
+SIEVE_PRIMES = 8          # split primes of the box sieve
 SPLIT, REPEATED = 1, 2    # `_classify` codes; 0 rejects
+
+# Every root x of a box row has 4x integral (4^d g(X/4) has integer
+# coefficients when g is monic with coefficients in (1/4)Z), and the maximal
+# order of either field lies in (1/4)Z[alpha], so 16x has integer coordinates.
+DENOMINATOR = 16
+
+
+def _dtype(q: int):
+    """Residues mod q: int64 while products of two stay below 2^62."""
+    return np.int64 if q < 1 << 31 else object
 
 
 def _zeros_mod_p(c: np.ndarray, p: int) -> np.ndarray:
@@ -524,30 +467,166 @@ def _classify(c: np.ndarray, p: int) -> np.ndarray:
                     np.where(_disc_formula(c) % p == 0, REPEATED, 0))
 
 
-def _no_root_at_split_prime(fld, coeffs) -> bool:
-    """True when the monic polynomial with coefficients `coeffs` (low to
-    high, in fld or Q) has no root in the field, proved at a map
-    alpha -> a of a split prime p at which every coefficient is p-integral:
-    its image has no root in F_p.  Sound because a root in the field is
-    integral over Z_(p)[alpha], the integral closure of Z_(p), so it lies
-    there and maps to a root mod p.  For X^2 - w with w a unit at the map
-    this is Euler's criterion, w(a)^((p-1)/2) = -1."""
+@lru_cache(maxsize=None)
+def _dual_norm(fld) -> Fraction:
+    """An exact bound on max_i |coordinate i of x| / max_sigma |sigma(x)|.
+
+    The coordinates of x are T^-1 t, with T = (Tr alpha^(i+k)) the trace
+    matrix of the power basis and t_k = Tr(x alpha^k), and
+    |t_k| <= 4 max|sigma(x)| rho^k for rho = 1 + max|c_k|, the Cauchy bound
+    on the roots of the defining polynomial."""
+    alpha = fld.element(0, 1)
+    traces = [-_charpoly_fractions(alpha ** m)[3] for m in range(7)]
+    tinv = _invert4([[traces[i + k] for k in range(4)] for i in range(4)])
+    rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])
+    return max(sum(abs(t) * 4 * rho ** k for k, t in enumerate(row))
+               for row in tinv)
+
+
+def _hensel_modulus(p: int, bound: int) -> int:
+    """The least power q of p with q > 2 * bound, so that symmetric residues
+    mod q determine integers of absolute value at most bound."""
+    q = p
+    while q <= 2 * bound:
+        q *= p
+    return q
+
+
+def _derivative_mod(c: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
+    """h'(r) mod p for the monic polynomials h with coefficient rows c (as
+    in `_zeros_mod_p`) at the entries r of the matching rows of roots."""
+    d = c.shape[1]
+    der = np.full_like(roots, d)
+    for k in range(d - 1):
+        der = (der * roots + (d - 1 - k) * c[:, k:k + 1]) % p
+    return der
+
+
+def _hensel(c: np.ndarray, roots: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Lift simple roots mod p of monic polynomials to roots mod q = p^k,
+    one digit per step: r <- r - p^j (h(r) / p^j) / h'(r) mod p^(j+1).
+    Row k of c holds the integer coefficients of a polynomial (as in
+    `_zeros_mod_p`), and row k of roots any number of its simple roots
+    mod p."""
+    dt = _dtype(q)
+    c, roots = np.asarray(c, dtype=dt) % q, np.asarray(roots, dtype=dt)
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)],
+                       dtype=np.int64)
+    u = inverse[_derivative_mod(c, roots, p).astype(np.int64)]
+    pj = p
+    while pj < q:
+        val = np.ones_like(roots)
+        for k in range(c.shape[1]):
+            val = (val * roots + c[:, k:k + 1]) % q
+        roots = (roots - pj * ((val // pj) % p * u % p)) % q
+        pj *= p
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _maps_mod(fld, prime: tuple, q: int) -> tuple:
+    """The maps alpha -> a_j of the split prime (p, roots), lifted to mod q."""
+    p, roots = prime
+    f = np.array([[int(c) for c in fld.defining_poly[-2::-1]]])
+    return tuple(int(a) for a in _hensel(f, np.array([roots]), p, q)[0])
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde_mod(fld, prime: tuple, q: int) -> np.ndarray:
+    """W = DENOMINATOR * V^-1 mod q, V = (a_j^i)_(j,i) for the maps a_j of
+    `_maps_mod`: W @ (x(a_1), ..., x(a_4)) = DENOMINATOR * coordinates of
+    x.  det V = prod (a_k - a_j) is a unit mod p, the a_j being distinct."""
+    inv = _invert4([[Fraction(a ** i) for i in range(4)]
+                    for a in _maps_mod(fld, prime, q)])
+    return np.array([[DENOMINATOR * c.numerator * pow(c.denominator, -1, q) % q
+                      for c in row] for row in inv], dtype=_dtype(q))
+
+
+def _coordinates(fld, prime: tuple, q: int, vals: np.ndarray) -> np.ndarray:
+    """DENOMINATOR times the coordinates, as symmetric residues mod q, of
+    the elements whose images at the four maps of the split prime are
+    vals[..., j] mod q (the last axis runs over the maps, dtype `_dtype`)."""
+    w = _inverse_vandermonde_mod(fld, prime, q)
+    nums = sum(vals[..., j, None] * w[:, j] % q for j in range(4)) % q
+    return np.where(nums > q // 2, nums - q, nums)
+
+
+# --- roots in the field and point lifting ------------------------------------------
+
+def _poly_divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder (low to high) of a by b, over the field."""
+    a, quo, inv = list(a), [], b[-1].inv()
+    while len(a) >= len(b):
+        lead = a.pop() * inv
+        shift = len(a) - len(b) + 1
+        for k, c in enumerate(b[:-1]):
+            a[shift + k] -= lead * c
+        quo.append(lead)
+    while a and not a[-1]:
+        a.pop()
+    return quo[::-1], a
+
+
+def _squarefree(f: list) -> list:
+    """The monic squarefree part f / gcd(f, f') of a polynomial of positive
+    degree over the field (low to high), by Euclid."""
+    a, b = f, _poly_diff(f)
+    while len(b) > 1:
+        a, b = b, _poly_divmod(a, b)[1]
+    f = f if b else _poly_divmod(f, a)[0]
+    inv = f[-1].inv()
+    return [c * inv for c in f]
+
+
+def roots_in_field(fld, coeffs) -> list:
+    """The roots in the field of the polynomial with coefficients `coeffs`
+    (low to high, rationals or elements of fld), found exactly.
+
+    With f its monic squarefree part of degree n and D the lcm of the
+    denominators of f, the roots y = D x of G(X) = D^n f(X / D) are
+    integral, so at each map alpha -> a of a split prime they reduce to
+    roots of G mod p (see `_search_box`): none at some map means no root.
+    At the first split prime where all those roots are simple they are
+    Hensel-lifted past twice the bound on DENOMINATOR * coordinates of y
+    (Cauchy bound times `_dual_norm`), each choice of one root per map goes
+    through `_coordinates`, and the exact roots within the bound are kept."""
     cs = [c if isinstance(c, FieldElement) else fld.element(c) for c in coeffs]
-    for p, roots in split_primes(fld, SIEVE_PRIMES):
-        images = [[residue(c, p, a) for c in cs[-2::-1]] for a in roots]
-        images = [im for im in images if None not in im]
-        if images and (_root_counts(np.array(images), p) == 0).any():
-            return True
-    return False
+    while len(cs) > 1 and not cs[-1]:
+        cs.pop()
+    if len(cs) == 1:
+        return []
+    f = _squarefree(cs)
+    if len(f) == 2:
+        return [-f[0]]
+    n, scale = len(f) - 1, lcm(*(c._d for c in f))
+    g = [c * scale ** (n - k) for k, c in enumerate(f)][-2::-1]  # high to low
+    rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])      # |sigma(alpha)|
+    top = max(sum(abs(v) * rho ** i for i, v in enumerate(c._n)) for c in g)
+    bound = int(DENOMINATOR * (1 + top) * _dual_norm(fld))
+    for i in itertools.count():
+        p, maps = prime = split_primes(fld, i + 1)[i]
+        c = np.array([[residue(x, p, a) for x in g] for a in maps])
+        rows, roots = np.nonzero(_zeros_mod_p(c, p))
+        if not np.bincount(rows, minlength=4).all():
+            return []
+        if _derivative_mod(c[rows], roots[:, None], p).all():
+            break
+    q = _hensel_modulus(p, bound)
+    c = np.array([[residue(x, q, a) for x in g]
+                  for a in _maps_mod(fld, prime, q)], dtype=_dtype(q))
+    lifted = _hensel(c[rows], roots[:, None], p, q)[:, 0]
+    choices = np.array(list(itertools.product(
+        *(lifted[rows == j] for j in range(4)))), dtype=_dtype(q))
+    xs = (fld.element(*(Fraction(int(k), DENOMINATOR * scale) for k in v))
+          for v in _coordinates(fld, prime, q, choices)
+          if (np.abs(v) <= bound).all())
+    return [x for x in xs if not _poly_eval(cs, x)]
 
 
 def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
-    """Exact square root of w in the field, if one exists; None at once
-    when a split prime shows that w is not a square."""
+    """Exact square root of w in the field, if one exists."""
     if not w:
         return fld.zero()
-    if _no_root_at_split_prime(fld, [-w, 0, 1]):
-        return None
     roots = roots_in_field(fld, [-w, 0, 1])
     return roots[0] if roots else None
 
@@ -568,15 +647,11 @@ def _duplication_quartic(curve: CurveInstance, xp: FieldElement) -> list:
 
 
 def halving_candidates(curve: CurveInstance, pt: CurvePoint) -> list:
-    """Points Q with 2Q = pt, found through the duplication quartic; [] at
-    once when a split prime shows that the quartic has no root."""
+    """Points Q with 2Q = pt, found through the duplication quartic."""
     if pt.at_infinity:
         raise ValueError("finite point required")
-    quart_coeffs = _duplication_quartic(curve, pt.x)
-    if _no_root_at_split_prime(curve.field, quart_coeffs):
-        return []
     out = []
-    for x in roots_in_field(curve.field, quart_coeffs):
+    for x in roots_in_field(curve.field, _duplication_quartic(curve, pt.x)):
         q = lift_x_to_point(curve, x)
         if q is None:
             continue
@@ -604,10 +679,6 @@ class HeightCertificate:
 
 # --- the box sieve -------------------------------------------------------------------
 
-# Every root x of a box row has 4x integral (4^d g(X/4) has integer
-# coefficients when g is monic with coefficients in (1/4)Z), and the maximal
-# order of either field lies in (1/4)Z[alpha], so 16x has integer coordinates.
-DENOMINATOR = 16
 BOX_CHUNK_ROWS = 1 << 16  # rows per int64 block of the streamed box
 
 
@@ -636,9 +707,9 @@ def _shape_fractions(shape: CandidateShape) -> tuple:
 
 
 def _monic_mod(num: np.ndarray, den: tuple, m: int) -> np.ndarray:
-    """num[:, k] / den[k] mod m (m < 2^31 coprime to every den[k]): the
+    """num[:, k] / den[k] mod m (m coprime to every den[k]): the
     coefficients below the leading 1, high to low, of monic polynomials."""
-    c = num % m
+    c = np.asarray(num, dtype=_dtype(m)) % m
     for k, v in enumerate(den):
         if v != 1:
             c[:, k] = c[:, k] * pow(v, -1, m) % m
@@ -733,80 +804,6 @@ def _late_split_index(fld, num: np.ndarray, den: tuple, disc: int):
         i += 1
 
 
-@lru_cache(maxsize=None)
-def _dual_norm(fld) -> Fraction:
-    """An exact bound on max_i |coordinate i of x| / max_sigma |sigma(x)|.
-
-    The coordinates of x are T^-1 t, with T = (Tr alpha^(i+k)) the trace
-    matrix of the power basis and t_k = Tr(x alpha^k), and
-    |t_k| <= 4 max|sigma(x)| rho^k for rho = 1 + max|c_k|, the Cauchy bound
-    on the roots of the defining polynomial."""
-    alpha = fld.element(0, 1)
-    traces = [-_charpoly_fractions(alpha ** m)[3] for m in range(7)]
-    tinv = _invert4([[traces[i + k] for k in range(4)] for i in range(4)])
-    rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])
-    return max(sum(abs(t) * 4 * rho ** k for k, t in enumerate(row))
-               for row in tinv)
-
-
-def _hensel_modulus(p: int, bound: int) -> int:
-    """The least power q of p with q > 2 * bound, so that symmetric residues
-    mod q determine integers of absolute value at most bound."""
-    q = p
-    while q <= 2 * bound:
-        q *= p
-    if q >= 1 << 31:
-        raise ValueError(f"modulus {q} too large for int64 reconstruction")
-    return q
-
-
-def _hensel(c: np.ndarray, roots: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Lift the roots mod p of monic polynomials that split into distinct
-    linear factors mod p (coefficient rows mod q < 2^31 as in
-    `_zeros_mod_p`, one row of all d roots per polynomial) to roots mod
-    q = p^k, one digit per step:
-    r <- r - p^j (h(r) / p^j) / h'(r) mod p^(j+1), where
-    h'(r_i) = prod_{j != i} (r_i - r_j) mod p."""
-    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)],
-                       dtype=np.int64)
-    der = np.ones_like(roots)
-    for j in range(roots.shape[1]):
-        diff = (roots - roots[:, j:j + 1]) % p
-        diff[:, j] = 1
-        der = der * diff % p
-    u = inverse[der]
-    pj = p
-    while pj < q:
-        val = np.ones_like(roots)
-        for k in range(c.shape[1]):
-            val = (val * roots + c[:, k:k + 1]) % q
-        roots = (roots - pj * ((val // pj) % p * u % p)) % q
-        pj *= p
-    return roots
-
-
-@lru_cache(maxsize=None)
-def _inverse_vandermonde_mod(fld, prime: tuple, q: int) -> np.ndarray:
-    """W = DENOMINATOR * V^-1 mod q, V = (a_j^i), for the roots a_j of the
-    defining polynomial at the split prime (p, roots) lifted to mod q:
-    W @ (x(a_1), ..., x(a_4)) = DENOMINATOR * coordinates of x.  Column j
-    is the Lagrange polynomial prod_{k != j} (X - a_k) / (a_j - a_k)."""
-    p, roots = prime
-    f = np.array([[int(c) for c in fld.defining_poly[-2::-1]]], dtype=np.int64)
-    a = [int(r) for r in _hensel(f % q, np.array([roots]), p, q)[0]]
-    w = np.zeros((4, 4), dtype=np.int64)
-    for j in range(4):
-        num, den = [1], 1                                 # num low to high
-        for k in range(4):
-            if k != j:
-                num = [(lo - a[k] * hi) % q
-                       for lo, hi in zip([0] + num, num + [0])]
-                den = den * (a[j] - a[k]) % q
-        scale = DENOMINATOR * pow(den, -1, q) % q
-        w[:, j] = [c * scale % q for c in num]
-    return w
-
-
 def _assignments(d: int) -> np.ndarray:
     """The ways to assign the d roots mod p of a minimal polynomial g of
     degree d to the four maps: the characteristic polynomial g^(4/d)
@@ -820,17 +817,14 @@ def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> np.ndarray:
     every assignment of the roots of each monic polynomial to the four maps
     of the split prime (p, roots); shape (polynomials, assignments, 4).
 
-    c holds the coefficients mod q (as in `_hensel`) of polynomials of
+    c holds the coefficients mod q (as in `_zeros_mod_p`) of polynomials of
     degree d with d distinct roots mod p.  Every x in the field whose
     characteristic polynomial is g^(4/d) appears for g, provided
     q > 2 * DENOMINATOR * max|coordinate of x|."""
     p = prime[0]
     roots = np.nonzero(_zeros_mod_p(c % p, p))[1].reshape(c.shape)
     roots = _hensel(c, roots, p, q)
-    w = _inverse_vandermonde_mod(fld, prime, q)
-    vals = roots[:, _assignments(c.shape[1])]        # (rows, assignments, maps)
-    nums = sum(vals[..., j, None] * w[:, j] % q for j in range(4)) % q
-    return np.where(nums > q // 2, nums - q, nums)
+    return _coordinates(fld, prime, q, roots[:, _assignments(c.shape[1])])
 
 
 def _box_elements(fld, shape: CandidateShape, B) -> list:

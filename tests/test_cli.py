@@ -140,6 +140,17 @@ def test_verify_theorem_precision_error_is_partial(monkeypatch):
     assert len(cert.failing) == 12
 
 
+def test_verify_theorem_rejects_precision_below_one(capsys):
+    """k < 1 is invalid input (exit 3); k = 1 is valid but too coarse to
+    decide every coset, so it gives a partial certificate (exit 2)."""
+    for k in (0, -2):
+        with pytest.raises(ValueError):
+            cmd_verify_theorem(k)
+        assert main(["verify-theorem", "--precision", str(k)]) == 3
+    assert main(["verify-theorem", "--precision", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["partial"] is True
+
+
 def test_verify_theorem_fault_propagates(monkeypatch):
     monkeypatch.setattr(padic, "rank1_driver",
                         _driver_raising(TypeError("a bug, not a coset")))

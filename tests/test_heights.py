@@ -27,6 +27,10 @@ E10 = CURVE_BY_ID["E10"]
 
 sixteenths = st.tuples(*(st.integers(-160, 160).map(lambda n: Fraction(n, 16))
                          for _ in range(4)))
+# coordinates with denominators outside (1/16)Z too
+rationals = st.tuples(*(st.builds(Fraction, st.integers(-160, 160),
+                                  st.sampled_from([1, 3, 7, 9, 16, 48]))
+                        for _ in range(4)))
 fields = st.sampled_from([K1, K2])
 
 
@@ -250,19 +254,20 @@ def _check_keep_and_reconstruct(x, late=False):
     assert x in got
 
 
-@given(fields, sixteenths)
+@given(fields, rationals)
 @settings(max_examples=60, deadline=None)
-def test_local_precheck_never_rejects_squares(fld, cs):
+@example(K2, (1, Fraction(1, 7), 0, 0))
+@example(K1, (Fraction(1, 3), 1, 0, Fraction(1, 32)))
+def test_field_sqrt_recovers_squares(fld, cs):
     x = fld.element(*cs)
-    assert not heights._no_root_at_split_prime(fld, [-(x * x), 0, 1])
+    assert field_sqrt(fld, x * x) in (x, -x)
 
 
 @given(st.sampled_from(["E1", "E5", "E9", "E10"]), st.integers(-2, 2),
        st.integers(-2, 2), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_halving_precheck_passes_doubles(cid, m1, m2, torsion):
-    """x(2Q) always has the root x(Q) of its duplication quartic, so the
-    local pre-check never rejects it."""
+def test_halving_recovers_halves(cid, m1, m2, torsion):
+    """Q is among the halves of 2Q."""
     curve = CURVE_BY_ID[cid]
     q = scalar_mul(curve, m1, curve.gens[0])
     if curve.rank == 2:
@@ -273,18 +278,17 @@ def test_halving_precheck_passes_doubles(cid, m1, m2, torsion):
     p = add_points(curve, q, q)
     if p.at_infinity:
         return
-    quartic = heights._duplication_quartic(curve, p.x)
-    assert not heights._no_root_at_split_prime(curve.field, quartic)
+    assert q in halving_candidates(curve, p)
 
 
-# --- the shared numeric-roots -> exact-element routine ------------------------
+# --- exact roots in the field --------------------------------------------------
 
 
-@given(fields, sixteenths)
+@given(fields, rationals)
 @settings(max_examples=40, deadline=None)
 def test_roots_in_field_reconstructs_from_embeddings(fld, cs):
-    """The numeric roots of the characteristic polynomial of x are the
-    embeddings of x; reconstructing from them returns x."""
+    """x is a root of its characteristic polynomial, whose roots mod a split
+    prime are the images of x; reconstructing from them returns x, once."""
     x = fld.element(*cs)
     if x.is_rational():
         x = x + fld.element(0, 1)
@@ -293,13 +297,17 @@ def test_roots_in_field_reconstructs_from_embeddings(fld, cs):
     assert len(set(roots)) == len(roots)
 
 
-@given(fields, sixteenths, sixteenths)
+@given(fields, rationals, rationals)
 @settings(max_examples=25, deadline=None)
 def test_roots_in_field_element_coefficients(fld, a, b):
-    """(X - x)(X - y) with coefficients in the field has the roots x, y."""
+    """(X - x)(X - y) and (X - x)^2 (X - y) with coefficients in the field
+    have the roots x, y."""
     x, y = fld.element(*a), fld.element(*b)
     roots = roots_in_field(fld, [x * y, -(x + y), 1])
     assert set(roots) == {x, y}
+    cubic = [-(x * x * y), x * x + 2 * x * y, -(2 * x + y), 1]
+    roots = roots_in_field(fld, cubic)
+    assert set(roots) == {x, y} and len(roots) == len({x, y})
 
 
 def test_roots_in_field_irrational_pair():
@@ -313,22 +321,31 @@ def test_roots_in_field_irrational_pair():
 
 def test_field_sqrt_nonsquare_positive_at_real_places(monkeypatch):
     """1 + phi^2 = 2 sqrt(2) - 1 is positive at both real places of K2 but
-    not a square in K2: a split prime proves it, so no numeric root search
-    runs, and field_sqrt returns None."""
+    not a square in K2: field_sqrt returns None without any numeric root
+    search."""
     w = K2.element(1, 0, 1, 0)
     for root in K2.roots():
         assert mp.re(heights._embed(w, root)) > 0 or mp.im(root) != 0
     seen = []
-    inner = heights.roots_in_field
-
-    def spy(fld, coeffs, digits=30):
-        seen.append(digits)
-        return inner(fld, coeffs, digits)
-
-    monkeypatch.setattr(heights, "roots_in_field", spy)
+    monkeypatch.setattr(heights.mp, "polyroots",
+                        lambda *args, **kw: seen.append(args))
     assert field_sqrt(K2, w) is None
-    assert seen == []
     assert field_sqrt(K2, w * w * 4) in (2 * w, -2 * w)
+    assert seen == []
+
+
+def test_lifting_and_halving_use_no_floats(monkeypatch):
+    """Square roots, point lifting and halving never call mpmath's root
+    finder."""
+    def boom(*args, **kw):
+        raise AssertionError("polyroots called")
+
+    monkeypatch.setattr(heights.mp, "polyroots", boom)
+    x = 1 + K2.element(0, Fraction(1, 7))
+    assert field_sqrt(K2, x * x) in (x, -x)
+    G = E9.gens[0]
+    assert lift_x_to_point(E9, G.x) in (G, -G)
+    assert G in halving_candidates(E9, scalar_mul(E9, 2, G))
 
 
 def test_no_global_precision_change():
