@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Certification sweep over all twelve descent curves.
 
-Runs the 3-adic driver on every rank-1 curve and the two-variable driver
-on the rank-2 curve, then the full height/box certification on each, and
-prints a one-line verdict per curve with its box classes.  The tier-1
-acceptance suite certifies E1, E8 and E10; this script covers all twelve
-with the same per-curve coefficient ranges, in about half a minute on
-one core.  Exits with status 1 if any curve's certification FAILED.
+Runs the 3-adic coset driver on every curve (Strassman on the rank-1
+curves, Skolem on the rank-2 curve), then the full height/box
+certification on each, and prints a one-line verdict per curve with its
+box classes.  The tier-1 acceptance suite certifies E1, E8 and E10; this
+script covers all twelve with the same per-curve coefficient ranges, in
+about half a minute on one core.  Exits with status 1 if any curve's
+certification FAILED.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """

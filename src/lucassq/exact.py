@@ -159,11 +159,6 @@ class Poly:
     def map_coeffs(self, f) -> "Poly":
         return Poly(self.nvars, {e: f(c) for e, c in self.terms.items()})
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, i: int) -> int:
         if not self.terms:
             return -1

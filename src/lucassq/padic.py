@@ -5,11 +5,23 @@ The prime 3 is inert in both quartic fields, so Z_3[alpha]/3^k is the right
 finite model.  Everything is computed with exact rational arithmetic and
 reduced mod 3^k only at the end; truncation orders are certified by the
 valuation floor v(coeff of total degree d) >= floor(d/2)+1.
+
+One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
+Diophantine Equations*).  Its kernel basis comes from the generators: the
+last one, G, has reduction order N; every earlier P_i becomes P_i + b_i G
+with the b_i in [0, N) that puts it in the kernel of reduction; the last
+basis element is N G.  The cosets are c G (+T) for c in [0, N).  Rank 1
+lists all of them and bounds each by Strassman in one variable; rank 2
+lists c in [0, N/2] and solves each by Skolem at the zero found by Hensel
+lifting.  The fold is sound because T = -T: the coset of (N - c) G (+T) is
+the negative of that of c G (+T), and P and -P share X, hence the
+condition value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,34 +46,6 @@ def _residues(x: FieldElement, modulus: int) -> tuple:
         raise ValueError("denominator not coprime to 3")
     dinv = pow(x._d, -1, modulus)
     return tuple(c * dinv % modulus for c in x._n)
-
-
-@dataclass(frozen=True)
-class PadicQuartic:
-    """Element of Z_3[alpha]/3^k with canonical integer coordinates."""
-
-    field_id: str
-    k: int
-    coords: tuple
-
-    @classmethod
-    def from_element(cls, x: FieldElement, k: int) -> "PadicQuartic":
-        return cls(x.field.id, k, _residues(x, P3 ** k))
-
-    def valuation(self) -> int:
-        """min_i v_3(c_i), capped at k."""
-        best = self.k
-        for c in self.coords:
-            v = 0
-            while c and c % P3 == 0 and v < self.k:
-                c //= P3
-                v += 1
-            if c:
-                best = min(best, v)
-        return best
-
-    def __repr__(self):
-        return f"PadicQuartic({self.field_id}, mod 3^{self.k}, {self.coords})"
 
 
 def reduce_element(x: FieldElement, k: int) -> FieldElement:
@@ -178,16 +162,9 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
 
 def z_of_point(pt: CurvePoint) -> FieldElement:
     """Exact z = -X/Y for a point in the kernel of reduction at 3."""
-    if pt.at_infinity:
-        raise ValueError("finite point required")
-    v = three_adic_valuation(pt.x)
-    if v is None or v > -2:
-        raise ValueError("not in kernel of reduction")
+    if not _in_kernel(pt):
+        raise ValueError("finite point in the kernel of reduction required")
     return -pt.x / pt.y
-
-
-def z_coordinate(curve: CurveInstance, pt: CurvePoint, k: int) -> PadicQuartic:
-    return PadicQuartic.from_element(z_of_point(pt), k)
 
 
 def padic_log(pack: FormalSeriesPack, z: FieldElement, k: int) -> FieldElement:
@@ -405,8 +382,6 @@ class SkolemSystem:
     lowest2: Poly
     d1: int
     d2: int
-    h1: Optional[Poly] = None
-    h2: Optional[Poly] = None
 
 
 def _mod3(poly: Poly) -> Poly:
@@ -553,7 +528,7 @@ def curve_satisfies_assumption1(curve: CurveInstance) -> bool:
 class CosetReport:
     coset: int
     eps: int
-    verdict: str          # 'excluded mod 3' | 'excluded mod 9' | 'strassman' | 'skolem'
+    verdict: str          # 'excluded mod 3^i' | 'strassman' | 'skolem'
     roots: tuple = ()
     component: Optional[int] = None
     bound: Optional[int] = None
@@ -564,39 +539,31 @@ class CosetReport:
 class DriverResult:
     curve_id: str
     precision: int
-    m0: Optional[int]
+    m0: Optional[int]     # reduction order of the generator (rank 1 only)
     reports: tuple
     survivors: tuple      # exact CurvePoints with rational condition value
 
 
-def _simultaneous_roots_mod(thetas: list, modulus: int, nvars: int) -> list:
-    """Residue tuples where all the given component polys vanish."""
-    out = []
-    ranges = [range(modulus)] * nvars
+def lift_roots(polys: list, k: int, levels: int) -> tuple:
+    """Common zeros of integer polynomials known mod 3^k.  Their common
+    factor 3^j is divided out, and the zeros of the quotients are lifted one
+    power of 3 at a time, so level i of the polynomials is level i - j of
+    the quotients.
 
-    def rec(prefix):
-        if len(prefix) == nvars:
-            if all(sum(c * _monomial(prefix, e, modulus) for e, c in t.terms.items()) % modulus == 0
-                   for t in thetas):
-                out.append(tuple(prefix))
-            return
-        for v in ranges[len(prefix)]:
-            rec(prefix + [v])
-
-    rec([])
-    return out
-
-
-def _monomial(vals, e, modulus):
-    r = 1
-    for v, p in zip(vals, e):
-        r = r * pow(v, p, modulus) % modulus
-    return r
-
-
-def _nonrational_components(thetas4: list) -> list:
-    """Components 1..3 (the parts that must vanish for rationality)."""
-    return thetas4[1:]
+    Returns (i, roots).  If roots is empty, the polynomials have no common
+    zero mod 3^i.  Otherwise i = min(levels, k) and roots are the zeros of
+    the quotients mod 3^(i - j), as symmetric residues."""
+    nvars = polys[0].nvars
+    polys, j = divide_out_3(polys, k)
+    digits = list(itertools.product(range(P3), repeat=nvars))
+    roots, i = [(0,) * nvars], 0
+    while roots and j + i < min(levels, k):
+        step, i = P3 ** i, i + 1
+        roots = [r for base in roots for d in digits
+                 for r in (tuple(b + step * x for b, x in zip(base, d)),)
+                 if all(p.evaluate(r) % P3 ** i == 0 for p in polys)]
+    m = P3 ** i
+    return j + i, [tuple(x - m if x > m // 2 else x for x in r) for r in roots]
 
 
 def _known_count_strassman(components: list, k: int, known: int,
@@ -627,22 +594,59 @@ def _known_count_strassman(components: list, k: int, known: int,
     raise last_err or PrecisionError("no component certifies the root count")
 
 
+def _skolem_coset(components: list, roots: list, k: int) -> tuple:
+    """Prove that the one candidate root is the only 3-adic zero of the
+    components: shift it to the origin and find a pair of components whose
+    Skolem system has no other zero.  Returns (root, kind of the check)."""
+    if len(roots) != 1:
+        raise PrecisionError(f"{len(roots)} candidate roots")
+    root = roots[0]
+    last = None
+    for f1, f2 in itertools.permutations(
+            [c for c in components if not c.is_zero()], 2):
+        f1 = poly_mod(poly_shift(f1, root), P3 ** k)
+        f2 = poly_mod(poly_shift(f2, root), P3 ** k)
+        (f1, f2), _ = divide_out_3([f1, f2], k)
+        try:
+            system = build_skolem_system(f1, f2)
+        except ValueError as exc:
+            last = exc
+            continue
+        res = skolem_check(system)
+        if res["unique"]:
+            return root, res["kind"]
+    raise PrecisionError(f"no Skolem pair at {root} ({last})")
+
+
+def _in_kernel(pt: CurvePoint) -> bool:
+    """A finite point in the kernel of reduction at 3, v(X) <= -2."""
+    if pt.at_infinity:
+        return False
+    v = three_adic_valuation(pt.x)
+    return v is not None and v <= -2
+
+
+def _multiples(curve: CurveInstance, G: CurvePoint, n: int) -> list:
+    """[0*G, 1*G, ..., n*G] by repeated addition."""
+    mults = [INFINITY]
+    for _ in range(n):
+        mults.append(add_points(curve, mults[-1], G))
+    return mults
+
+
 def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
     """Exact scan of the multiples m in [-span, span] of the generator
     (+ eps*T).  Returns ({(m, eps): point} for those whose condition value
     is rational, [0*G, 1*G, ..., span*G])."""
-    G = curve.gens[0]
-    T = curve.torsion
+    mults = _multiples(curve, curve.gens[0], span)
     found = {}
-    mults = [INFINITY]
     pts = {0: INFINITY}
     for m in range(1, span + 1):
-        mults.append(add_points(curve, mults[-1], G))
         pts[m] = mults[m]
         pts[-m] = -mults[m]
     for m, p in pts.items():
         for eps in (0, 1):
-            q = add_points(curve, p, T) if eps else p
+            q = add_points(curve, p, curve.torsion) if eps else p
             if q.at_infinity:
                 continue
             if condition_value(curve, q) is not None:
@@ -650,189 +654,135 @@ def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
     return found, mults
 
 
-def reduction_order(curve: CurveInstance, cap: int = 300) -> int:
-    """Order of the generator in the reduction mod 3: smallest m with
-    mG in the kernel (v(X) <= -2)."""
-    G = curve.gens[0]
-    pt = INFINITY
-    for m in range(1, cap + 1):
+def reduction_order(curve: CurveInstance, G: CurvePoint) -> int:
+    """Order of G in the reduction mod 3: smallest m with m*G in the kernel
+    (v(X) <= -2).  E(K)/E_1(K) is finite, so the search ends."""
+    pt = G
+    for m in itertools.count(1):
+        if _in_kernel(pt):
+            return m
         pt = add_points(curve, pt, G)
-        if not pt.at_infinity:
-            v = three_adic_valuation(pt.x)
-            if v is not None and v <= -2:
-                return m
-    raise PrecisionError("reduction order exceeds cap")
 
 
-def rank1_driver(curve: CurveInstance, k: int = 5,
-                 escalate: bool = True) -> DriverResult:
-    """Certify the complete list of points P with rational condition value on
-    a rank-1 curve: split E(K) into cosets of <Q1> (Q1 = m0*G in the kernel
-    of reduction), exclude cosets mod 3/9, and bound the remaining ones by
-    Strassman applied to the theta components."""
+def kernel_basis(curve: CurveInstance) -> tuple:
+    """(N, basis): N is the reduction order of the last generator G, and the
+    basis of the kernel of reduction of <gens> is P_i + b_i G for each
+    earlier generator, with the b_i in [0, N) that put it in the kernel,
+    followed by N G."""
+    *others, G = curve.gens
+    N = reduction_order(curve, G)
+    basis = []
+    for P in others:
+        Q = P
+        for _ in range(N):
+            if _in_kernel(Q):
+                break
+            Q = add_points(curve, Q, G)
+        else:
+            raise ValueError(f"{curve.id}: a generator reduces outside <G>")
+        basis.append(Q)
+    return N, basis + [scalar_mul(curve, N, G)]
+
+
+def rank1_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
+    """Certify the complete list of points with rational condition value on
+    a rank-1 curve: Strassman on each coset of the kernel of reduction."""
+    return _driver(curve, k, 1)
+
+
+def rank2_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
+    """Certify the complete list of points with rational condition value on
+    a rank-2 curve: Skolem on each coset of the kernel of reduction."""
+    return _driver(curve, k, 2)
+
+
+def _driver(curve: CurveInstance, k: int, rank: int) -> DriverResult:
+    """Run the coset driver at 3^k, and once more at 3^(k+2) if the
+    truncation cannot decide some coset."""
+    if len(curve.gens) != rank:
+        raise ValueError(f"{curve.id} has {len(curve.gens)} generator(s); "
+                         f"the rank-{rank} driver needs {rank}")
     try:
-        return _rank1_once(curve, k)
+        return _cosets_once(curve, k)
     except PrecisionError:
-        if not escalate:
-            raise
-        return _rank1_once(curve, k + 2)
+        return _cosets_once(curve, k + 2)
 
 
-def _rank1_once(curve: CurveInstance, k: int) -> DriverResult:
+def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
+    """Split E(K) = <gens> + {O, T} into cosets of its kernel of reduction
+    mod 3, and prove for each coset which points have a rational condition
+    value.
+
+    With the basis Q_i of `kernel_basis`, the kernel points are
+    sum n_i Q_i and the cosets are c G (+T), c in [0, N).
+    On rank 2 only c in [0, N/2] are listed: T = -T, so the coset of
+    (N - c) G (+T) is the negative of that of c G (+T), and X, hence the
+    condition value, is the same at P and -P; each survivor is recorded
+    with its negative.
+
+    A coset without a common zero of the nonrational theta components mod 3
+    or mod 9 (mod 3^i on rank 2) is excluded.  Otherwise rank 1 bounds the
+    zeros by Strassman against the multiples that the exact scan found,
+    and rank 2 proves by Skolem that the one zero lifted mod 3^(k-j) is the
+    only one.  The identity coset holds O, at n = 0."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
-    m0 = reduction_order(curve)
-    T = curve.torsion
-    order = k + 2
-    pack = derive_formal_series(curve, order + 3)
-    known, mults = _scan_condition_points(curve, 2 * m0)
-    Q1 = mults[m0]
-    L1 = padic_log(pack, z_of_point(Q1), k + 4)
-    zpoly = z_linear_combo(pack, [L1], k)
+    rank = len(curve.gens)
+    N, basis = kernel_basis(curve)
+    if rank == 1:
+        known, mults = _scan_condition_points(curve, 2 * N)
+        survivors = list(known.values())
+    else:
+        mults = _multiples(curve, curve.gens[-1], N // 2)
+        survivors = []
+    pack = derive_formal_series(curve, k + 5)
+    logs = [padic_log(pack, z_of_point(Q), k + 4) for Q in basis]
+    zpoly = z_linear_combo(pack, logs, k)
     reports = []
-    survivors = [pt for pt in known.values()]
-    for eps in (0, 1):
-        for c in range(m0):
-            if c == 0 and eps == 0:
-                # coset of O: series for 1/(beta X + gamma), even in n
-                inv = inverse_beta_x_series(curve, order=k + 1, pack=pack)
-                thetas = theta_components(inv, zpoly, k)
-                comps = _nonrational_components(thetas)
-                roots = [(m - c) // m0 for (m, e) in known
-                         if e == eps and (m - c) % m0 == 0]
-                # in the substituted variable m = n^2: pairs +-n collapse,
-                # and n = 0 (the point O itself) is always a root
-                idx, bound = _known_count_strassman(
-                    comps, k, len(roots) // 2 + 1, even_in_var=True)
-                reports.append(CosetReport(c, eps, "strassman",
-                                           tuple(roots), idx, bound))
-                continue
-            base = add_points(curve, mults[c], T) if eps else mults[c]
-            bv = three_adic_valuation(base.x)
-            if bv is not None and bv < 0:
-                raise PrecisionError(
-                    f"{curve.id}: coset base {c},{eps} in kernel of reduction")
-            x0 = reduce_element(base.x, k + 4)
-            y0 = reduce_element(base.y, k + 4)
-            ser = beta_x_series(curve, x0, y0, order=k - 1, pack=pack)
-            thetas = theta_components(ser, zpoly, k)
-            comps = _nonrational_components(thetas)
-            if not _simultaneous_roots_mod(comps, 3, 1):
-                reports.append(CosetReport(c, eps, "excluded mod 3"))
-                continue
-            if not _simultaneous_roots_mod(comps, 9, 1):
-                reports.append(CosetReport(c, eps, "excluded mod 9"))
-                continue
-            roots = [(m - c) // m0 for (m, e) in known
-                     if e == eps and (m - c) % m0 == 0]
-            idx, bound = _known_count_strassman(comps, k, len(roots))
-            reports.append(CosetReport(c, eps, "strassman",
-                                       tuple(roots), idx, bound))
-    return DriverResult(curve.id, k, m0, tuple(reports), tuple(survivors))
-
-
-def rank2_driver(curve: CurveInstance, k: int = 5,
-                 escalate: bool = True) -> DriverResult:
-    try:
-        return _rank2_once(curve, k)
-    except PrecisionError:
-        if not escalate:
-            raise
-        return _rank2_once(curve, k + 2)
-
-
-def _rank2_once(curve: CurveInstance, k: int) -> DriverResult:
-    """Two-variable analogue for the rank-2 curve: kernel basis
-    Q1 = P1 + 8 P2, Q2 = 24 P2; 26 cosets (T = -T symmetry); Skolem-style
-    exclusion after shifting off the known root."""
-    if not curve_satisfies_assumption1(curve):
-        raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
-    P1, P2 = curve.gens
-    T = curve.torsion
-    mults = [INFINITY]                    # c * P2 for c = 0..12
-    for _ in range(12):
-        mults.append(add_points(curve, mults[-1], P2))
-    Q1 = add_points(curve, P1, mults[8])
-    Q2 = add_points(curve, mults[12], mults[12])
-    order = k + 2
-    pack = derive_formal_series(curve, order + 3)
-    L1 = padic_log(pack, z_of_point(Q1), k + 4)
-    L2 = padic_log(pack, z_of_point(Q2), k + 4)
-    zpoly = z_linear_combo(pack, [L1, L2], k)
-    reports = []
-    survivors = []
-
-    def solve_coset(c, eps, thetas):
-        comps = _nonrational_components(thetas)
-        if not _simultaneous_roots_mod(comps, 3, 2):
-            return CosetReport(c, eps, "excluded mod 3"), []
-        if not _simultaneous_roots_mod(comps, 9, 2):
-            return CosetReport(c, eps, "excluded mod 9"), []
-        # candidate roots: small integer pairs vanishing mod 3^k, verified
-        # afterwards on the exact curve
-        cands = []
-        m = P3 ** k
-        for n1 in range(-4, 5):
-            for n2 in range(-4, 5):
-                if all(t.evaluate([n1, n2]) % m == 0 for t in comps
-                       if not t.is_zero()):
-                    cands.append((n1, n2))
-        if len(cands) != 1:
-            raise PrecisionError(
-                f"coset {c},{eps}: {len(cands)} candidate roots")
-        r1, r2 = cands[0]
-        # shift the known root to the origin and run the Skolem check on a
-        # pair of components
-        last = None
-        for i in range(len(comps)):
-            for jdx in range(len(comps)):
-                if i == jdx or comps[i].is_zero() or comps[jdx].is_zero():
+    for eps, c in itertools.product((0, 1), range(N if rank == 1
+                                                  else N // 2 + 1)):
+        identity = c == 0 and eps == 0
+        base = add_points(curve, mults[c], curve.torsion) if eps else mults[c]
+        try:
+            if identity:
+                series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
+            elif _in_kernel(base):
+                raise PrecisionError("coset base in kernel of reduction")
+            else:
+                series = beta_x_series(curve, reduce_element(base.x, k + 4),
+                                       reduce_element(base.y, k + 4),
+                                       order=k - 1, pack=pack)
+            comps = theta_components(series, zpoly, k)[1:]
+            if not identity:
+                level, lifted = lift_roots(comps, k, 2 if rank == 1 else k)
+                if not lifted:
+                    reports.append(CosetReport(c, eps,
+                                               f"excluded mod {P3 ** level}"))
                     continue
-                f1 = poly_mod(poly_shift(comps[i], (r1, r2)), P3 ** k)
-                f2 = poly_mod(poly_shift(comps[jdx], (r1, r2)), P3 ** k)
-                (f1, f2), _ = divide_out_3([f1, f2], k)
-                try:
-                    system = build_skolem_system(f1, f2)
-                except ValueError as exc:
-                    last = exc
-                    continue
-                res = skolem_check(system)
-                if res["unique"]:
-                    return (CosetReport(c, eps, "skolem", ((r1, r2),),
-                                        detail=res["kind"]),
-                            [(r1, r2)])
-        raise PrecisionError(f"coset {c},{eps}: no Skolem pair ({last})")
-
-    # R-only coset
-    inv = inverse_beta_x_series(curve, order=k + 1, pack=pack)
-    thetas = theta_components(inv, zpoly, k)
-    rep, roots = solve_coset(0, 0, thetas)
-    if roots != [(0, 0)]:
-        raise PrecisionError("unexpected root in the identity coset")
-    reports.append(rep)
-
-    for eps in (0, 1):
-        krange = range(1, 13) if eps == 0 else range(0, 13)
-        for c in krange:
-            base = add_points(curve, mults[c], T) if eps else mults[c]
-            bv = three_adic_valuation(base.x) if not base.at_infinity else None
-            if bv is not None and bv < 0:
-                raise PrecisionError(
-                    f"{curve.id}: coset base {c},{eps} in kernel")
-            x0 = reduce_element(base.x, k + 4)
-            y0 = reduce_element(base.y, k + 4)
-            ser = beta_x_series(curve, x0, y0, order=k - 1, pack=pack)
-            thetas = theta_components(ser, zpoly, k)
-            rep, roots = solve_coset(c, eps, thetas)
-            reports.append(rep)
-            for (r1, r2) in roots:
-                pt = add_points(curve, base,
-                                add_points(curve,
-                                           scalar_mul(curve, r1, Q1),
-                                           scalar_mul(curve, r2, Q2)))
-                if condition_value(curve, pt) is None:
-                    raise PrecisionError(
-                        f"candidate root {(r1, r2)} fails exact check")
-                survivors.append(pt)
-                survivors.append(-pt)
-    return DriverResult(curve.id, k, None, tuple(reports), tuple(survivors))
+            if rank == 1:
+                roots = tuple((m - c) // N for (m, e) in known
+                              if e == eps and (m - c) % N == 0)
+                # the identity coset's series is even in n: in m = n^2 the
+                # pairs +-n collapse, and n = 0 (O itself) is always a root
+                count = len(roots) // 2 + 1 if identity else len(roots)
+                idx, bound = _known_count_strassman(comps, k, count,
+                                                    even_in_var=identity)
+                reports.append(CosetReport(c, eps, "strassman", roots,
+                                           idx, bound))
+                continue
+            root, kind = _skolem_coset(
+                comps, [(0,) * rank] if identity else lifted, k)
+            reports.append(CosetReport(c, eps, "skolem", (root,),
+                                       detail=kind))
+            if identity:
+                continue
+            pt = base
+            for n, Q in zip(root, basis):
+                pt = add_points(curve, pt, scalar_mul(curve, n, Q))
+            if condition_value(curve, pt) is None:
+                raise PrecisionError(f"root {root} fails the exact check")
+            survivors += [pt, -pt]
+        except PrecisionError as exc:
+            raise PrecisionError(f"{curve.id} coset {c},{eps}: {exc}") from None
+    return DriverResult(curve.id, k, N if rank == 1 else None,
+                        tuple(reports), tuple(survivors))

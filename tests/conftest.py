@@ -1,6 +1,8 @@
 """Shared fixtures.  The 3-adic drivers and the generator certifications
 are the expensive steps, so each runs at most once per session."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from lucassq.cli import RANK1_IDS
@@ -17,6 +19,21 @@ def rank1_results():
 def rank2_result():
     from lucassq.padic import rank2_driver
     return rank2_driver(CURVE_BY_ID["E10"])
+
+
+@pytest.fixture(scope="session")
+def e10_kernel():
+    """E10's kernel-of-reduction basis as the rank-2 driver derives it, with
+    the 3-adic logarithms mod 3^9 and the z linear combination mod 3^5."""
+    from lucassq.padic import (derive_formal_series, kernel_basis, padic_log,
+                               z_linear_combo, z_of_point)
+    E10 = CURVE_BY_ID["E10"]
+    N, (Q1, Q2) = kernel_basis(E10)
+    pack = derive_formal_series(E10, 10)
+    L1, L2 = (padic_log(pack, z_of_point(Q), 9) for Q in (Q1, Q2))
+    zpoly = z_linear_combo(pack, [L1, L2], 5)
+    return SimpleNamespace(N=N, Q1=Q1, Q2=Q2, pack=pack, L1=L1, L2=L2,
+                           zpoly=zpoly)
 
 
 @pytest.fixture(scope="session")

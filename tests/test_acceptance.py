@@ -84,30 +84,21 @@ def test_criterion_5_generators_and_descent_pairs():
 
 # --- 6. 3-adic golden values ----------------------------------------------------
 
-@pytest.fixture(scope="module")
-def e10_kernel():
-    from lucassq.padic import (derive_formal_series, padic_log,
-                               z_linear_combo, z_of_point)
-    E10 = CURVE_BY_ID["E10"]
-    P1, P2 = E10.gens
-    Q1 = add_points(E10, P1, scalar_mul(E10, 8, P2))
-    Q2 = scalar_mul(E10, 24, P2)
-    pack = derive_formal_series(E10, 10)
-    L1 = padic_log(pack, z_of_point(Q1), 9)
-    L2 = padic_log(pack, z_of_point(Q2), 9)
-    zpoly = z_linear_combo(pack, [L1, L2], 5)
-    return E10, Q1, Q2, pack, L1, L2, zpoly
-
-
 def test_criterion_6_padic_golden(e10_kernel):
     from lucassq.padic import (poly_components_mod, reduce_element,
-                               z_coordinate)
-    E10, Q1, Q2, _, L1, L2, zpoly = e10_kernel
-    assert z_coordinate(E10, Q1, 5).coords == (33, 240, 33, 93)
-    assert z_coordinate(E10, Q2, 5).coords == (213, 234, 105, 144)
-    assert reduce_element(L1, 5).coords == (3 * 32, 3 * 35, 3 * 50, 3 * 61)
-    assert reduce_element(L2, 5).coords == (3 * 47, 9 * 8, 3 * 38, 9 * 7)
-    comp0 = poly_components_mod(zpoly, 5)[0]
+                               z_of_point)
+    E10 = CURVE_BY_ID["E10"]
+    P1, P2 = E10.gens
+    kern = e10_kernel                    # derived by the rank-2 driver
+    assert kern.N == 24
+    assert kern.Q1 == add_points(E10, P1, scalar_mul(E10, 8, P2))
+    assert kern.Q2 == scalar_mul(E10, 24, P2)
+    assert reduce_element(z_of_point(kern.Q1), 5).coords == (33, 240, 33, 93)
+    assert (reduce_element(z_of_point(kern.Q2), 5).coords
+            == (213, 234, 105, 144))
+    assert reduce_element(kern.L1, 5).coords == (3 * 32, 3 * 35, 3 * 50, 3 * 61)
+    assert reduce_element(kern.L2, 5).coords == (3 * 47, 9 * 8, 3 * 38, 9 * 7)
+    comp0 = poly_components_mod(kern.zpoly, 5)[0]
     assert comp0.coefficient((1, 2)) == 216
     assert comp0.coefficient((1, 0)) == 96
     assert comp0.coefficient((0, 1)) == 141
@@ -120,7 +111,7 @@ def test_criterion_7_series_golden(e10_kernel):
     from lucassq.padic import (beta_x_series, inverse_beta_x_series,
                                padic_exp, padic_log, reduce_element,
                                z_of_point)
-    E10, Q1, _, pack, *_ = e10_kernel
+    E10, Q1, pack = CURVE_BY_ID["E10"], e10_kernel.Q1, e10_kernel.pack
 
     def el(c1, c3):
         return K2.element(0, c1, 0, c3)
@@ -171,17 +162,16 @@ def _brute_force_origin_only(system):
 
 
 def test_criterion_8_skolem_cases(e10_kernel):
-    from lucassq.padic import (_nonrational_components, beta_x_series,
-                               inverse_beta_x_series, reduce_element,
-                               theta_components)
-    E10, _, _, pack, _, _, zpoly = e10_kernel
+    from lucassq.padic import (beta_x_series, inverse_beta_x_series,
+                               reduce_element, theta_components)
+    E10, pack, zpoly = CURVE_BY_ID["E10"], e10_kernel.pack, e10_kernel.zpoly
     P2 = E10.gens[1]
 
     def coset_comps(c):
         base = scalar_mul(E10, c, P2)
         ser = beta_x_series(E10, reduce_element(base.x, 9),
                             reduce_element(base.y, 9), order=4, pack=pack)
-        return _nonrational_components(theta_components(ser, zpoly, 5))
+        return theta_components(ser, zpoly, 5)[1:]
 
     # Case 1.1: coset of 2 P2, linear parts (2 n1, n1 + n2), det 2 mod 3
     comps = coset_comps(2)
@@ -203,7 +193,7 @@ def test_criterion_8_skolem_cases(e10_kernel):
 
     # Case 2: the identity coset, H1 = 2 n1^2 and H2 = 16 n2^4
     inv = inverse_beta_x_series(E10, order=6, pack=pack)
-    comps = _nonrational_components(theta_components(inv, zpoly, 5))
+    comps = theta_components(inv, zpoly, 5)[1:]
     system, res = _skolem_system(comps[2], comps[0], (0, 0))
     assert res["unique"] and res["kind"] == "resultant"
     assert res["H1"].terms == {(2,): 2}
@@ -527,7 +517,8 @@ def test_criterion_12_exp_log_round_trip():
                                reduce_element, reduction_order, z_of_point)
     for cid in ("E1", "E5", "E10"):
         curve = CURVE_BY_ID[cid]
-        Q = scalar_mul(curve, reduction_order(curve), curve.gens[0])
+        G = curve.gens[0]
+        Q = scalar_mul(curve, reduction_order(curve, G), G)
         pack = derive_formal_series(curve, 10)
         z = z_of_point(Q)
         back = padic_exp(pack, padic_log(pack, z, 8), 8)
@@ -535,15 +526,15 @@ def test_criterion_12_exp_log_round_trip():
 
 
 def test_criterion_12_z_combo_matches_group_law(e10_kernel):
-    from lucassq.padic import poly_components_mod, z_coordinate
-    E10, Q1, Q2, _, _, _, zpoly = e10_kernel
-    comps = poly_components_mod(zpoly, 5)
+    from lucassq.padic import poly_components_mod, reduce_element, z_of_point
+    E10 = CURVE_BY_ID["E10"]
+    comps = poly_components_mod(e10_kernel.zpoly, 5)
     for n1 in range(-2, 3):
         for n2 in range(-2, 3):
-            pt = add_points(E10, scalar_mul(E10, n1, Q1),
-                            scalar_mul(E10, n2, Q2))
+            pt = add_points(E10, scalar_mul(E10, n1, e10_kernel.Q1),
+                            scalar_mul(E10, n2, e10_kernel.Q2))
             want = ((0, 0, 0, 0) if pt.at_infinity
-                    else z_coordinate(E10, pt, 5).coords)
+                    else reduce_element(z_of_point(pt), 5).coords)
             got = tuple(c.evaluate([n1, n2]) % 3 ** 5 for c in comps)
             assert got == want, (n1, n2)
 
@@ -551,7 +542,7 @@ def test_criterion_12_z_combo_matches_group_law(e10_kernel):
 def test_criterion_12_fact2_floors(e10_kernel):
     from lucassq.padic import (fact2_floor, inverse_beta_x_series,
                                theta_components)
-    E10, _, _, pack, _, _, zpoly = e10_kernel
+    E10, pack, zpoly = CURVE_BY_ID["E10"], e10_kernel.pack, e10_kernel.zpoly
     inv = inverse_beta_x_series(E10, order=6, pack=pack)
     thetas = theta_components(inv, zpoly, 5)
     assert any(not t.is_zero() for t in thetas)

@@ -9,71 +9,73 @@ from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
 from lucassq.exact import Poly
 from lucassq.fields import K2, three_adic_valuation
 from lucassq.padic import (PrecisionError, _known_count_strassman,
-                           _nonrational_components, beta_x_series, build_skolem_system,
+                           _skolem_coset, beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
-                           inverse_beta_x_series, padic_exp, padic_log,
-                           poly_components_mod, poly_mod, poly_shift,
-                           reduce_element, skolem_check, strassman_bound,
-                           theta_components, z_coordinate, z_linear_combo,
-                           z_of_point)
+                           inverse_beta_x_series, kernel_basis, lift_roots,
+                           padic_exp, padic_log, poly_components_mod,
+                           poly_mod, poly_shift, rank1_driver, rank2_driver,
+                           reduce_element, reduction_order, skolem_check,
+                           strassman_bound, theta_components, z_of_point)
 
 E10 = CURVE_BY_ID["E10"]
 K = 5
 M = 3 ** K
 
 
-@pytest.fixture(scope="module")
-def kernel_data():
-    """Kernel-of-reduction basis Q1 = P1 + 8 P2, Q2 = 24 P2 with their
-    3-adic logarithms and the z linear combination, exactly as the rank-2
-    driver builds them."""
-    P1, P2 = E10.gens
-    Q1 = add_points(E10, P1, scalar_mul(E10, 8, P2))
-    Q2 = scalar_mul(E10, 24, P2)
-    pack = derive_formal_series(E10, K + 5)
-    L1 = padic_log(pack, z_of_point(Q1), K + 4)
-    L2 = padic_log(pack, z_of_point(Q2), K + 4)
-    zpoly = z_linear_combo(pack, [L1, L2], K)
-    return P1, P2, Q1, Q2, pack, L1, L2, zpoly
+# --- kernel of reduction -----------------------------------------------------
+
+def test_rank1_reduction_orders():
+    """The reduction order N of each rank-1 generator, recorded as m0 in the
+    certificate; the kernel basis is N G."""
+    want = {"E1": 6, "E2": 12, "E3": 17, "E4": 17, "E5": 17, "E6": 4,
+            "E7": 34, "E8": 12, "E9": 34, "E11": 17, "E12": 12}
+    for cid, n in want.items():
+        curve = CURVE_BY_ID[cid]
+        assert reduction_order(curve, curve.gens[0]) == n, cid
+        assert kernel_basis(curve) == (n, [scalar_mul(curve, n, curve.gens[0])])
+
+
+def test_driver_rank_guard():
+    with pytest.raises(ValueError, match="E10"):
+        rank1_driver(E10)
+    with pytest.raises(ValueError, match="E1 "):
+        rank2_driver(CURVE_BY_ID["E1"])
 
 
 # --- golden 3-adic coordinates ----------------------------------------------
 
-def test_z_coordinates_golden(kernel_data):
-    _, _, Q1, Q2, *_ = kernel_data
-    assert z_coordinate(E10, Q1, K).coords == (33, 240, 33, 93)
-    assert z_coordinate(E10, Q2, K).coords == (213, 234, 105, 144)
+def test_z_coordinates_golden(e10_kernel):
+    z1, z2 = (z_of_point(Q) for Q in (e10_kernel.Q1, e10_kernel.Q2))
+    assert reduce_element(z1, K).coords == (33, 240, 33, 93)
+    assert reduce_element(z2, K).coords == (213, 234, 105, 144)
 
 
-def test_log_golden(kernel_data):
-    *_, L1, L2, _ = kernel_data
+def test_log_golden(e10_kernel):
     # 3*(32 + 35 phi + 50 phi^2 + 61 phi^3)
-    assert reduce_element(L1, K).coords == (96, 105, 150, 183)
+    assert reduce_element(e10_kernel.L1, K).coords == (96, 105, 150, 183)
     # 3*(47 + 38 phi^2) + 9*(8 phi + 7 phi^3)
-    assert reduce_element(L2, K).coords == (141, 72, 114, 63)
+    assert reduce_element(e10_kernel.L2, K).coords == (141, 72, 114, 63)
 
 
-def test_z_linear_combo_golden_coefficients(kernel_data):
-    *_, zpoly = kernel_data
-    comp0 = poly_components_mod(zpoly, K)[0]
+def test_z_linear_combo_golden_coefficients(e10_kernel):
+    comp0 = poly_components_mod(e10_kernel.zpoly, K)[0]
     assert comp0.coefficient((1, 2)) == 216        # n1 n2^2
     assert comp0.coefficient((1, 0)) == 96         # n1
     assert comp0.coefficient((0, 1)) == 141        # n2
 
 
-def test_z_linear_combo_matches_group_law(kernel_data):
+def test_z_linear_combo_matches_group_law(e10_kernel):
     """z(n1 Q1 + n2 Q2) from the exact group law agrees with the series
     evaluation, for every (n1, n2) in {-2..2}^2."""
-    _, _, Q1, Q2, _, _, _, zpoly = kernel_data
-    comps = poly_components_mod(zpoly, K)
+    comps = poly_components_mod(e10_kernel.zpoly, K)
     for n1 in range(-2, 3):
         for n2 in range(-2, 3):
-            pt = add_points(E10, scalar_mul(E10, n1, Q1),
-                            scalar_mul(E10, n2, Q2))
+            pt = add_points(E10, scalar_mul(E10, n1, e10_kernel.Q1),
+                            scalar_mul(E10, n2, e10_kernel.Q2))
             if pt.at_infinity:
                 want = (0, 0, 0, 0)
             else:
-                want = z_coordinate(E10, pt, K).coords
+                want = reduce_element(z_of_point(pt), K).coords
             got = tuple(c.evaluate([n1, n2]) % M for c in comps)
             assert got == want, (n1, n2)
 
@@ -118,9 +120,8 @@ def test_exp_log_round_trip():
     """exp(log(z)) = z mod 3^k for kernel points on both fields' curves."""
     for cid in ("E10", "E5", "E1"):
         curve = CURVE_BY_ID[cid]
-        from lucassq.padic import reduction_order
-        m0 = reduction_order(curve)
         G = curve.gens[0]
+        m0 = reduction_order(curve, G)
         Q = scalar_mul(curve, m0, G)
         pack = derive_formal_series(curve, K + 5)
         z = z_of_point(Q)
@@ -136,13 +137,12 @@ def test_fact2_floor_values():
     assert [fact2_floor(d) for d in range(1, 8)] == [1, 2, 2, 3, 3, 4, 4]
 
 
-def test_theta_series_respect_fact2_floor(kernel_data):
+def test_theta_series_respect_fact2_floor(e10_kernel):
     """Every computed theta-series coefficient in total degree d carries
     3-adic valuation at least fact2_floor(d) = floor(d/2) + 1, which is
     what Strassman consumes."""
-    *_, pack, _, _, zpoly = kernel_data
-    inv = inverse_beta_x_series(E10, order=K + 1, pack=pack)
-    thetas = theta_components(inv, zpoly, K)
+    inv = inverse_beta_x_series(E10, order=K + 1, pack=e10_kernel.pack)
+    thetas = theta_components(inv, e10_kernel.zpoly, K)
     assert any(not t.is_zero() for t in thetas)
     for theta in thetas:
         for e, c in theta.terms.items():
@@ -193,7 +193,7 @@ def _coset_thetas(pack, zpoly, c, eps):
     x0 = reduce_element(base.x, K + 4)
     y0 = reduce_element(base.y, K + 4)
     ser = beta_x_series(E10, x0, y0, order=K - 1, pack=pack)
-    return _nonrational_components(theta_components(ser, zpoly, K))
+    return theta_components(ser, zpoly, K)[1:]
 
 
 def _nonzero(polys):
@@ -217,10 +217,9 @@ def _brute_force_only_origin(system):
                 assert n1 % 3 == 0 and n2 % 3 == 0, (n1, n2)
 
 
-def test_skolem_case_1_1(kernel_data):
+def test_skolem_case_1_1(e10_kernel):
     """Coset of 2 P2: linear lowest parts (2 n1, n1 + n2), det = 2 mod 3."""
-    *_, pack, _, _, zpoly = kernel_data
-    comps = _nonzero(_coset_thetas(pack, zpoly, 2, 0))
+    comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 2, 0))
     system, res = _system_for(comps[2], comps[1], (0, 0))
     assert res["unique"]
     assert res["kind"] == "linear" and res["det_mod_3"] == 2
@@ -229,11 +228,10 @@ def test_skolem_case_1_1(kernel_data):
     _brute_force_only_origin(system)
 
 
-def test_skolem_case_1_2(kernel_data):
+def test_skolem_case_1_2(e10_kernel):
     """Coset of 10 P2: after shifting the known root (2, -1) to the origin
     the lowest parts are again (2 x1, x1 + x2)."""
-    *_, pack, _, _, zpoly = kernel_data
-    comps = _nonzero(_coset_thetas(pack, zpoly, 10, 0))
+    comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 10, 0))
     system, res = _system_for(comps[2], comps[1], (2, -1))
     assert res["unique"]
     assert res["kind"] == "linear" and res["det_mod_3"] == 2
@@ -242,12 +240,11 @@ def test_skolem_case_1_2(kernel_data):
     _brute_force_only_origin(system)
 
 
-def test_skolem_case_2(kernel_data):
+def test_skolem_case_2(e10_kernel):
     """Identity coset: quadratic lowest parts with elimination polynomials
     H1 = 2 n1^2 and H2 = 16 n2^4."""
-    *_, pack, _, _, zpoly = kernel_data
-    inv = inverse_beta_x_series(E10, order=K + 1, pack=pack)
-    comps = _nonrational_components(theta_components(inv, zpoly, K))
+    inv = inverse_beta_x_series(E10, order=K + 1, pack=e10_kernel.pack)
+    comps = theta_components(inv, e10_kernel.zpoly, K)[1:]
     system, res = _system_for(comps[2], comps[0], (0, 0))
     assert res["unique"]
     assert res["kind"] == "resultant"
@@ -263,3 +260,53 @@ def test_three_is_inert():
     from lucassq.fields import K1
     assert defining_poly_irreducible_mod3(K1)
     assert defining_poly_irreducible_mod3(K2)
+
+
+# --- Hensel lifting of the candidate roots ----------------------------------
+
+X1, X2 = Poly.variable(0, 2), Poly.variable(1, 2)
+
+
+def _system(root, scale=1):
+    """scale * (u + 3 v^2, u v + v) mod 3^K with u = x1 - r1, v = x2 - r2:
+    a simple zero at root (the Jacobian there is 1)."""
+    u, v = X1 - root[0], X2 - root[1]
+    return [poly_mod(scale * f, M) for f in (u + 3 * v * v, u * v + v)]
+
+
+def test_lift_roots_outside_small_box():
+    assert lift_roots(_system((7, -11)), K, K) == (K, [(7, -11)])
+    # symmetric residues mod 3^5 = 243 run from -121 to 121
+    assert lift_roots(_system((121, -121)), K, K) == (K, [(121, -121)])
+    assert lift_roots(_system((122, 0)), K, K) == (K, [(-121, 0)])
+
+
+def test_lift_roots_divides_out_common_power_of_3():
+    # 3 * system: the zero is known mod 3^(K-1) = 81 and is still unique
+    assert lift_roots(_system((7, -11), scale=3), K, K) == (K, [(7, -11)])
+    # 9 * system: known mod 27, where 13 is the largest symmetric residue
+    assert lift_roots(_system((13, -13), scale=9), K, K) == (K, [(13, -13)])
+
+
+def test_lift_roots_excluded_mod_9():
+    polys = [poly_mod(X1 * X1 - 3, M), X2]
+    assert lift_roots(polys, K, K) == (2, [])
+    assert lift_roots(polys, K, 1) == (1, [(0, 0)])
+    # with the common factor 3 the first level without a zero is mod 27
+    assert lift_roots([poly_mod(3 * p, M) for p in polys], K, K) == (3, [])
+
+
+def test_two_lifted_roots_raise():
+    polys = [poly_mod((X1 - 1) * (X1 - 2), M), X2]
+    level, roots = lift_roots(polys, K, K)
+    assert level == K and sorted(roots) == [(1, 0), (2, 0)]
+    with pytest.raises(PrecisionError, match="2 candidate roots"):
+        _skolem_coset(polys, roots, K)
+
+
+def test_rank2_skolem_roots(rank2_result):
+    """The lifted roots of E10's three Skolem cosets: O in the identity
+    coset, 2 P2 = 0 Q1 + 0 Q2 + 2 P2 and 2 P1 + 2 P2 = 2 Q1 - Q2 + 10 P2."""
+    got = {(r.coset, r.eps): r.roots for r in rank2_result.reports
+           if r.verdict == "skolem"}
+    assert got == {(0, 0): ((0, 0),), (2, 0): ((0, 0),), (10, 0): ((2, -1),)}
