@@ -119,6 +119,7 @@ def _driver_record(curve, result) -> dict:
         "precision": result.precision,
         "m0": result.m0,
         "cosets": [{"coset": r.coset, "eps": r.eps, "verdict": r.verdict,
+                    "roots": r.roots, "component": r.component,
                     "bound": r.bound, "detail": r.detail}
                    for r in result.reports],
         "survivors": [encode_point(pt) for pt in result.survivors],

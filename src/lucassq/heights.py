@@ -2,6 +2,11 @@
 bounds, canonical heights by the doubling limit, and an exact search of the
 boxes of candidate X-coordinate minimal polynomials.
 
+The caps of the boxes come from certified intervals for hhat: the bound C
+(h - 2 hhat <= C) gives the lower end and C' (2 hhat - h <= C') the upper
+end, and the generators are doubled only until the floored box ranges at
+both ends agree (`height_intervals`, `certify_generators`).
+
 The box search (`_search_box`) streams each box in int64 blocks through a
 sieve at primes that split completely in the field and rebuilds the roots
 of the surviving rows by Hensel lifting.  `roots_in_field`, behind point
@@ -303,37 +308,60 @@ def _content(values):
     return g or 1
 
 
-def canonical_height(curve: CurveInstance, pt: CurvePoint,
-                     tol: float = 1e-6) -> mp.mpf:
-    """hhat(P) = h(x(2^m P)) / (2*4^m) + O(C / (2*4^m)); m chosen from the
-    certified bound C so the tail is below tol.
+@lru_cache(maxsize=None)
+def height_upper_bound(curve_id: str) -> mp.mpf:
+    """C' with 2 hhat(P) - h(P) <= C' for every point P.
+
+    The duplication map x(2Q) = g(x) / f(x), f = 4x^3 + 4Ax^2 + 4Bx and
+    g = (x^2 - B)^2, gives h(x(2Q)) <= 4 h(x(Q)) + D with
+    D = (1/4) sum_nu n_nu log sup_nu max(|f(x)|, |g(x)|) / max(1, |x|)^4,
+    and summing over repeated doubling 2 hhat - h <= D / 3 = C'.  At each
+    embedding sigma every monomial of f or g of degree <= 4 is at most
+    max(1, |x|)^4 in absolute value, so the sup is at most
+    max(sum |sigma f_i|, sum |sigma g_i|) = max(4 + 4|A| + 4|B|, (1 + |B|)^2).
+    At a finite place it is at most 1 when A and B lie in the maximal
+    order, which is checked exactly.  The logarithms carry 15 guard digits,
+    and C' is rounded up by 10^-DIGITS."""
+    from .curves import CURVE_BY_ID
+    curve = CURVE_BY_ID[curve_id]
+    if not (curve.a.in_maximal_order() and curve.b.in_maximal_order()):
+        raise ArithmeticError(
+            f"{curve_id}: A or B is not integral; no finite-place bound")
+    with mp.workdps(DIGITS + 15):
+        total = mp.mpf(0)
+        for root in curve.field.roots(DIGITS + 15):
+            a, b = abs(_embed(curve.a, root)), abs(_embed(curve.b, root))
+            total += mp.log(max(4 + 4 * a + 4 * b, (1 + b) ** 2))
+        return total / 12 + mp.mpf(10) ** -DIGITS
+
+
+def _doublings(curve: CurveInstance, pt: CurvePoint):
+    """The X-coordinates of 2^m P for m = 0, 1, ..., as (u, w) with x = u/w,
+    u an integral field element and w a positive integer.  The stream ends
+    at the first 2^m P of order 2.  It yields coordinates rather than
+    heights so that `canonical_height` computes only the height it returns.
 
     Doubling uses the x-only duplication map x(2Q) = (x^2-B)^2 /
-    (4x(x^2+Ax+B)) in a cleared-denominator representation x = u/w with u an
-    integral field element and w an integer; exact Fraction arithmetic on
-    the raw coordinates spends almost all of its time in gcd normalization
-    once the coordinates exceed a few thousand digits, whereas the integer
-    form only needs one gcd reduction per doubling.
+    (4x(x^2+Ax+B)) in a cleared-denominator representation x = u/w; exact
+    Fraction arithmetic on the raw coordinates spends almost all of its
+    time in gcd normalization once the coordinates exceed a few thousand
+    digits, whereas the integer form only needs one gcd reduction per
+    doubling.
     """
-    if pt.at_infinity:
-        return mp.mpf(0)
-    C, _ = height_diff_bound(curve.id)
-    m = 0
-    while float(C) / (2 * 4 ** m) >= tol:
-        m += 1
     fld = pt.x.field
     s = curve.a._d * curve.b._d // gcd(curve.a._d, curve.b._d)
     a = curve.a * s
     b = curve.b * s
     u, w = fld.integral(pt.x._n), pt.x._d
-    for _ in range(m):
+    while True:
+        yield u, w
         u2 = u * u
         w2 = w * w
         num = u2 * s - b * w2
         num = num * num
         den = u * (u2 * s + a * u * w + b * w2)
         if not den:
-            return mp.mpf(0)  # hit the 2-torsion point or infinity
+            return            # hit the 2-torsion point
         r, norm = adjugate(fld, den._n)
         ucoords = (num * fld.integral(r))._n
         w = norm * 4 * s * w
@@ -342,6 +370,11 @@ def canonical_height(curve: CurveInstance, pt: CurvePoint,
             g = -g
         u = fld.integral(c // g for c in ucoords)
         w //= g
+
+
+def _scaled_height(u: FieldElement, w: int, m: int) -> mp.mpf:
+    """h(u / w) / (2*4^m), at DIGITS + 2m digits."""
+    fld = u.field
     digits = DIGITS + 2 * m
     cp = charpoly(fld, u._n)
     scaled = [cp[k] * w ** k for k in range(5)]
@@ -354,11 +387,39 @@ def canonical_height(curve: CurveInstance, pt: CurvePoint,
         return total / (8 * 4 ** m)
 
 
-def height_pairing(curve: CurveInstance, p: CurvePoint, q: CurvePoint,
-                   tol: float = 1e-5) -> mp.mpf:
-    s = add_points(curve, p, q)
-    return (canonical_height(curve, s, tol) - canonical_height(curve, p, tol)
-            - canonical_height(curve, q, tol))
+def canonical_height(curve: CurveInstance, pt: CurvePoint,
+                     tol: float = 1e-6) -> mp.mpf:
+    """hhat(P) = h(x(2^m P)) / (2*4^m) + O(C / (2*4^m)); m chosen from the
+    certified bound C so the tail is below tol."""
+    if pt.at_infinity:
+        return mp.mpf(0)
+    C, _ = height_diff_bound(curve.id)
+    m = 0
+    while float(C) / (2 * 4 ** m) >= tol:
+        m += 1
+    x = next(itertools.islice(_doublings(curve, pt), m, None), None)
+    if x is None:
+        return mp.mpf(0)      # P is torsion
+    return _scaled_height(*x, m)
+
+
+def height_intervals(curve: CurveInstance, points: list):
+    """Yields (m, [(lo, hi) for each point]) for m = 0, 1, ...: intervals
+    that contain hhat of the points after m doublings.
+
+    With v_m = h(x(2^m P)) / (2*4^m) and hhat(2^m P) = 4^m hhat(P), the
+    bounds h - 2 hhat <= C and 2 hhat - h <= C' at 2^m P put hhat(P) in
+    [v_m - C / (2*4^m), v_m + C' / (2*4^m)]."""
+    C, _ = height_diff_bound(curve.id)
+    Cp = height_upper_bound(curve.id)
+    streams = [_doublings(curve, p) for p in points]
+    for m in itertools.count():
+        out = []
+        for stream in streams:
+            x = next(stream, None)
+            v = mp.mpf(0) if x is None else _scaled_height(*x, m)
+            out.append((v - C / (2 * 4 ** m), v + Cp / (2 * 4 ** m)))
+        yield m, out
 
 
 # --- candidate enumeration -------------------------------------------------------
@@ -668,7 +729,11 @@ class HeightCertificate:
     curve_id: str
     epsilons: dict
     bound_c: float
-    gen_heights: list
+    bound_c_upper: float      # C' with 2 hhat - h <= C'
+    doublings: int            # m at which the box ranges were decided
+    ranges_decided: bool      # False: still undecided at MAX_DOUBLINGS
+    height_intervals: dict    # point name -> [lo, hi] containing hhat
+    gen_heights: list         # upper endpoints the caps are built from
     cap_b: float
     shapes: list
     survivors: list           # exact X-coordinates (FieldElements)
@@ -950,9 +1015,59 @@ def _named_survivors(curve: CurveInstance, B, what: str) -> tuple:
     return survivors, names
 
 
+# Doublings after which box ranges that are still undecided are taken at the
+# upper endpoints of the height intervals: sound, but a box may be larger
+# than the limit's.
+MAX_DOUBLINGS = 8
+
+
+def _ranges(curve: CurveInstance, cap) -> list:
+    return [(s.tag, shape_ranges(s, cap)) for s in candidate_shapes(curve)]
+
+
+def _decided_caps(curve: CurveInstance, points: list, bounds) -> tuple:
+    """Double the points until the floored box ranges of every cap are
+    decided.
+
+    bounds(intervals, end) gives, from the points' hhat intervals, the
+    height bounds b of the caps e^(C + 2b) at the lower (end = 0) or upper
+    (end = 1) endpoints; each b grows with every height.  At the first m
+    where both ends give the same ranges, these are the ranges of the
+    limit.  Returns (m, intervals, upper bounds, decided)."""
+    C, _ = height_diff_bound(curve.id)
+    for m, iv in height_intervals(curve, points):
+        lower, upper = ([_ranges(curve, mp.e ** (C + 2 * b))
+                         for b in bounds(iv, end)] for end in (0, 1))
+        if lower == upper or m == MAX_DOUBLINGS:
+            return m, iv, bounds(iv, 1), lower == upper
+
+
+def _pairing_interval(iv) -> tuple:
+    """<P1, P2> = hhat(P1 + P2) - hhat(P1) - hhat(P2) from the intervals of
+    P1, P2 and P1 + P2."""
+    (l1, u1), (l2, u2), (l12, u12) = iv
+    return l12 - u1 - u2, u12 - l1 - l2
+
+
+def _rank1_bounds(iv, end) -> list:
+    """The height bound hhat(G) / 9 at the lower or upper endpoint."""
+    return [iv[0][end] / 9]
+
+
+def _rank2_bounds(iv, end) -> list:
+    """Height bounds hhat(P1) / 9 and hhat(P1) / 4 + |<P1, P2>| / 6 +
+    hhat(P2) / 9 at the lower or upper endpoints; at the lower ones
+    |<P1, P2>| is its least value over the pairing interval."""
+    h1, h2 = iv[0][end], iv[1][end]
+    lo, hi = _pairing_interval(iv)
+    pairing = max(abs(lo), abs(hi)) if end else max(lo, -hi, 0)
+    return [h1 / 9, h1 / 4 + pairing / 6 + h2 / 9]
+
+
 def certify_generators(curve: CurveInstance) -> HeightCertificate:
-    """Full certification pipeline: 2-indivisibility, the bound C, the
-    H-cap, box enumeration, and survivor matching."""
+    """Full certification pipeline: 2-indivisibility, the bounds C and C',
+    hhat intervals doubled until the H-caps' box ranges are decided, box
+    enumeration at the upper caps, and survivor matching."""
     with mp.workdps(DIGITS + 15):
         C, eps = height_diff_bound(curve.id)
         eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
@@ -965,42 +1080,36 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
             if halving_candidates(curve, G):
                 raise ArithmeticError(
                     f"{curve.id}: generator is divisible by 2")
-            hg = canonical_height(curve, G, tol=1e-5)
-            # the cap only enters through floor()ed box bounds, so the cheap
-            # tolerance plus a one-sided inflation by the tail bound is safe
-            cap = mp.e ** (C + 2 * (hg + mp.mpf(1e-5)) / 9)
-            survivors, names = _named_survivors(curve, cap, "certification")
-            shapes = [(s.tag, shape_ranges(s, cap))
-                      for s in candidate_shapes(curve)]
-            return HeightCertificate(
-                curve.id, eps_dict, float(C), [float(hg)], float(cap), shapes,
-                survivors, names, "generator")
-        # rank 2
-        P1, P2 = curve.gens
-        odd_classes = {
-            "P1": P1, "P2": P2, "P1+P2": add_points(curve, P1, P2), "T": T,
-            "P1+T": add_points(curve, P1, T), "P2+T": add_points(curve, P2, T),
-            "P1+P2+T": add_points(curve, add_points(curve, P1, P2), T)}
-        for name, rep in odd_classes.items():
-            if halving_candidates(curve, rep):
-                raise ArithmeticError(
-                    f"{curve.id}: class {name} is halvable; index is even")
-        h1 = canonical_height(curve, P1, tol=1e-5)
-        h2 = canonical_height(curve, P2, tol=1e-5)
-        pairing = height_pairing(curve, P1, P2, tol=1e-5)
-        cap1 = mp.e ** (C + 2 * (h1 + mp.mpf(1e-5)) / 9)
-        survivors, names = _named_survivors(curve, cap1, "certification")
-        hg2_bound = h1 / 4 + abs(pairing) / 6 + h2 / 9 + mp.mpf(5e-5)
-        cap2 = mp.e ** (C + 2 * hg2_bound)
-        _, names2 = _named_survivors(curve, cap2, "second enumeration")
-        shapes = [(s.tag, shape_ranges(s, cap1))
-                  for s in candidate_shapes(curve)]
-        shapes2 = [(s.tag, shape_ranges(s, cap2))
-                   for s in candidate_shapes(curve)]
-        return HeightCertificate(
-            curve.id, eps_dict, float(C), [float(h1), float(h2)], float(cap1),
-            shapes, survivors, names, "generators",
-            extra={"pairing": float(pairing),
-                   "g2_height_bound": float(hg2_bound),
-                   "cap2": float(cap2), "shapes2": shapes2,
-                   "survivors2_names": names2})
+            names, points, rule = ["G"], [G], _rank1_bounds
+        else:
+            P1, P2 = curve.gens
+            odd_classes = {
+                "P1": P1, "P2": P2, "P1+P2": add_points(curve, P1, P2),
+                "T": T, "P1+T": add_points(curve, P1, T),
+                "P2+T": add_points(curve, P2, T),
+                "P1+P2+T": add_points(curve, add_points(curve, P1, P2), T)}
+            for name, rep in odd_classes.items():
+                if halving_candidates(curve, rep):
+                    raise ArithmeticError(
+                        f"{curve.id}: class {name} is halvable; index is even")
+            names, rule = ["P1", "P2", "P1+P2"], _rank2_bounds
+            points = [odd_classes[n] for n in names]
+        m, iv, bounds, decided = _decided_caps(curve, points, rule)
+        cap = mp.e ** (C + 2 * bounds[0])
+        survivors, survivor_names = _named_survivors(curve, cap,
+                                                     "certification")
+        cert = HeightCertificate(
+            curve.id, eps_dict, float(C), float(height_upper_bound(curve.id)),
+            m, decided,
+            {n: [float(lo), float(hi)] for n, (lo, hi) in zip(names, iv)},
+            [float(hi) for _, hi in iv[:curve.rank]], float(cap),
+            _ranges(curve, cap), survivors, survivor_names,
+            "generator" if curve.rank == 1 else "generators")
+        if curve.rank == 2:
+            cap2 = mp.e ** (C + 2 * bounds[1])
+            _, names2 = _named_survivors(curve, cap2, "second enumeration")
+            cert.extra = {
+                "pairing_interval": [float(v) for v in _pairing_interval(iv)],
+                "g2_height_bound": float(bounds[1]), "cap2": float(cap2),
+                "shapes2": _ranges(curve, cap2), "survivors2_names": names2}
+        return cert

@@ -381,6 +381,8 @@ def test_criterion_11_e1_runtime_and_conclusion(e1_certificate):
     assert elapsed < 60
     assert cert.conclusion == "generator"
     assert cert.bound_c == pytest.approx(0.485252911746822, rel=1e-6)
+    # the wall-clock gate's deterministic counterpart
+    assert cert.ranges_decided and cert.doublings <= 6
 
 
 def test_criterion_11_e1_exact_survivor_set(e1_certificate):
@@ -417,6 +419,7 @@ def test_criterion_11_e10_runtime_and_conclusion(e10_certificate):
     cert, elapsed = e10_certificate
     assert elapsed < 600
     assert cert.conclusion == "generators"
+    assert cert.ranges_decided and cert.doublings <= 6
 
 
 def test_criterion_11_e10_exact_survivor_set(e10_certificate):
@@ -491,6 +494,8 @@ def test_criterion_11_e8_large_box_certification(monkeypatch):
     assert time.monotonic() - t0 < 60
     assert cert.conclusion == "generator"
     assert ("quartic", [3, 31, 33, 106]) in cert.shapes
+    assert ("quadratic", [3, 10]) in cert.shapes
+    assert ("linear", [3]) in cert.shapes
     assert math.prod(2 * r + 1 for r in dict(cert.shapes)["quartic"]) > 5_000_000
     assert peaks and max(peaks) < 64 * 2 ** 20
     assert {x.coords for x in cert.survivors} == _box_oracle(E8, cert.shapes)

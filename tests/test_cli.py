@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from lucassq import cli, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
+from lucassq.curves import CURVE_BY_ID
 from lucassq.lucas import LucasParams, is_degenerate, square_terms
 
 
@@ -121,6 +122,25 @@ def test_parser_defaults():
                  ["heights", "E1", "--float-digits", "9"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+def test_driver_record_keeps_roots_and_components(rank1_results,
+                                                   rank2_result):
+    """Each coset entry of the certificate carries the coset's Skolem root
+    or the theta component of its Strassman bound, so both steps can be
+    redone from the JSON alone."""
+    rec = json.loads(json.dumps(
+        cli._driver_record(CURVE_BY_ID["E10"], rank2_result)))
+    skolem = {(c["coset"], c["eps"]): c["roots"] for c in rec["cosets"]
+              if c["verdict"] == "skolem"}
+    assert skolem == {(0, 0): [[0, 0]], (2, 0): [[0, 0]], (10, 0): [[2, -1]]}
+    result = rank1_results["E1"]
+    rec = json.loads(json.dumps(cli._driver_record(CURVE_BY_ID["E1"], result)))
+    strassman = [(c["component"], c["bound"], c["roots"])
+                 for c in rec["cosets"] if c["verdict"] == "strassman"]
+    assert strassman and all(comp is not None for comp, _, _ in strassman)
+    assert strassman == [(r.component, r.bound, list(r.roots))
+                         for r in result.reports if r.verdict == "strassman"]
 
 
 def _driver_raising(exc):

@@ -1,22 +1,27 @@
 """Archimedean epsilon data, canonical heights, and the X-coordinate
 enumeration/lifting toolkit."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import lucassq.heights as heights
-from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
+from lucassq import curves
+from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
+                            scalar_mul)
 from lucassq.exact import sylvester_resultant_univariate
 from lucassq.fields import K1, K2, split_primes
-from lucassq.heights import (DENOMINATOR, SIEVE_PRIMES, _charpoly_fractions,
-                             _classify, _classify_table, _monic_mod,
-                             candidate_shapes, canonical_height,
-                             epsilon_nonarchimedean, field_sqrt,
-                             halving_candidates, height_diff_bound,
+from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
+                             _charpoly_fractions, _classify, _classify_table,
+                             _monic_mod, candidate_shapes, canonical_height,
+                             certify_generators, epsilon_nonarchimedean,
+                             field_sqrt, halving_candidates, height_diff_bound,
+                             height_intervals, height_upper_bound,
                              lift_x_to_point, naive_height, roots_in_field,
                              shape_ranges)
 from test_acceptance import _minimal_polynomial
@@ -81,6 +86,97 @@ def test_height_difference_one_sided():
         h = naive_height(P.x)
         hh = canonical_height(E1, P, tol=1e-4)
         assert float(h) - 2 * float(hh) <= float(C) + 1e-3, m
+
+
+# --- certified height intervals -----------------------------------------------
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
+def test_duplication_bound(curve):
+    """h(x(2Q)) - 4 h(x(Q)) <= D = 3 C', the one-step bound behind C', in
+    exact heights at Q = G, 2G, 3G (rank 2: P1, P2, P1 + P2)."""
+    D = 3 * height_upper_bound(curve.id)
+    if curve.rank == 1:
+        G = curve.gens[0]
+        points = [scalar_mul(curve, m, G) for m in (1, 2, 3)]
+    else:
+        P1, P2 = curve.gens
+        points = [P1, P2, add_points(curve, P1, P2)]
+    for Q in points:
+        Q2 = add_points(curve, Q, Q)
+        assert naive_height(Q2.x) - 4 * naive_height(Q.x) <= D
+
+
+def test_height_upper_bound_cached_and_checked(monkeypatch):
+    """C' is cached per curve, lies in (0.9, 1.2) on every curve, and
+    needs A and B in the maximal order."""
+    assert height_upper_bound("E10") is height_upper_bound("E10")
+    assert all(0.9 < height_upper_bound(c.id) < 1.2 for c in CURVES)
+    bad = dataclasses.replace(E1, id="E1/2", a=E1.a / 2)
+    monkeypatch.setitem(curves.CURVE_BY_ID, bad.id, bad)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        height_upper_bound(bad.id)
+
+
+def test_e9_golden_height_in_every_interval():
+    """E9's golden hhat(G) lies in the certified interval at every m up to
+    MAX_DOUBLINGS, and the interval is C / (2*4^m) below and C' / (2*4^m)
+    above the m-th doubling value."""
+    golden = mp.mpf("0.125726743336419")
+    C, _ = height_diff_bound("E9")
+    width = C + height_upper_bound("E9")
+    for m, [(lo, hi)] in height_intervals(E9, [E9.gens[0]]):
+        assert lo <= golden <= hi, m
+        assert mp.almosteq(hi - lo, width / (2 * 4 ** m)), m
+        if m == MAX_DOUBLINGS:
+            break
+    # canonical_height's tol rule stops at the same m, on the same value
+    tail = C / (2 * 4 ** MAX_DOUBLINGS)
+    assert mp.almosteq(lo + tail, canonical_height(E9, E9.gens[0], 2 * tail))
+
+
+def test_rank2_bounds_pairing_ends():
+    """The rank-2 height bounds take |<P1, P2>| at its largest over the
+    pairing interval at the upper end and at its least at the lower end,
+    which is 0 when the interval holds 0."""
+    for iv, least, most in (([(1, 2), (1, 2), (2, 5)], 0, 3),
+                            ([(1, 1.5), (1, 1.5), (4, 5)], 1, 3),
+                            ([(1, 1.5), (1, 1.5), (-2, -1)], 3, 5)):
+        lo1, lo2 = iv[0][0], iv[1][0]
+        hi1, hi2 = iv[0][1], iv[1][1]
+        assert heights._rank2_bounds(iv, 0) == [
+            lo1 / 9, lo1 / 4 + least / 6 + lo2 / 9]
+        assert heights._rank2_bounds(iv, 1) == [
+            hi1 / 9, hi1 / 4 + most / 6 + hi2 / 9]
+
+
+@pytest.mark.parametrize("cid", ["E9", "E10"])
+def test_ranges_at_stopping_m_match_full_depth(cid, e10_certificate):
+    """The ranges certified at the stopping m equal the ranges built from
+    the upper endpoints after MAX_DOUBLINGS doublings, for both of E10's
+    caps too; the certificate records the upper endpoints it used."""
+    curve = CURVE_BY_ID[cid]
+    cert = e10_certificate[0] if cid == "E10" else certify_generators(curve)
+    assert cert.ranges_decided and cert.doublings == {"E9": 2, "E10": 5}[cid]
+    intervals = list(cert.height_intervals.values())
+    assert cert.gen_heights == [hi for _, hi in intervals[:curve.rank]]
+    if curve.rank == 1:
+        points, bounds = [curve.gens[0]], heights._rank1_bounds
+    else:
+        P1, P2 = curve.gens
+        points = [P1, P2, add_points(curve, P1, P2)]
+        bounds = heights._rank2_bounds
+        lo, hi = cert.extra["pairing_interval"]
+        assert lo <= hi
+    C, _ = height_diff_bound(cid)
+    with mp.workdps(heights.DIGITS + 15):
+        for m, iv in height_intervals(curve, points):
+            if m == MAX_DOUBLINGS:
+                break
+        caps = [mp.e ** (C + 2 * b) for b in bounds(iv, 1)]
+    assert cert.shapes == heights._ranges(curve, caps[0])
+    if curve.rank == 2:
+        assert cert.extra["shapes2"] == heights._ranges(curve, caps[1])
 
 
 def test_roots_in_field_recovers_minimal_polynomial_roots():
@@ -356,6 +452,11 @@ def test_no_global_precision_change():
         naive_height(G.x)
         assert mp.dps == 20
         canonical_height(E1, G, tol=1e-3)
+        assert mp.dps == 20
+        height_upper_bound.cache_clear()
+        height_upper_bound("E1")
+        assert mp.dps == 20
+        certify_generators(E9)
         assert mp.dps == 20
         roots_in_field(K2, [-2, 0, 1])
         assert mp.dps == 20
