@@ -86,6 +86,20 @@ def add_points(curve: CurveInstance, p: CurvePoint, q: CurvePoint) -> CurvePoint
     return CurvePoint(x3, y3)
 
 
+def add_torsion(curve: CurveInstance, p: CurvePoint) -> CurvePoint:
+    """p + T for the 2-torsion point T = (0, 0), in closed form with one
+    inversion: (x, y) + T = (B/x, -B y/x^2), the third point on the chord
+    of slope y/x (Silverman-Tate, *Rational Points on Elliptic Curves*,
+    III.4).  O + T = T and T + T = O."""
+    if p.at_infinity:
+        return curve.torsion
+    if not p.x:
+        return INFINITY
+    x_inv = p.x.inv()
+    x = curve.b * x_inv
+    return CurvePoint(x, -(x * x_inv) * p.y)
+
+
 def scalar_mul(curve: CurveInstance, k: int, p: CurvePoint) -> CurvePoint:
     if k < 0:
         return scalar_mul(curve, -k, -p)
@@ -103,7 +117,13 @@ def condition_value(curve: CurveInstance, pt: CurvePoint) -> Optional[Fraction]:
     """beta*X + gamma when it is a rational number, else None."""
     if pt.at_infinity:
         raise ValueError("finite point required")
-    return (curve.beta * pt.x + curve.gamma).rational_value()
+    return x_condition_value(curve, pt.x)
+
+
+def x_condition_value(curve: CurveInstance, x: FieldElement) -> Optional[Fraction]:
+    """beta*x + gamma when it is a rational number, else None: the
+    condition value of either point with X-coordinate x."""
+    return (curve.beta * x + curve.gamma).rational_value()
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .curves import CurveInstance, CurvePoint, add_points, scalar_mul
+from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
+                     scalar_mul)
 from .fields import (FieldElement, K2, _invert4, adjugate, charpoly,
                      pi_valuation, residue, split_primes)
 
@@ -970,28 +971,19 @@ def _search_box(curve: CurveInstance, B) -> list:
 def _names_for_survivors(curve: CurveInstance, survivors, span: int = 2):
     """Match survivor X-coordinates against small combinations of the stored
     generators and torsion."""
-    T = CurvePoint(curve.field.zero(), curve.field.zero())
-    combos = {}
+    r = range(-span, span + 1)
     if curve.rank == 1:
         G = curve.gens[0]
-        for m in range(-span, span + 1):
-            for eps in (0, 1):
-                p = scalar_mul(curve, m, G)
-                if eps:
-                    p = add_points(curve, p, T)
-                name = f"{m}G" + ("+T" if eps else "")
-                combos[name] = p
+        points = {f"{m}G": scalar_mul(curve, m, G) for m in r}
     else:
         P1, P2 = curve.gens
-        for m1 in range(-span, span + 1):
-            for m2 in range(-span, span + 1):
-                for eps in (0, 1):
-                    p = add_points(curve, scalar_mul(curve, m1, P1),
-                                   scalar_mul(curve, m2, P2))
-                    if eps:
-                        p = add_points(curve, p, T)
-                    name = f"{m1}P1+{m2}P2" + ("+T" if eps else "")
-                    combos[name] = p
+        points = {f"{m1}P1+{m2}P2": add_points(curve, scalar_mul(curve, m1, P1),
+                                               scalar_mul(curve, m2, P2))
+                  for m1 in r for m2 in r}
+    combos = {}
+    for name, p in points.items():
+        combos[name] = p
+        combos[name + "+T"] = add_torsion(curve, p)
     names = []
     for x in survivors:
         label = None
@@ -1074,7 +1066,6 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
                     "inf3": float(eps[2])}
         if curve.field.id == "K2":
             eps_dict["pi"] = float(epsilon_nonarchimedean(curve))
-        T = CurvePoint(curve.field.zero(), curve.field.zero())
         if curve.rank == 1:
             G = curve.gens[0]
             if halving_candidates(curve, G):
@@ -1083,11 +1074,11 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
             names, points, rule = ["G"], [G], _rank1_bounds
         else:
             P1, P2 = curve.gens
+            P12 = add_points(curve, P1, P2)
             odd_classes = {
-                "P1": P1, "P2": P2, "P1+P2": add_points(curve, P1, P2),
-                "T": T, "P1+T": add_points(curve, P1, T),
-                "P2+T": add_points(curve, P2, T),
-                "P1+P2+T": add_points(curve, add_points(curve, P1, P2), T)}
+                "P1": P1, "P2": P2, "P1+P2": P12, "T": curve.torsion,
+                "P1+T": add_torsion(curve, P1), "P2+T": add_torsion(curve, P2),
+                "P1+P2+T": add_torsion(curve, P12)}
             for name, rep in odd_classes.items():
                 if halving_candidates(curve, rep):
                     raise ArithmeticError(

@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
-                     condition_value, scalar_mul)
+                     add_torsion, condition_value, scalar_mul,
+                     x_condition_value)
 from .exact import Poly, resultant
 from .fields import FieldDescriptor, FieldElement, three_adic_valuation
 
@@ -637,20 +638,25 @@ def _multiples(curve: CurveInstance, G: CurvePoint, n: int) -> list:
 def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
     """Exact scan of the multiples m in [-span, span] of the generator
     (+ eps*T).  Returns ({(m, eps): point} for those whose condition value
-    is rational, [0*G, 1*G, ..., span*G])."""
+    is rational, [0*G, 1*G, ..., span*G]).
+
+    Each m >= 0 is decided once, from X alone: X(-P) = X(P), and
+    X(P + T) = B/X(P), so mG + T is tested before its Y is computed.  A hit
+    at m is recorded at -m as its negative, since -(P + T) = -P + T.  The
+    keys come in the order (0, 1), then (m, 0), (m, 1), (-m, 0), (-m, 1)."""
     mults = _multiples(curve, curve.gens[0], span)
     found = {}
-    pts = {0: INFINITY}
+    if condition_value(curve, curve.torsion) is not None:
+        found[(0, 1)] = curve.torsion
     for m in range(1, span + 1):
-        pts[m] = mults[m]
-        pts[-m] = -mults[m]
-    for m, p in pts.items():
-        for eps in (0, 1):
-            q = add_points(curve, p, curve.torsion) if eps else p
-            if q.at_infinity:
-                continue
-            if condition_value(curve, q) is not None:
-                found[(m, eps)] = q
+        p = mults[m]
+        hits = []
+        if condition_value(curve, p) is not None:
+            hits.append((0, p))
+        if x_condition_value(curve, curve.b * p.x.inv()) is not None:
+            hits.append((1, add_torsion(curve, p)))
+        found.update(((m, eps), q) for eps, q in hits)
+        found.update(((-m, eps), -q) for eps, q in hits)
     return found, mults
 
 
@@ -742,7 +748,7 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     for eps, c in itertools.product((0, 1), range(N if rank == 1
                                                   else N // 2 + 1)):
         identity = c == 0 and eps == 0
-        base = add_points(curve, mults[c], curve.torsion) if eps else mults[c]
+        base = add_torsion(curve, mults[c]) if eps else mults[c]
         try:
             if identity:
                 series = inverse_beta_x_series(curve, order=k + 1, pack=pack)

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lucassq.curves import (CURVES, CURVE_BY_ID, INFINITY, CurvePoint,
-                            RANK0_STUBS, ab_to_pq, add_points, catalog,
-                            condition_value, on_curve, recover_ab,
-                            scalar_mul)
+                            RANK0_STUBS, ab_to_pq, add_points, add_torsion,
+                            catalog, condition_value, on_curve, recover_ab,
+                            scalar_mul, x_condition_value)
 from lucassq.jsonio import decode_point, encode_point
 from lucassq.lucas import LucasParams
 
@@ -53,6 +53,27 @@ def test_group_law_associativity(curve):
         lhs = add_points(curve, add_points(curve, p, q), r)
         rhs = add_points(curve, p, add_points(curve, q, r))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
+def test_add_torsion_matches_group_law(curve):
+    """The closed-form translate (x, y) + T = (B/x, -B y/x^2) equals the
+    chord law at O, T, +-kG and +-kG + T for |k| <= 7 and each generator,
+    and at the kernel-of-reduction basis (N G on rank 1)."""
+    from lucassq.padic import kernel_basis
+    T = curve.torsion
+    assert add_torsion(curve, INFINITY) == T
+    assert add_torsion(curve, T) == INFINITY
+    pts = list(kernel_basis(curve)[1])
+    for g in curve.gens:
+        for k in range(1, 8):
+            kg = scalar_mul(curve, k, g)
+            pts += [kg, -kg, add_points(curve, kg, T),
+                    add_points(curve, -kg, T)]
+    for p in pts:
+        q = add_torsion(curve, p)
+        assert q == add_points(curve, p, T)
+        assert on_curve(curve, q)
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
@@ -101,6 +122,8 @@ def test_condition_value_rationality():
     E1 = CURVE_BY_ID["E1"]
     v = condition_value(E1, E1.gens[0])
     assert v is not None and isinstance(v, Fraction)
+    assert x_condition_value(E1, E1.gens[0].x) == v
+    assert x_condition_value(E1, E1.gens[0].x + 1) is None
 
 
 def test_catalog_and_point_round_trip():

@@ -1,15 +1,18 @@
 """3-adic formal-group series, golden coordinate values, and the
 Strassman/Skolem machinery on the rank-2 curve."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from lucassq.curves import CURVE_BY_ID, CurvePoint, add_points, scalar_mul
+from lucassq.curves import (CURVE_BY_ID, INFINITY, CurvePoint, add_points,
+                            condition_value, scalar_mul)
 from lucassq.exact import Poly
 from lucassq.fields import K2, three_adic_valuation
 from lucassq.padic import (PrecisionError, _known_count_strassman,
-                           _skolem_coset, beta_x_series, build_skolem_system,
+                           _scan_condition_points, _skolem_coset,
+                           beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
                            padic_exp, padic_log, poly_components_mod,
@@ -40,6 +43,62 @@ def test_driver_rank_guard():
         rank1_driver(E10)
     with pytest.raises(ValueError, match="E1 "):
         rank2_driver(CURVE_BY_ID["E1"])
+
+
+# --- the exact scan of +-m G (+T) -------------------------------------------
+
+def _brute_scan(curve, span):
+    """The scan by the generic chord law alone: every (m, eps) in
+    [-span, span] x {0, 1}, in the order 0, 1, -1, 2, -2, ..."""
+    G, T = curve.gens[0], curve.torsion
+    mults = [INFINITY]
+    for _ in range(span):
+        mults.append(add_points(curve, mults[-1], G))
+    found = {}
+    for m in [0] + [s * j for j in range(1, span + 1) for s in (1, -1)]:
+        p = mults[m] if m >= 0 else -mults[-m]
+        for eps in (0, 1):
+            q = add_points(curve, p, T) if eps else p
+            if not q.at_infinity and condition_value(curve, q) is not None:
+                found[(m, eps)] = q
+    return found, mults
+
+
+@pytest.mark.parametrize("cid", ["E1", "E2", "E3", "E4", "E5", "E6", "E8",
+                                 "E11", "E12"])
+def test_scan_matches_group_law_oracle(cid):
+    """On every rank-1 curve with N <= 17 the scan over [-2N, 2N] finds the
+    same points, in the same key order, as the generic-law scan."""
+    curve = CURVE_BY_ID[cid]
+    span = 2 * reduction_order(curve, curve.gens[0])
+    found, mults = _scan_condition_points(curve, span)
+    want, want_mults = _brute_scan(curve, span)
+    assert list(found.items()) == list(want.items())
+    assert mults == want_mults
+
+
+def test_scan_keys_e7_e9():
+    """E7 and E9 (N = 34): the found keys, asserted directly."""
+    found, _ = _scan_condition_points(CURVE_BY_ID["E7"], 68)
+    assert list(found) == [(2, 0), (-2, 0)]
+    found, _ = _scan_condition_points(CURVE_BY_ID["E9"], 68)
+    assert found == {}
+
+
+def test_scan_hits_on_translates():
+    """Conditions moved so that G + T, and T itself, meet them: the scan
+    decides mG + T from X = B/X(mG) and builds the point only on a hit,
+    in the oracle's key order."""
+    E1 = CURVE_BY_ID["E1"]
+    G, T = E1.gens[0], E1.torsion
+    through_g_t = dataclasses.replace(
+        E1, gamma=-E1.beta * add_points(E1, G, T).x)
+    through_t = dataclasses.replace(E1, gamma=E1.field.zero())
+    for curve, keys in ((through_g_t, [(1, 1), (-1, 1)]),
+                        (through_t, [(0, 1)])):
+        found, _ = _scan_condition_points(curve, 12)
+        assert list(found) == keys
+        assert list(found.items()) == list(_brute_scan(curve, 12)[0].items())
 
 
 # --- golden 3-adic coordinates ----------------------------------------------
