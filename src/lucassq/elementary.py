@@ -169,16 +169,6 @@ def u7_add(p: RationalCurvePoint, q: RationalCurvePoint) -> RationalCurvePoint:
     return RationalCurvePoint(x3, y3)
 
 
-def u7_multiple(k: int) -> RationalCurvePoint:
-    """k-th multiple of the generator (-1, 1); negative k via (x, -y)."""
-    base = U7_GENERATOR if k >= 0 else RationalCurvePoint(
-        U7_GENERATOR.x, -U7_GENERATOR.y)
-    acc = U7_INFINITY
-    for _ in range(abs(k)):
-        acc = u7_add(acc, base)
-    return acc
-
-
 def u7_point_to_pq(pt: RationalCurvePoint) -> Optional[tuple[int, int]]:
     """Invert x = -Q/P^2 with P > 0; absent unless the lowest-terms
     denominator is a perfect square and Q is a nonzero integer coprime

@@ -1,7 +1,9 @@
-"""Exact arithmetic substrate: perfect-square tests, sparse polynomials, resultants.
+"""Exact arithmetic substrate: perfect-square tests, dense one-variable
+polynomials and series, sparse multivariate polynomials, resultants.
 
 Everything in this module works over exact coefficient rings (Python ints,
-Fractions, or any object supporting +, -, *, bool).  No floats enter here.
+Fractions, or any object supporting +, -, *, bool).  No floats enter here,
+except where a caller hands the dense helpers mpf/mpc coefficients.
 """
 
 from __future__ import annotations
@@ -28,15 +30,49 @@ def is_perfect_square(n) -> bool:
     return perfect_square_root(n) is not None
 
 
-def fraction_square_root(q: Fraction) -> Optional[Fraction]:
-    """Square root of a rational if it is an exact square, else None."""
-    if q < 0:
-        return None
-    rn = perfect_square_root(q.numerator)
-    rd = perfect_square_root(q.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
+# --- dense one-variable polynomials and series ------------------------------
+#
+# Coefficient lists, low to high, over any ring whose zero is falsy (ints,
+# Fractions, FieldElements, Polys, mpf/mpc).  Unset coefficients are int 0.
+
+def poly_add(a: list, b: list) -> list:
+    """a + b."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [c + b[i] if i < len(b) else c for i, c in enumerate(a)]
+
+
+def poly_scale(a: list, c) -> list:
+    """c * a, coefficient by coefficient."""
+    return [c * x for x in a]
+
+
+def poly_mul(a: list, b: list, order: Optional[int] = None) -> list:
+    """a * b, with the terms of degree > order dropped; zero coefficients
+    of either factor are skipped."""
+    n = len(a) + len(b) - 1
+    if order is not None:
+        n = min(n, order + 1)
+    out = [0] * max(n, 0)
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for j, cb in enumerate(b[:n - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def poly_diff(a: list) -> list:
+    """The derivative a'."""
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def poly_eval(a: list, x):
+    """a(x) by Horner's rule."""
+    total = 0
+    for c in reversed(a):
+        total = total * x + c
+    return total
 
 
 class Poly:
@@ -289,24 +325,12 @@ def resultant(p: Poly, q: Poly, eliminate: int) -> Poly:
     if dp == 0 or dq == 0:
         # Degenerate: one input is constant in the eliminated variable.
         const, power = (p, dq) if dp == 0 else (q, dp)
-        out = Poly.constant(2, Fraction(1))
-        base = const
-        k = power
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        proj = {}
-        for e, c in out.terms.items():
-            proj[(e[other],)] = c
-        return Poly(1, proj)
+        return Poly(1, {(e[other],): c
+                        for e, c in (const ** power).terms.items()})
     samples = []
     t = 0
     while len(samples) < bound + 1:
         point = Fraction(t)
-        sub = [None, None]
-        sub[other] = point
         fc = _specialize(p, other, point, eliminate)
         gc = _specialize(q, other, point, eliminate)
         # Leading-coefficient vanishing at the sample point would change the

@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import mpmath
 
+from .exact import poly_eval
+
 
 def _frac_rows(rows) -> tuple:
     return tuple(tuple(Fraction(c) for c in row) for row in rows)
@@ -387,7 +389,7 @@ def split_primes(fld: FieldDescriptor, count: int) -> tuple:
     while len(out) < count:
         if all(p % k for k in range(3, isqrt(p) + 1, 2)):
             roots = tuple(a for a in range(p)
-                          if sum(c * a ** k for k, c in enumerate(f)) % p == 0)
+                          if poly_eval(f, a) % p == 0)
             if len(roots) == 4:
                 out.append((p, roots))
         p += 2

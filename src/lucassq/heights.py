@@ -33,6 +33,7 @@ import numpy as np
 
 from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
                      scalar_mul)
+from .exact import poly_add, poly_diff, poly_eval, poly_mul, poly_scale
 from .fields import (FieldElement, K2, _invert4, adjugate, charpoly,
                      pi_valuation, residue, split_primes)
 
@@ -66,37 +67,20 @@ class EpsilonProblem:
         a1, b1 = _embed(self.curve.a, r1), _embed(self.curve.b, r1)
         a2, b2 = _embed(self.curve.a, r2), _embed(self.curve.b, r2)
         # f^s1 * f^s2 = 16 X^2 (X^2+a1X+b1)(X^2+a2X+b2)
-        quart = _poly_mul([b1, a1, 1], [b2, a2, 1])
+        quart = poly_mul([b1, a1, 1], [b2, a2, 1])
         f2 = [mp.mpf(16) * _re(c) for c in [0, 0] + quart]
-        gq = _poly_mul([-b1, 0, 1], [-b2, 0, 1])
+        gq = poly_mul([-b1, 0, 1], [-b2, 0, 1])
         g = [_re(c) for c in gq]
         return f2, g
 
 
 def _embed(x: FieldElement, root):
-    total = mp.mpf(0) if isinstance(root, mp.mpf) else mp.mpc(0)
-    for c in reversed(x.coords):
-        total = total * root + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return total
+    return poly_eval([mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                      for c in x.coords], root)
 
 
 def _re(c):
     return c.real if isinstance(c, mp.mpc) else mp.mpf(c)
-
-
-def _poly_mul(a, b):
-    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _poly_eval(coeffs, x):
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 # --- archimedean epsilon -------------------------------------------------------
@@ -112,22 +96,22 @@ def epsilon_archimedean(problem: EpsilonProblem, place: int,
 
 
 def _real_objective(f, g, x):
-    fx = _poly_eval(f, x)
-    gx = _poly_eval(g, x)
+    fx = poly_eval(f, x)
+    gx = poly_eval(g, x)
     return max(abs(fx), abs(gx)) / max(1, abs(x)) ** 4
 
 
 def _real_infimum(problem, place, digits, grid):
     f, g = problem.real_fg(place, digits + 15)
     cands = {mp.mpf(0), mp.mpf(1)}
-    polys = [g, f,
-             _poly_sub(f, g), _poly_add(f, g),
-             _poly_sub(_poly_xdiff(f), _poly_scale(f, 4)),
-             _poly_sub(_poly_xdiff(g), _poly_scale(g, 4)),
-             _poly_diff(f), _poly_diff(g)]
+    # f -+ g, x p' - 4 p (p = f, g), f' and g'
+    polys = [g, f, poly_add(f, poly_scale(g, -1)), poly_add(f, g),
+             *(poly_add([0] + poly_diff(p), poly_scale(p, -4))
+               for p in (f, g)),
+             poly_diff(f), poly_diff(g)]
     for p in polys:
         for r in _real_roots(p):
-            if r >= 0 and _poly_eval(f, r) >= -mp.mpf(10) ** (-digits):
+            if r >= 0 and poly_eval(f, r) >= -mp.mpf(10) ** (-digits):
                 cands.add(r)
     # safety grid over [0, xmax]
     xmax = max([mp.mpf(10)] + [2 * abs(r) for r in cands]) * 2
@@ -161,44 +145,21 @@ def _complex_infimum(problem, digits, grid):
     balancing-locus value, which is what the downstream constants assume.)
     """
     f2, g = problem.complex_fg(digits + 15)
-    g2 = _poly_mul(g, g)
+    g2 = poly_mul(g, g)
 
     def objective(z):
-        fz = abs(_poly_eval(f2, z)) ** mp.mpf("0.5")
-        gz = abs(_poly_eval(g, z))
+        fz = abs(poly_eval(f2, z)) ** mp.mpf("0.5")
+        gz = abs(poly_eval(g, z))
         return max(fz, gz) / max(1, abs(z)) ** 4
 
     val = None
-    for octic in (_poly_sub(f2, g2), _poly_add(f2, g2)):
+    for octic in (poly_add(f2, poly_scale(g2, -1)), poly_add(f2, g2)):
         coeffs = [_re(c) for c in reversed(octic)]
         for r in mp.polyroots(coeffs, maxsteps=500, extraprec=200):
             v = objective(mp.mpc(r))
             if val is None or v < val:
                 val = v
     return val
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _poly_sub(a, b):
-    return _poly_add(a, [-c for c in b])
-
-
-def _poly_scale(a, c):
-    return [c * x for x in a]
-
-
-def _poly_diff(a):
-    return [i * c for i, c in enumerate(a)][1:]
-
-
-def _poly_xdiff(a):
-    """x * a'(x)."""
-    return [i * c for i, c in enumerate(a)]
 
 
 def _real_roots(coeffs):
@@ -632,7 +593,7 @@ def _poly_divmod(a: list, b: list) -> tuple:
 def _squarefree(f: list) -> list:
     """The monic squarefree part f / gcd(f, f') of a polynomial of positive
     degree over the field (low to high), by Euclid."""
-    a, b = f, _poly_diff(f)
+    a, b = f, poly_diff(f)
     while len(b) > 1:
         a, b = b, _poly_divmod(a, b)[1]
     f = f if b else _poly_divmod(f, a)[0]
@@ -682,7 +643,7 @@ def roots_in_field(fld, coeffs) -> list:
     xs = (fld.element(*(Fraction(int(k), DENOMINATOR * scale) for k in v))
           for v in _coordinates(fld, prime, q, choices)
           if (np.abs(v) <= bound).all())
-    return [x for x in xs if not _poly_eval(cs, x)]
+    return [x for x in xs if not poly_eval(cs, x)]
 
 
 def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
@@ -925,7 +886,7 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
             poly = _row_poly(shape, group[r])
             want = [Fraction(1)]
             for _ in range(4 // len(mult)):
-                want = list(np.convolve(want, poly))
+                want = poly_mul(want, poly)
             if _charpoly_fractions(x) == want:   # so poly is its minimal polynomial
                 found.append(x)
     return found

@@ -104,12 +104,6 @@ def square_term_indices(params: LucasParams, n_max: int,
     return hits
 
 
-def scaled_pair(params: LucasParams, k: int) -> tuple[int, int]:
-    """The image (kP, k^2 Q) of the scaling that sends U_n to k^(n-1) U_n.
-    Returned as a raw tuple since the image is generally not coprime."""
-    return k * params.p, k * k * params.q
-
-
 # --- residue-sieve scan for square terms -------------------------------------
 
 # The factors of each combined modulus M.  The recurrence runs mod M in

@@ -4,7 +4,11 @@ bounds, and the Skolem-style solver.
 The prime 3 is inert in both quartic fields, so Z_3[alpha]/3^k is the right
 finite model.  Everything is computed with exact rational arithmetic and
 reduced mod 3^k only at the end; truncation orders are certified by the
-valuation floor v(coeff of total degree d) >= floor(d/2)+1.
+valuation floor v(coeff of total degree d) >= floor(d/2)+1.  One-variable
+series (the formal-group u, 1/u, log and exp, and the z-expansions of
+beta X + gamma) are dense coefficient lists indexed by degree, worked with
+the `exact.poly_*` helpers; the multivariate `Poly` holds z(sum n_i Q_i),
+the theta components and the Skolem systems.
 
 One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
 Diophantine Equations*).  Its kernel basis comes from the generators: the
@@ -28,8 +32,10 @@ from typing import Callable, Optional
 from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
                      add_torsion, condition_value, scalar_mul,
                      x_condition_value)
-from .exact import Poly, resultant
-from .fields import FieldDescriptor, FieldElement, three_adic_valuation
+from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
+                    poly_scale, resultant)
+from .fields import (FieldDescriptor, FieldElement, _ord3,
+                     three_adic_valuation)
 
 P3 = 3
 
@@ -54,110 +60,51 @@ def reduce_element(x: FieldElement, k: int) -> FieldElement:
     return x.field.integral(_residues(x, P3 ** k))
 
 
-# --- series utilities (dicts degree -> coefficient) -------------------------
-
-def _ser_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            if d > order:
-                continue
-            s = out.get(d, 0) + ca * cb
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-    return out
-
-
-def _ser_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        s = out.get(d, 0) + c
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _ser_scale(a: dict, c) -> dict:
-    return {d: c * v for d, v in a.items() if c * v}
-
-
-def _ser_inv(a: dict, order: int, one) -> dict:
-    """Inverse of a series with constant term 1."""
-    assert a.get(0) == one or a.get(0) == 1
-    rest = {d: c for d, c in a.items() if d != 0}
-    out = {0: one}
-    power = {0: one}
-    for _ in range(order):
-        power = _ser_mul(power, rest, order)
-        if not power:
-            break
-        out = _ser_add(out, _ser_scale(power, (-1) ** (_ + 1)))
-    return out
-
-
-def _ser_compose(outer: dict, inner: dict, order: int, one) -> dict:
-    """outer(inner(z)) truncated; inner must have no constant term."""
-    assert 0 not in inner
-    out: dict = {}
-    power = {0: one}
-    max_deg = max(outer) if outer else 0
-    for d in range(0, max_deg + 1):
-        if d:
-            power = _ser_mul(power, inner, order)
-            if not power:
-                break
-        c = outer.get(d)
-        if c:
-            out = _ser_add(out, _ser_scale(power, c))
-    return out
-
-
 # --- formal group series -----------------------------------------------------
 
 @dataclass(frozen=True)
 class FormalSeriesPack:
+    """Coefficient lists indexed by degree, 0..order."""
     curve: CurveInstance
     order: int
-    u: dict          # w(z)/z^3 = 1 + ... (even degrees, FieldElement coeffs)
-    u_inv: dict
-    log: dict        # odd degrees; Fraction*FieldElement coefficients
-    exp: dict
+    u: list          # w(z)/z^3 = 1 + ... (even degrees, FieldElement coeffs)
+    u_inv: list
+    log: list        # odd degrees; Fraction*FieldElement coefficients
+    exp: list
 
 
 def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPack:
-    """Formal-group data for Y^2 = X(X^2 + A X + B): iterate
-    w = z^3 + A z^2 w + B z w^2, then log = int dx/(2y) and exp = log^(-1)."""
-    fld = curve.field
-    one = fld.one()
+    """Formal-group data for Y^2 = X(X^2 + A X + B): w = z^3 u with
+    u = 1 + A z^2 u + B z^4 u^2, then log = int dx/(2y) and exp = log^(-1).
+
+    u, u_inv and exp are found one degree at a time.  The z^d coefficient
+    of A z^2 u + B z^4 u^2 needs only lower coefficients of u.  Those of
+    u * u_inv and of log(exp t) are the new coefficient of u_inv or exp
+    plus terms in lower ones (u starts 1, log starts t), and must vanish
+    for d >= 1 and d >= 2."""
+    one = curve.field.one()
     A, B = curve.a, curve.b
-    # u = w/z^3 satisfies u = 1 + A z^2 u + B z^4 u^2
-    u = {0: one}
-    for _ in range(order + 2):
-        u2 = _ser_mul(u, u, order)
-        nxt = _ser_add({0: one},
-                       _ser_add(_ser_scale({d + 2: c for d, c in u.items() if d + 2 <= order}, A),
-                                _ser_scale({d + 4: c for d, c in u2.items() if d + 4 <= order}, B)))
-        if nxt == u:
-            break
-        u = nxt
-    u_inv = _ser_inv(u, order, one)
-    # log'(z) = 1 + z u'(z) / (2 u(z)); integrate.
-    du = {d - 1: d * c for d, c in u.items() if d}
-    zdu = {d + 1: c for d, c in du.items()}
-    logp = _ser_add({0: one}, _ser_scale(_ser_mul(zdu, u_inv, order), Fraction(1, 2)))
-    log = {d + 1: c / (d + 1) for d, c in logp.items() if d + 1 <= order}
-    # exp by solving [t^d] log(exp t) = 0 degree by degree
-    exp = {1: one}
-    for d in range(3, order + 1, 2):
-        comp = _ser_compose(log, exp, d, one)
-        c = comp.get(d)
-        if c:
-            exp[d] = -c
+    u, u_inv = [one], [one]
+    for d in range(1, order + 1):
+        u.append((A * u[d - 2] if d >= 2 else 0)
+                 + (B * poly_mul(u, u, d - 4)[d - 4] if d >= 4 else 0))
+    for d in range(1, order + 1):
+        u_inv.append(-poly_mul(u, u_inv, d)[d])
+    # log'(z) = 1 + z u'(z) / (2 u(z)); integrate, keeping Fraction and
+    # FieldElement coefficients (0 / (d + 1) would be a float).
+    zdu = [0] + poly_diff(u)
+    logp = poly_add([one], poly_scale(poly_mul(zdu, u_inv, order - 1),
+                                      Fraction(1, 2)))
+    log = [0] + [c / (d + 1) if c else 0 for d, c in enumerate(logp)]
+    exp = [0, one]
+    for d in range(2, order + 1):
+        exp.append(0)
+        comp, power = 0, [one]
+        for c in log[1:d + 1]:
+            power = poly_mul(power, exp, d)
+            if c:
+                comp = comp + c * power[d]
+        exp[d] = -comp
     return FormalSeriesPack(curve, order, u, u_inv, log, exp)
 
 
@@ -173,29 +120,13 @@ def padic_log(pack: FormalSeriesPack, z: FieldElement, k: int) -> FieldElement:
     as a small representative mod 3^k."""
     if (three_adic_valuation(z) or 0) < 1:
         raise ValueError("v(z) >= 1 required")
-    total = z.field.zero()
-    zp = z.field.one()
-    prev = 0
-    for d in sorted(pack.log):
-        for _ in range(d - prev):
-            zp = zp * z
-        prev = d
-        total = total + pack.log[d] * zp
-    return reduce_element(total, k)
+    return reduce_element(poly_eval(pack.log, z), k)
 
 
 def padic_exp(pack: FormalSeriesPack, t: FieldElement, k: int) -> FieldElement:
     if (three_adic_valuation(t) or 0) < 1:
         raise ValueError("v(t) >= 1 required")
-    total = t.field.zero()
-    tp = t.field.one()
-    prev = 0
-    for d in sorted(pack.exp):
-        for _ in range(d - prev):
-            tp = tp * t
-        prev = d
-        total = total + pack.exp[d] * tp
-    return reduce_element(total, k)
+    return reduce_element(poly_eval(pack.exp, t), k)
 
 
 # --- z(n1 Q1 + n2 Q2) as a polynomial ----------------------------------------
@@ -224,19 +155,20 @@ def z_linear_combo(pack: FormalSeriesPack, logs: list, k: int) -> Poly:
     dmax = max_useful_degree(k)
     s = Poly(nvars, {tuple(int(i == j) for i in range(nvars)): logs[j]
                      for j in range(nvars)})
-    one = logs[0].field.one()
-    out = Poly(nvars)
-    power = Poly.constant(nvars, one)
-    prev = 0
-    for d in sorted(pack.exp):
-        if d > dmax:
-            break
-        for _ in range(d - prev):
-            power = power.mul_truncated(s, dmax)
-        prev = d
-        coeff = pack.exp[d]
-        out = out + power.map_coeffs(lambda c, e=coeff: e * c)
-    return out
+    return _substitute(pack.exp[:dmax + 1], s, dmax)
+
+
+def _substitute(series: list, poly: Poly, dmax: int) -> Poly:
+    """sum_j series[j] * poly^j with the terms of total degree > dmax
+    dropped."""
+    total = Poly(poly.nvars)
+    power = Poly.constant(poly.nvars, 1)
+    for j, c in enumerate(series):
+        if j:
+            power = power.mul_truncated(poly, dmax)
+        if c:
+            total = total + power.map_coeffs(lambda q, c=c: c * q)
+    return total
 
 
 def poly_components_mod(poly: Poly, k: int) -> list:
@@ -269,33 +201,23 @@ def beta_x_series(curve: CurveInstance, x0, y0, order: int = 4,
     N = n + 2  # internal order: the output sees z^(d+2) of the Laurent part
     if pack.order < N:
         pack = derive_formal_series(curve, N)
-    u = {d: c for d, c in pack.u.items() if d <= N}
-    u_inv = {d: c for d, c in pack.u_inv.items() if d <= N}
-    s = {d + 2: c for d, c in u.items() if d + 2 <= N}       # z^2 u
-    t = {d + 3: c for d, c in u.items() if d + 3 <= N}       # z^3 u
+    s = [0, 0] + pack.u[:N - 1]                 # z^2 u
+    t = [0, 0, 0] + pack.u[:N - 2]              # z^3 u
     # (X0 - x)^(-1) = -z^2 u * sum_m (X0 z^2 u)^m
-    geo: dict = {0: one}
-    power = {0: one}
+    geo, power = [one], [one]
     for m in range(1, N // 2 + 1):
-        power = _ser_mul(power, s, N)
-        power = {d: x0 * c for d, c in power.items()}
-        geo = _ser_add(geo, power)
+        power = poly_scale(poly_mul(power, s, N), x0)
+        geo = poly_add(geo, power)
     # lambda*z = -(1 + Y0 z^3 u) * geo
-    lam_z = _ser_scale(_ser_mul(_ser_add({0: one}, {d: y0 * c for d, c in t.items()}),
-                                geo, N), -1)
-    lam_z2 = _ser_mul(lam_z, lam_z, N)
+    lam_z = poly_scale(poly_mul(poly_add([one], poly_scale(t, y0)), geo, N),
+                       -1)
     # X(P+R) = z^-2 (lam_z^2 - u_inv) - A - X0
-    diff = _ser_add(lam_z2, _ser_scale(u_inv, -1))
-    assert not diff.get(0), "z^-2 singularity failed to cancel"
-    xpr = {d - 2: c for d, c in diff.items() if 0 < d and d - 2 <= n}
-    const = xpr.get(0, 0) - curve.a - x0
-    out = [0] * (n + 1)
-    out[0] = curve.beta * const + curve.gamma
-    for d in range(1, n + 1):
-        c = xpr.get(d)
-        if c:
-            out[d] = curve.beta * c
-    return out
+    diff = poly_add(poly_mul(lam_z, lam_z, N),
+                    poly_scale(pack.u_inv[:N + 1], -1))
+    assert not diff[0], "z^-2 singularity failed to cancel"
+    xpr = diff[2:n + 3]
+    return ([curve.beta * (xpr[0] - curve.a - x0) + curve.gamma]
+            + [curve.beta * c if c else 0 for c in xpr[1:]])
 
 
 def inverse_beta_x_series(curve: CurveInstance, order: int = 6,
@@ -308,52 +230,24 @@ def inverse_beta_x_series(curve: CurveInstance, order: int = 6,
         pack = derive_formal_series(curve, order + 3)
     n = order
     one = curve.field.one()
-    s = {d + 2: c for d, c in pack.u.items() if d + 2 <= n}  # z^2 u
+    s = [0, 0] + pack.u[:n - 1]                 # z^2 u
     # 1/(beta x + gamma) = (z^2 u / beta) * (1 + (gamma/beta) z^2 u)^(-1)
-    ratio = curve.gamma / curve.beta
-    geo: dict = {0: one}
-    power = {0: one}
+    step = poly_scale(s, -(curve.gamma / curve.beta))
+    geo, power = [one], [one]
     for m in range(1, n // 2 + 1):
-        power = _ser_mul(power, _ser_scale(s, -ratio), n)
-        geo = _ser_add(geo, power)
-    full = _ser_mul(_ser_scale(s, curve.beta.inv()), geo, n)
-    out = [0] * (n + 1)
-    for d, c in full.items():
-        out[d] = c
-    return out
+        power = poly_mul(power, step, n)
+        geo = poly_add(geo, power)
+    return poly_mul(poly_scale(s, curve.beta.inv()), geo, n)
 
 
 def theta_components(series_coeffs: list, z_poly: Poly, k: int) -> list:
     """Substitute the z polynomial into a z-series and split into the four
     power-basis component polynomials mod 3^k."""
-    dmax = max_useful_degree(k)
-    fld = None
-    for c in series_coeffs:
-        if isinstance(c, FieldElement):
-            fld = c.field
-            break
-    total = Poly(z_poly.nvars)
-    power = Poly.constant(z_poly.nvars, fld.one())
-    for j, c in enumerate(series_coeffs):
-        if j:
-            power = power.mul_truncated(z_poly, dmax)
-        if c:
-            total = total + power.map_coeffs(lambda q, cc=c: cc * q)
-    return poly_components_mod(total, k)
+    return poly_components_mod(
+        _substitute(series_coeffs, z_poly, max_useful_degree(k)), k)
 
 
 # --- Strassman and Skolem ------------------------------------------------------
-
-def _coeff_val(c: int, cap: int) -> int:
-    c = abs(c)
-    if c == 0:
-        return cap
-    v = 0
-    while c % P3 == 0 and v < cap:
-        c //= P3
-        v += 1
-    return v
-
 
 def strassman_bound(series: Poly, k: int,
                     floor: Callable[[int], int] = fact2_floor) -> int:
@@ -365,7 +259,7 @@ def strassman_bound(series: Poly, k: int,
         raise ValueError("one-variable series required")
     if series.is_zero():
         raise PrecisionError("series vanishes mod 3^k")
-    vals = {e[0]: _coeff_val(c, k) for e, c in series.terms.items()}
+    vals = {e[0]: min(_ord3(c), k) for e, c in series.terms.items()}
     mu = min(vals.values())
     if mu >= k:
         raise PrecisionError("precision insufficient")
@@ -385,17 +279,13 @@ class SkolemSystem:
     d2: int
 
 
-def _mod3(poly: Poly) -> Poly:
-    return Poly(poly.nvars, {e: c % P3 for e, c in poly.terms.items() if c % P3})
-
-
 def build_skolem_system(f1: Poly, f2: Poly) -> SkolemSystem:
     """Extract lowest homogeneous parts and verify the structural
     hypotheses (homogeneity, no lower-degree monomials)."""
     lows = []
     degs = []
     for f in (f1, f2):
-        f0 = _mod3(f)
+        f0 = poly_mod(f, P3)
         if f0.is_zero():
             raise ValueError("series vanishes mod 3: hypothesis (1) fails")
         d = min(sum(e) for e in f0.terms)
@@ -442,7 +332,7 @@ def skolem_check(system: SkolemSystem) -> dict:
         hs.append(h)
     unique = True
     for h in hs:
-        hm = _mod3(h)
+        hm = poly_mod(h, P3)
         if hm.is_zero():
             return {"kind": "resultant", "unique": False,
                     "reason": "H vanishes mod 3"}
@@ -478,7 +368,7 @@ def divide_out_3(polys: list, k: int) -> tuple:
     j = k
     for p in polys:
         for c in p.terms.values():
-            j = min(j, _coeff_val(c, k))
+            j = min(j, _ord3(c))
         if j == 0:
             break
     if j == 0:
@@ -494,7 +384,7 @@ def defining_poly_irreducible_mod3(fld: FieldDescriptor) -> bool:
     """No roots in F_3 and no monic quadratic factor over F_3."""
     f = [int(c) % P3 for c in fld.defining_poly]
     for x in range(P3):
-        if sum(c * pow(x, i, P3) for i, c in enumerate(f)) % P3 == 0:
+        if poly_eval(f, x) % P3 == 0:
             return False
     for b in range(P3):
         for c in range(P3):
@@ -627,29 +517,38 @@ def _in_kernel(pt: CurvePoint) -> bool:
     return v is not None and v <= -2
 
 
-def _multiples(curve: CurveInstance, G: CurvePoint, n: int) -> list:
-    """[0*G, 1*G, ..., n*G] by repeated addition."""
-    mults = [INFINITY]
-    for _ in range(n):
+def reduction_order(curve: CurveInstance, G: CurvePoint) -> tuple:
+    """(N, [0*G, 1*G, ..., N*G]): N, the order of G in the reduction mod 3,
+    is the smallest N with N*G in the kernel (v(X) <= -2), and the list
+    holds the multiples walked to find it.  E(K)/E_1(K) is finite, so the
+    walk ends."""
+    mults = [INFINITY, G]
+    while not _in_kernel(mults[-1]):
         mults.append(add_points(curve, mults[-1], G))
+    return len(mults) - 1, mults
+
+
+def _multiples(curve: CurveInstance, mults: list, n: int) -> list:
+    """Continue mults = [0*G, 1*G, ...] in place to n*G by repeated
+    addition of G = mults[1], and return it."""
+    while len(mults) <= n:
+        mults.append(add_points(curve, mults[-1], mults[1]))
     return mults
 
 
-def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
+def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
     """Exact scan of the multiples m in [-span, span] of the generator
-    (+ eps*T).  Returns ({(m, eps): point} for those whose condition value
-    is rational, [0*G, 1*G, ..., span*G]).
+    (+ eps*T), given mults = [0*G, 1*G, ..., span*G].  Returns
+    {(m, eps): point} for those whose condition value is rational.
 
     Each m >= 0 is decided once, from X alone: X(-P) = X(P), and
     X(P + T) = B/X(P), so mG + T is tested before its Y is computed.  A hit
     at m is recorded at -m as its negative, since -(P + T) = -P + T.  The
     keys come in the order (0, 1), then (m, 0), (m, 1), (-m, 0), (-m, 1)."""
-    mults = _multiples(curve, curve.gens[0], span)
     found = {}
     if condition_value(curve, curve.torsion) is not None:
         found[(0, 1)] = curve.torsion
-    for m in range(1, span + 1):
-        p = mults[m]
+    for m, p in enumerate(mults[1:], 1):
         hits = []
         if condition_value(curve, p) is not None:
             hits.append((0, p))
@@ -657,26 +556,16 @@ def _scan_condition_points(curve: CurveInstance, span: int) -> tuple:
             hits.append((1, add_torsion(curve, p)))
         found.update(((m, eps), q) for eps, q in hits)
         found.update(((-m, eps), -q) for eps, q in hits)
-    return found, mults
-
-
-def reduction_order(curve: CurveInstance, G: CurvePoint) -> int:
-    """Order of G in the reduction mod 3: smallest m with m*G in the kernel
-    (v(X) <= -2).  E(K)/E_1(K) is finite, so the search ends."""
-    pt = G
-    for m in itertools.count(1):
-        if _in_kernel(pt):
-            return m
-        pt = add_points(curve, pt, G)
+    return found
 
 
 def kernel_basis(curve: CurveInstance) -> tuple:
-    """(N, basis): N is the reduction order of the last generator G, and the
-    basis of the kernel of reduction of <gens> is P_i + b_i G for each
-    earlier generator, with the b_i in [0, N) that put it in the kernel,
-    followed by N G."""
+    """(mults, basis): mults = [0*G, ..., N*G] from `reduction_order` of
+    the last generator G, and the basis of the kernel of reduction of
+    <gens> is P_i + b_i G for each earlier generator, with the b_i in
+    [0, N) that put it in the kernel, followed by N*G."""
     *others, G = curve.gens
-    N = reduction_order(curve, G)
+    N, mults = reduction_order(curve, G)
     basis = []
     for P in others:
         Q = P
@@ -687,7 +576,7 @@ def kernel_basis(curve: CurveInstance) -> tuple:
         else:
             raise ValueError(f"{curve.id}: a generator reduces outside <G>")
         basis.append(Q)
-    return N, basis + [scalar_mul(curve, N, G)]
+    return mults, basis + [mults[-1]]
 
 
 def rank1_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
@@ -734,12 +623,12 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
-    N, basis = kernel_basis(curve)
+    mults, basis = kernel_basis(curve)
+    N = len(mults) - 1
     if rank == 1:
-        known, mults = _scan_condition_points(curve, 2 * N)
+        known = _scan_condition_points(curve, _multiples(curve, mults, 2 * N))
         survivors = list(known.values())
     else:
-        mults = _multiples(curve, curve.gens[-1], N // 2)
         survivors = []
     pack = derive_formal_series(curve, k + 5)
     logs = [padic_log(pack, z_of_point(Q), k + 4) for Q in basis]

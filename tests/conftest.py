@@ -28,7 +28,8 @@ def e10_kernel():
     from lucassq.padic import (derive_formal_series, kernel_basis, padic_log,
                                z_linear_combo, z_of_point)
     E10 = CURVE_BY_ID["E10"]
-    N, (Q1, Q2) = kernel_basis(E10)
+    mults, (Q1, Q2) = kernel_basis(E10)
+    N = len(mults) - 1
     pack = derive_formal_series(E10, 10)
     L1, L2 = (padic_log(pack, z_of_point(Q), 9) for Q in (Q1, Q2))
     zpoly = z_linear_combo(pack, [L1, L2], 5)

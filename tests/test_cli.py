@@ -1,5 +1,6 @@
 """CLI plumbing: argument handling, report shapes, and determinism."""
 
+import hashlib
 import json
 import math
 from unittest import mock
@@ -190,3 +191,18 @@ def test_verify_theorem_out_prints_summary(monkeypatch, tmp_path, capsys):
     assert json.loads(out.read_text())["partial"] is True
     assert main(["verify-theorem"]) == 2
     assert json.loads(capsys.readouterr().out)["partial"] is True
+
+
+# sha256 of the `verify-theorem --out` certificate at the default precision,
+# as written at commit 6efe016.  The file is deterministic, so a refactor
+# that leaves the proof alone leaves this digest alone.
+CERTIFICATE_SHA256 = (
+    "dbb9e6aa15b04c45565f8acb172dfb482cb9caf8cd42cf5f4593596768f6d27e")
+
+
+def test_verify_theorem_certificate_digest(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["verify-theorem", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "final_pairs [(1, -4), (4, -17)] partial false")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_SHA256

@@ -5,9 +5,10 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from lucassq.elementary import (RationalCurvePoint, family_generate,
-                                square_criterion, u7_add, u7_multiple,
-                                u7_point_to_pq, u7_solutions)
+from lucassq.elementary import (U7_GENERATOR, U7_INFINITY,
+                                RationalCurvePoint, family_generate,
+                                square_criterion, u7_add, u7_point_to_pq,
+                                u7_solutions)
 from lucassq.exact import is_perfect_square
 from lucassq.lucas import LucasParams, lucas_u
 
@@ -82,13 +83,15 @@ def test_u7_solutions_really_solve():
 
 
 def test_u7_group_law_consistency():
-    """k-th multiple via repeated addition matches u7_multiple."""
-    g = u7_multiple(1)
-    acc = g
-    for k in range(2, 7):
-        acc = u7_add(acc, g)
-        assert acc == u7_multiple(k)
+    """iG + jG = (i + j)G on the first multiples of the generator, through
+    the chord (i != j), tangent (i = j) and identity (i or j = 0) cases."""
+    mults = [U7_INFINITY]
+    for _ in range(6):
+        mults.append(u7_add(mults[-1], U7_GENERATOR))
+    for i in range(7):
+        for j in range(7 - i):
+            assert u7_add(mults[i], mults[j]) == mults[i + j], (i, j)
 
 
 def test_u7_point_to_pq_generator():
-    assert u7_point_to_pq(u7_multiple(1)) == (1, 1)
+    assert u7_point_to_pq(U7_GENERATOR) == (1, 1)

@@ -1,11 +1,13 @@
-"""Exact integer/rational square roots and the sparse Poly layer."""
+"""Exact integer square roots, the dense one-variable helpers and the
+sparse Poly layer."""
 
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from lucassq.exact import (Poly, fraction_square_root, is_perfect_square,
-                           perfect_square_root, resultant,
+from lucassq.exact import (Poly, is_perfect_square, perfect_square_root,
+                           poly_add, poly_diff, poly_eval, poly_mul,
+                           poly_scale, resultant,
                            sylvester_resultant_univariate)
 
 
@@ -29,18 +31,6 @@ def test_near_squares_are_not_squares(n):
     assert not is_perfect_square(n * n + 1)
 
 
-@given(st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4))
-def test_fraction_square_root_round_trip(q):
-    r = fraction_square_root(q * q)
-    assert r is not None and r * r == q * q
-
-
-def test_fraction_square_root_rejects():
-    assert fraction_square_root(Fraction(2)) is None
-    assert fraction_square_root(Fraction(1, 3)) is None
-    assert fraction_square_root(Fraction(-1, 4)) is None
-
-
 # --- Poly -------------------------------------------------------------------
 
 def _poly_from_coeffs(cs):
@@ -62,6 +52,70 @@ def test_poly_add_commutes(a, b):
     pa, pb = _poly_from_coeffs(a), _poly_from_coeffs(b)
     assert pa + pb == pb + pa
     assert pa - pa == Poly(1)
+
+
+# --- dense helpers against Poly ----------------------------------------------
+
+coeff_lists = st.lists(st.fractions(min_value=-20, max_value=20,
+                                    max_denominator=12), max_size=6)
+
+
+def _dense(p):
+    """The univariate Poly as a dense list, trailing zeros dropped."""
+    return [p.coefficient((i,)) for i in range(p.degree_in(0) + 1)]
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+@given(coeff_lists, coeff_lists, st.fractions(min_value=-5, max_value=5,
+                                              max_denominator=7))
+def test_dense_helpers_match_poly(a, b, c):
+    """poly_add, poly_scale and poly_mul agree with Poly arithmetic on
+    lists of unequal lengths, zero coefficients included."""
+    pa, pb = _poly_from_coeffs(a), _poly_from_coeffs(b)
+    assert _trim(poly_add(a, b)) == _dense(pa + pb)
+    assert len(poly_add(a, b)) == max(len(a), len(b))
+    assert _trim(poly_scale(a, c)) == _dense(pa * c)
+    assert _trim(poly_mul(a, b)) == _dense(pa * pb)
+    if a and b:
+        assert len(poly_mul(a, b)) == len(a) + len(b) - 1
+
+
+@given(coeff_lists, coeff_lists, st.integers(0, 12))
+def test_poly_mul_truncation(a, b, order):
+    """poly_mul(a, b, order) is the full product with every term of degree
+    > order dropped, as Poly.mul_truncated drops them."""
+    pa, pb = _poly_from_coeffs(a), _poly_from_coeffs(b)
+    got = poly_mul(a, b, order)
+    assert len(got) <= order + 1
+    assert _trim(got) == _dense(pa.mul_truncated(pb, order))
+    assert got == poly_mul(a, b)[:order + 1]
+
+
+@given(coeff_lists, st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=7))
+def test_poly_eval_and_diff_match_evaluation(a, x):
+    """Horner evaluation agrees with Poly.evaluate, and poly_diff with the
+    power rule."""
+    assert poly_eval(a, x) == _poly_from_coeffs(a).evaluate([x])
+    want = sum((k * c * x ** (k - 1) for k, c in enumerate(a) if k),
+               Fraction(0))
+    assert poly_eval(poly_diff(a), x) == want
+    assert len(poly_diff(a)) == max(len(a) - 1, 0)
+
+
+def test_dense_helpers_over_poly_coefficients():
+    """Coefficients may themselves be Polys, as in the symbolic chord
+    expansion: (1 + X t)(1 - X t) = 1 - X^2 t^2."""
+    X = Poly.variable(0, 1)
+    got = poly_mul([1, X], [1, -X])
+    assert got[0] == 1 and not got[1] and got[2] == -(X * X)
+    assert poly_eval(poly_add([X], [0, 1]), X) == X + X
 
 
 def test_sylvester_resultant_common_root():

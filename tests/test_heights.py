@@ -14,7 +14,7 @@ import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             scalar_mul)
-from lucassq.exact import sylvester_resultant_univariate
+from lucassq.exact import poly_diff, sylvester_resultant_univariate
 from lucassq.fields import K1, K2, split_primes
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
                              _charpoly_fractions, _classify, _classify_table,
@@ -301,7 +301,7 @@ def test_discriminant_formula():
             discs = heights._discriminant(rows * mult, den)
             for row, disc in zip(rows, discs):
                 g = heights._row_poly(shape, row)
-                res = sylvester_resultant_univariate(g, heights._poly_diff(g))
+                res = sylvester_resultant_univariate(g, poly_diff(g))
                 assert (res == 0) == (disc == 0), (shape.tag, row)
 
 

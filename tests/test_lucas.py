@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from lucassq.lucas import (SIEVE_MODULI, Degeneracy, LucasParams,
                            classify_degenerate, is_degenerate, lucas_u,
-                           lucas_u_iter, lucas_v, scaled_pair,
-                           square_residue_table, square_term_indices,
-                           square_terms)
+                           lucas_u_iter, lucas_v, square_residue_table,
+                           square_term_indices, square_terms)
 
 FIB = LucasParams(1, -1)
 
@@ -97,11 +96,3 @@ def test_square_residue_tables():
             assert len(table) == m and int(table.sum()) == len(squares)
             assert all(table[s] for s in squares)
 
-
-@given(coprime_pairs, st.integers(1, 8))
-def test_scaled_pair_consistency(pq, k):
-    p, q = pq
-    # the (P,Q) -> (P U_k-ish) rescaling keeps U_n relations intact
-    params = LucasParams(p, q)
-    a, b = scaled_pair(params, k)
-    assert isinstance(a, int) and isinstance(b, int)

@@ -8,10 +8,10 @@ import pytest
 
 from lucassq.curves import (CURVE_BY_ID, INFINITY, CurvePoint, add_points,
                             condition_value, scalar_mul)
-from lucassq.exact import Poly
+from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
 from lucassq.fields import K2, three_adic_valuation
 from lucassq.padic import (PrecisionError, _known_count_strassman,
-                           _scan_condition_points, _skolem_coset,
+                           _multiples, _scan_condition_points, _skolem_coset,
                            beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
@@ -34,8 +34,10 @@ def test_rank1_reduction_orders():
             "E7": 34, "E8": 12, "E9": 34, "E11": 17, "E12": 12}
     for cid, n in want.items():
         curve = CURVE_BY_ID[cid]
-        assert reduction_order(curve, curve.gens[0]) == n, cid
-        assert kernel_basis(curve) == (n, [scalar_mul(curve, n, curve.gens[0])])
+        assert reduction_order(curve, curve.gens[0])[0] == n, cid
+        mults, basis = kernel_basis(curve)
+        assert len(mults) - 1 == n, cid
+        assert basis == [mults[n]] == [scalar_mul(curve, n, curve.gens[0])]
 
 
 def test_driver_rank_guard():
@@ -64,14 +66,21 @@ def _brute_scan(curve, span):
     return found, mults
 
 
+def _scan(curve, span):
+    """The scan over [-span, span], on multiples walked from [O, G]."""
+    return _scan_condition_points(
+        curve, _multiples(curve, [INFINITY, curve.gens[0]], span))
+
+
 @pytest.mark.parametrize("cid", ["E1", "E2", "E3", "E4", "E5", "E6", "E8",
                                  "E11", "E12"])
 def test_scan_matches_group_law_oracle(cid):
     """On every rank-1 curve with N <= 17 the scan over [-2N, 2N] finds the
     same points, in the same key order, as the generic-law scan."""
     curve = CURVE_BY_ID[cid]
-    span = 2 * reduction_order(curve, curve.gens[0])
-    found, mults = _scan_condition_points(curve, span)
+    mults, _ = kernel_basis(curve)
+    span = 2 * (len(mults) - 1)
+    found = _scan_condition_points(curve, _multiples(curve, mults, span))
     want, want_mults = _brute_scan(curve, span)
     assert list(found.items()) == list(want.items())
     assert mults == want_mults
@@ -79,9 +88,9 @@ def test_scan_matches_group_law_oracle(cid):
 
 def test_scan_keys_e7_e9():
     """E7 and E9 (N = 34): the found keys, asserted directly."""
-    found, _ = _scan_condition_points(CURVE_BY_ID["E7"], 68)
+    found = _scan(CURVE_BY_ID["E7"], 68)
     assert list(found) == [(2, 0), (-2, 0)]
-    found, _ = _scan_condition_points(CURVE_BY_ID["E9"], 68)
+    found = _scan(CURVE_BY_ID["E9"], 68)
     assert found == {}
 
 
@@ -96,7 +105,7 @@ def test_scan_hits_on_translates():
     through_t = dataclasses.replace(E1, gamma=E1.field.zero())
     for curve, keys in ((through_g_t, [(1, 1), (-1, 1)]),
                         (through_t, [(0, 1)])):
-        found, _ = _scan_condition_points(curve, 12)
+        found = _scan(curve, 12)
         assert list(found) == keys
         assert list(found.items()) == list(_brute_scan(curve, 12)[0].items())
 
@@ -175,12 +184,36 @@ def test_log_exp_t3_coefficients():
     assert pack.exp[3].coords == (Fraction(1, 3), 0, Fraction(1, 6), 0)
 
 
+@pytest.mark.parametrize("cid", ["E1", "E10"])
+def test_formal_series_identities(cid):
+    """On a K1 and a K2 curve, through z^order: u solves its defining
+    equation u = 1 + A z^2 u + B z^4 u^2, u * u_inv = 1, and
+    log(exp t) = t.  No coefficient is a float."""
+    curve = CURVE_BY_ID[cid]
+    order = 12
+    pack = derive_formal_series(curve, order)
+    one = curve.field.one()
+    for series in (pack.u, pack.u_inv, pack.log, pack.exp):
+        assert len(series) == order + 1
+        assert not any(isinstance(c, float) for c in series)
+    u = pack.u
+    rhs = poly_add([one, 0] + poly_scale(u, curve.a),
+                   [0] * 4 + poly_scale(poly_mul(u, u, order - 4), curve.b))
+    assert rhs[:order + 1] == u
+    assert poly_mul(u, pack.u_inv, order) == [one] + [0] * order
+    composed, power = [0] * (order + 1), [one]
+    for c in pack.log[1:]:
+        power = poly_mul(power, pack.exp, order)
+        composed = poly_add(composed, poly_scale(power, c))
+    assert composed == [0, one] + [0] * (order - 1)
+
+
 def test_exp_log_round_trip():
     """exp(log(z)) = z mod 3^k for kernel points on both fields' curves."""
     for cid in ("E10", "E5", "E1"):
         curve = CURVE_BY_ID[cid]
         G = curve.gens[0]
-        m0 = reduction_order(curve, G)
+        m0, _ = reduction_order(curve, G)
         Q = scalar_mul(curve, m0, G)
         pack = derive_formal_series(curve, K + 5)
         z = z_of_point(Q)
