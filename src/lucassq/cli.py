@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .curves import (CURVES, CURVE_BY_ID, ab_to_pq, catalog, condition_value,
+from .curves import (CURVE_BY_ID, ab_to_pq, catalog, condition_value,
                      recover_ab)
 from .elementary import square_criterion, u7_solutions
 from .exact import is_perfect_square, perfect_square_root

@@ -15,7 +15,9 @@ Diophantine Equations*).  Its kernel basis comes from the generators: the
 last one, G, has reduction order N; every earlier P_i becomes P_i + b_i G
 with the b_i in [0, N) that puts it in the kernel of reduction; the last
 basis element is N G.  The cosets are c G (+T) for c in [0, N).  Rank 1
-lists all of them and bounds each by Strassman in one variable; rank 2
+lists all of them and bounds each by Strassman in one variable, against
+the hits of a scan of +-m G (+T), m <= 2N, that is decided at split primes
+first and builds exact points only for what they do not reject.  Rank 2
 lists c in [0, N/2] and solves each by Skolem at the zero found by Hensel
 lifting.  The fold is sound because T = -T: the coset of (N - c) G (+T) is
 the negative of that of c G (+T), and P and -P share X, hence the
@@ -30,12 +32,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
-                     add_torsion, condition_value, scalar_mul,
-                     x_condition_value)
+                     add_points_mod, add_torsion, condition_value,
+                     good_reduction, scalar_mul, x_condition_value)
 from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
                     poly_scale, resultant)
-from .fields import (FieldDescriptor, FieldElement, _ord3,
-                     three_adic_valuation)
+from .fields import (FieldDescriptor, FieldElement, _ord3, residue,
+                     split_primes, three_adic_valuation)
 
 P3 = 3
 
@@ -528,31 +530,83 @@ def reduction_order(curve: CurveInstance, G: CurvePoint) -> tuple:
     return len(mults) - 1, mults
 
 
-def _multiples(curve: CurveInstance, mults: list, n: int) -> list:
-    """Continue mults = [0*G, 1*G, ...] in place to n*G by repeated
-    addition of G = mults[1], and return it."""
-    while len(mults) <= n:
-        mults.append(add_points(curve, mults[-1], mults[1]))
-    return mults
+def _rejected_at(curve: CurveInstance, prime: tuple, span: int) -> set:
+    """The (m, eps), m in [1, span], whose condition value the split prime
+    (p, maps) proves nonrational (see `_scan_condition_points`): those
+    where all four reductions of mG + eps*T are affine and give unequal
+    values of beta x + gamma.  Empty when the prime is not good: the curve
+    must have good reduction at all four maps, and beta, gamma and G must
+    be p-integral."""
+    p, maps = prime
+    G = curve.gens[0]
+    values = []
+    for a in maps:
+        ab = good_reduction(curve, p, a)
+        res = [residue(x, p, a) for x in (curve.beta, curve.gamma, G.x, G.y)]
+        if ab is None or None in res:
+            return set()
+        beta, gamma, gx, gy = res
+        at_map, q = {}, None
+        for m in range(1, span + 1):
+            q = add_points_mod(ab, p, q, (gx, gy))
+            for eps, r in ((0, q), (1, add_points_mod(ab, p, q, (0, 0)))):
+                at_map[(m, eps)] = (None if r is None
+                                    else (beta * r[0] + gamma) % p)
+        values.append(at_map)
+    rejected = set()
+    for key in values[0]:
+        vs = {v[key] for v in values}
+        if None not in vs and len(vs) > 1:
+            rejected.add(key)
+    return rejected
 
 
 def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
-    """Exact scan of the multiples m in [-span, span] of the generator
-    (+ eps*T), given mults = [0*G, 1*G, ..., span*G].  Returns
+    """Exact scan of the multiples m in [-2N, 2N] of the generator G
+    (+ eps*T), given mults = [0*G, 1*G, ..., N*G].  Returns
     {(m, eps): point} for those whose condition value is rational.
 
-    Each m >= 0 is decided once, from X alone: X(-P) = X(P), and
-    X(P + T) = B/X(P), so mG + T is tested before its Y is computed.  A hit
-    at m is recorded at -m as its negative, since -(P + T) = -P + T.  The
-    keys come in the order (0, 1), then (m, 0), (m, 1), (-m, 0), (-m, 1)."""
+    Each m >= 1 is first decided at split primes p, taken in order
+    (`fields.split_primes`).  A prime is used only if the curve has good
+    reduction at its four maps alpha -> a (`curves.good_reduction`) and
+    beta, gamma and G are p-integral there.  Reduction at such a map is a
+    group homomorphism E(K) -> E(F_p) (Silverman, *The Arithmetic of
+    Elliptic Curves*, VII.2), so mG + eps*T reduces to m G~ + eps (0, 0),
+    walked with `curves.add_points_mod`.  That reduction is affine exactly
+    when X(mG + eps*T) is integral at the map, and then x~ is X mod the
+    prime.  A rational c = beta X + gamma integral at the four maps has
+    the same residue at each, so (m, eps) is rejected when all four
+    reductions are affine and beta~ x~ + gamma~ differ; a point that
+    reduces to O at some map is never rejected at that prime.  This is
+    the Mordell-Weil sieve (Bruin-Stoll, LMS J. Comput. Math. 13, 2010).
+    The sieve stops at the first prime that rejects nothing still open; a
+    prime that is not good rejects nothing, so it stops the sieve too.
+
+    Only the (m, eps) no prime rejects get the exact test: mG is mults[m]
+    for m <= N and mults[m - N] + N*G above, and mG + T is tested from
+    X = B/X(mG) alone, its point built with `add_torsion` on a hit.  A hit
+    at m is recorded at -m as its negative, since X(-P) = X(P) and
+    -(P + T) = -P + T.  The keys come in the order (0, 1), then (m, 0),
+    (m, 1), (-m, 0), (-m, 1)."""
+    N = len(mults) - 1
+    span = 2 * N
+    open_keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
+    for i in itertools.count():
+        rejected = open_keys & _rejected_at(
+            curve, split_primes(curve.field, i + 1)[i], span)
+        if not rejected:
+            break
+        open_keys -= rejected
     found = {}
     if condition_value(curve, curve.torsion) is not None:
         found[(0, 1)] = curve.torsion
-    for m, p in enumerate(mults[1:], 1):
+    for m in sorted({m for m, _ in open_keys}):
+        p = mults[m] if m <= N else add_points(curve, mults[m - N], mults[N])
         hits = []
-        if condition_value(curve, p) is not None:
+        if (m, 0) in open_keys and condition_value(curve, p) is not None:
             hits.append((0, p))
-        if x_condition_value(curve, curve.b * p.x.inv()) is not None:
+        if ((m, 1) in open_keys
+                and x_condition_value(curve, curve.b * p.x.inv()) is not None):
             hits.append((1, add_torsion(curve, p)))
         found.update(((m, eps), q) for eps, q in hits)
         found.update(((-m, eps), -q) for eps, q in hits)
@@ -626,7 +680,7 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     mults, basis = kernel_basis(curve)
     N = len(mults) - 1
     if rank == 1:
-        known = _scan_condition_points(curve, _multiples(curve, mults, 2 * N))
+        known = _scan_condition_points(curve, mults)
         survivors = list(known.values())
     else:
         survivors = []

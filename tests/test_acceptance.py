@@ -14,14 +14,12 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 from lucassq.curves import (CURVES, CURVE_BY_ID, INFINITY, CurvePoint,
                             add_points, condition_value, on_curve,
                             recover_ab, scalar_mul)
 from lucassq.exact import is_perfect_square, poly_diff
-from lucassq.fields import (EPS1, EPS2, ETA1, ETA2, K1, K2, ONE_PLUS_THETA,
-                            PI)
+from lucassq.fields import EPS1, EPS2, ETA1, ETA2, K2, ONE_PLUS_THETA, PI
 from lucassq.heights import (_charpoly_fractions, candidate_shapes,
                              naive_height)
 from lucassq.lucas import LucasParams, lucas_u

@@ -1,17 +1,19 @@
 """The descent-curve catalog: stored data integrity, group law, and the
 maps back to Lucas parameter pairs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from lucassq.curves import (CURVES, CURVE_BY_ID, INFINITY, CurvePoint,
-                            RANK0_STUBS, ab_to_pq, add_points, add_torsion,
-                            catalog, condition_value, on_curve, recover_ab,
-                            scalar_mul, x_condition_value)
+                            RANK0_STUBS, ab_to_pq, add_points, add_points_mod,
+                            add_torsion, catalog, condition_value,
+                            good_reduction, on_curve, recover_ab, scalar_mul,
+                            x_condition_value)
+from lucassq.fields import residue, split_primes
 from lucassq.jsonio import decode_point, encode_point
-from lucassq.lucas import LucasParams
 
 PROP1_AB = {"E1": (1, 3), "E2": (1, 1), "E3": (1, 1), "E4": (1, 1),
             "E5": (1, 5), "E7": (1, 2), "E8": (1, 0)}
@@ -84,6 +86,43 @@ def test_scalar_mul_matches_repeated_addition(curve):
             assert scalar_mul(curve, k, g) == acc
             acc = add_points(curve, acc, g)
         assert scalar_mul(curve, -3, g) == -scalar_mul(curve, 3, g)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
+def test_reduction_mod_p_is_a_homomorphism(curve):
+    """At the four maps of each of the first two split primes the curve has
+    good reduction, and the F_p law agrees with the exact one: walking G~
+    (and adding (0, 0)) gives the residues of kG and kG + T, k <= 8, for
+    each generator G, wherever those coordinates reduce."""
+    compared = 0
+    for p, maps in split_primes(curve.field, 2):
+        for a in maps:
+            ab = good_reduction(curve, p, a)
+            assert ab == (residue(curve.a, p, a), residue(curve.b, p, a))
+            for g in curve.gens:
+                g_mod = (residue(g.x, p, a), residue(g.y, p, a))
+                q, kg = None, INFINITY
+                for _ in range(8):
+                    q = add_points_mod(ab, p, q, g_mod)
+                    kg = add_points(curve, kg, g)
+                    for mod, exact in ((q, kg), (add_points_mod(ab, p, q, (0, 0)),
+                                                 add_torsion(curve, kg))):
+                        xy = (residue(exact.x, p, a), residue(exact.y, p, a))
+                        if None not in xy:
+                            assert mod == xy
+                            compared += 1
+    assert compared >= 100 * len(curve.gens)
+
+
+def test_good_reduction_refuses_bad_maps():
+    """B = 0 and A^2 = 4B mod p (a singular reduction) and a non-integral
+    A are refused at every map."""
+    E1 = CURVE_BY_ID["E1"]
+    p, maps = split_primes(E1.field, 1)[0]
+    for bad in (dataclasses.replace(E1, b=E1.b * p),
+                dataclasses.replace(E1, b=E1.a * E1.a / 4),
+                dataclasses.replace(E1, a=E1.a / p)):
+        assert [good_reduction(bad, p, a) for a in maps] == [None] * 4
 
 
 def test_recover_ab_proposition_values():

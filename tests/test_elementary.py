@@ -5,8 +5,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from lucassq.elementary import (U7_GENERATOR, U7_INFINITY,
-                                RationalCurvePoint, family_generate,
+from lucassq.elementary import (U7_GENERATOR, U7_INFINITY, family_generate,
                                 square_criterion, u7_add, u7_point_to_pq,
                                 u7_solutions)
 from lucassq.exact import is_perfect_square

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from lucassq import padic
 from lucassq.curves import (CURVE_BY_ID, INFINITY, CurvePoint, add_points,
-                            condition_value, scalar_mul)
+                            add_points_mod, condition_value, good_reduction,
+                            scalar_mul)
 from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
-from lucassq.fields import K2, three_adic_valuation
+from lucassq.fields import K2, residue, split_primes
 from lucassq.padic import (PrecisionError, _known_count_strassman,
-                           _multiples, _scan_condition_points, _skolem_coset,
+                           _rejected_at, _scan_condition_points, _skolem_coset,
                            beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
@@ -66,10 +68,17 @@ def _brute_scan(curve, span):
     return found, mults
 
 
-def _scan(curve, span):
-    """The scan over [-span, span], on multiples walked from [O, G]."""
-    return _scan_condition_points(
-        curve, _multiples(curve, [INFINITY, curve.gens[0]], span))
+def _scan(curve):
+    """The scan over [-2N, 2N], on the multiples of G that
+    `kernel_basis` walks to N."""
+    return _scan_condition_points(curve, kernel_basis(curve)[0])
+
+
+RANK1 = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "E12"]
+# the (m, eps) with m > 0 whose condition value is rational; the scan
+# records each at -m too
+SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
+             "E5": {(2, 0)}, "E7": {(2, 0)}, "E8": {(2, 0)}, "E12": {(2, 0)}}
 
 
 @pytest.mark.parametrize("cid", ["E1", "E2", "E3", "E4", "E5", "E6", "E8",
@@ -79,35 +88,84 @@ def test_scan_matches_group_law_oracle(cid):
     same points, in the same key order, as the generic-law scan."""
     curve = CURVE_BY_ID[cid]
     mults, _ = kernel_basis(curve)
-    span = 2 * (len(mults) - 1)
-    found = _scan_condition_points(curve, _multiples(curve, mults, span))
-    want, want_mults = _brute_scan(curve, span)
+    N = len(mults) - 1
+    found = _scan_condition_points(curve, mults)
+    want, want_mults = _brute_scan(curve, 2 * N)
     assert list(found.items()) == list(want.items())
-    assert mults == want_mults
+    assert mults == want_mults[:N + 1]
 
 
 def test_scan_keys_e7_e9():
     """E7 and E9 (N = 34): the found keys, asserted directly."""
-    found = _scan(CURVE_BY_ID["E7"], 68)
-    assert list(found) == [(2, 0), (-2, 0)]
-    found = _scan(CURVE_BY_ID["E9"], 68)
-    assert found == {}
+    assert list(_scan(CURVE_BY_ID["E7"])) == [(2, 0), (-2, 0)]
+    assert _scan(CURVE_BY_ID["E9"]) == {}
 
 
 def test_scan_hits_on_translates():
-    """Conditions moved so that G + T, and T itself, meet them: the scan
+    """Conditions moved so that G + T, T itself, and 7G meet them: the scan
     decides mG + T from X = B/X(mG) and builds the point only on a hit,
-    in the oracle's key order."""
+    and builds 7G above N = 6 as 1G + 6G, in the oracle's key order."""
     E1 = CURVE_BY_ID["E1"]
     G, T = E1.gens[0], E1.torsion
     through_g_t = dataclasses.replace(
         E1, gamma=-E1.beta * add_points(E1, G, T).x)
     through_t = dataclasses.replace(E1, gamma=E1.field.zero())
+    through_7g = dataclasses.replace(
+        E1, gamma=-E1.beta * scalar_mul(E1, 7, G).x)
     for curve, keys in ((through_g_t, [(1, 1), (-1, 1)]),
-                        (through_t, [(0, 1)])):
-        found = _scan(curve, 12)
+                        (through_t, [(0, 1)]),
+                        (through_7g, [(7, 0), (-7, 0)])):
+        found = _scan(curve)
         assert list(found) == keys
         assert list(found.items()) == list(_brute_scan(curve, 12)[0].items())
+
+
+@pytest.mark.parametrize("cid", ["E1", "E6", "E12"])
+def test_scan_without_good_primes(cid, monkeypatch):
+    """With every prime refused, every (m, eps) takes the exact test, and
+    the scan still equals the oracle."""
+    curve = CURVE_BY_ID[cid]
+    monkeypatch.setattr(padic, "good_reduction", lambda *args: None)
+    assert _rejected_at(curve, split_primes(curve.field, 1)[0], 4) == set()
+    N = len(kernel_basis(curve)[0]) - 1
+    assert list(_scan(curve).items()) == list(
+        _brute_scan(curve, 2 * N)[0].items())
+
+
+@pytest.mark.parametrize("cid", RANK1)
+def test_sieve_keeps_survivors(cid):
+    """No good split prime rejects a survivor, and the first six leave
+    exactly the survivors open."""
+    curve = CURVE_BY_ID[cid]
+    span = 2 * (len(kernel_basis(curve)[0]) - 1)
+    survivors = SURVIVORS.get(cid, set())
+    keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
+    rejected = [_rejected_at(curve, prime, span)
+                for prime in split_primes(curve.field, 6)]
+    assert all(rej and not rej & survivors for rej in rejected)
+    assert keys.difference(*rejected) == survivors
+
+
+def test_sieve_never_rejects_at_o():
+    """E1 at 41: G reduces to points of orders 24, 20, 22 and 6 at the four
+    maps, so 6G reduces to O at the last map alone.  The values of
+    beta x + gamma at the other three differ, yet (6, 0) is not
+    rejected."""
+    E1 = CURVE_BY_ID["E1"]
+    p, maps = prime = split_primes(E1.field, 1)[0]
+    G = E1.gens[0]
+    values = []
+    for a in maps:
+        ab = good_reduction(E1, p, a)
+        beta, gamma, *g = (residue(x, p, a)
+                           for x in (E1.beta, E1.gamma, G.x, G.y))
+        q = None
+        for _ in range(6):
+            q = add_points_mod(ab, p, q, tuple(g))
+        values.append(None if q is None else (beta * q[0] + gamma) % p)
+    assert values[3] is None
+    assert None not in values[:3] and len(set(values[:3])) > 1
+    assert (6, 0) not in _rejected_at(E1, prime, 6)
 
 
 # --- golden 3-adic coordinates ----------------------------------------------
