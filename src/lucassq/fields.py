@@ -398,11 +398,19 @@ def split_primes(fld: FieldDescriptor, count: int) -> tuple:
 
 def residue(x: FieldElement, p: int, a: int) -> Optional[int]:
     """The image of x in F_p under alpha -> a, a root of the defining
-    polynomial mod p; None when p divides the denominator of x."""
-    if x._d % p == 0:
-        return None
-    n0, n1, n2, n3 = x._n
-    return (((n3 * a + n2) * a + n1) * a + n0) * pow(x._d, -1, p) % p
+    polynomial mod p; None when x is not integral at that map.  If p^e
+    exactly divides the denominator d, the simple root a (p is split) is
+    Hensel-lifted mod p^(e+1): x is integral iff p^e divides n(a), with
+    image (n(a)/p^e) (d/p^e)^(-1).  For e = 0, p may be a prime power."""
+    d, e = x._d, 0
+    while d % p == 0:
+        d, e = d // p, e + 1
+    q, c0, c2 = p ** (e + 1), x.field._c0, x.field._c2
+    for _ in range(e):
+        a = (a - (a ** 4 + c2 * a * a + c0)
+             * pow(4 * a ** 3 + 2 * c2 * a, -1, q)) % q
+    n = poly_eval(x._n, a)
+    return None if n % p ** e else n // p ** e * pow(d, -1, p) % p
 
 
 def pi_valuation(x: FieldElement, cap: int = 24) -> int:

@@ -14,14 +14,16 @@ One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
 Diophantine Equations*).  Its kernel basis comes from the generators: the
 last one, G, has reduction order N; every earlier P_i becomes P_i + b_i G
 with the b_i in [0, N) that puts it in the kernel of reduction; the last
-basis element is N G.  The cosets are c G (+T) for c in [0, N).  Rank 1
-lists all of them and bounds each by Strassman in one variable, against
-the hits of a scan of +-m G (+T), m <= 2N, that is decided at split primes
-first and builds exact points only for what they do not reject.  Rank 2
-lists c in [0, N/2] and solves each by Skolem at the zero found by Hensel
-lifting.  The fold is sound because T = -T: the coset of (N - c) G (+T) is
-the negative of that of c G (+T), and P and -P share X, hence the
-condition value.
+basis element is N G.  The cosets are c G (+T) for c in [0, N); one is
+excluded mod 3 when the condition value at its base has a nonrational
+3-unit component, and only the rest get a base point and theta expansion.
+Rank 1 lists every coset and bounds each one left by Strassman in one
+variable, against the hits of a scan of +-m G (+T), m <= 2N, that is
+decided at split primes first and builds exact points only for what they
+do not reject.  Rank 2 lists c in [0, N/2] and solves each one left by
+Skolem at the zero found by Hensel lifting.  The fold is sound because
+T = -T: the coset of (N - c) G (+T) is the negative of that of c G (+T),
+and P and -P share X, hence the condition value.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
 
 def z_of_point(pt: CurvePoint) -> FieldElement:
     """Exact z = -X/Y for a point in the kernel of reduction at 3."""
-    if not _in_kernel(pt):
+    if not _in_kernel(pt.x):
         raise ValueError("finite point in the kernel of reduction required")
     return -pt.x / pt.y
 
@@ -459,6 +461,17 @@ def lift_roots(polys: list, k: int, levels: int) -> tuple:
     return j + i, [tuple(x - m if x > m // 2 else x for x in r) for r in roots]
 
 
+def _excluded_mod_3(curve: CurveInstance, x: FieldElement) -> bool:
+    """Whether the coset of a base P with 3-integral X(P) = x is excluded
+    mod 3 (`lift_roots` on its theta components ends at level 1 with no
+    zero), read from s_0 = beta x + gamma alone.  Each monomial of
+    z(sum n_i Q_i) has degree d >= 1 and valuation >= fact2_floor(d) >= 1,
+    and each s_j, j >= 1, of beta X(P + R) + gamma is 3-integral, so
+    theta = s_0 mod 3 as a polynomial in the n_i: it has no zero mod 3
+    exactly when a nonrational component of s_0 is a 3-unit."""
+    return any(_residues(curve.beta * x + curve.gamma, P3)[1:])
+
+
 def _known_count_strassman(components: list, k: int, known: int,
                            even_in_var: bool = False) -> tuple:
     """Try each nonrational component; return (idx, bound) once one certifies
@@ -511,11 +524,10 @@ def _skolem_coset(components: list, roots: list, k: int) -> tuple:
     raise PrecisionError(f"no Skolem pair at {root} ({last})")
 
 
-def _in_kernel(pt: CurvePoint) -> bool:
-    """A finite point in the kernel of reduction at 3, v(X) <= -2."""
-    if pt.at_infinity:
-        return False
-    v = three_adic_valuation(pt.x)
+def _in_kernel(x: Optional[FieldElement]) -> bool:
+    """Whether the point with X-coordinate x (None at O) is a finite point
+    in the kernel of reduction at 3, v(X) <= -2."""
+    v = None if x is None else three_adic_valuation(x)
     return v is not None and v <= -2
 
 
@@ -525,7 +537,7 @@ def reduction_order(curve: CurveInstance, G: CurvePoint) -> tuple:
     holds the multiples walked to find it.  E(K)/E_1(K) is finite, so the
     walk ends."""
     mults = [INFINITY, G]
-    while not _in_kernel(mults[-1]):
+    while not _in_kernel(mults[-1].x):
         mults.append(add_points(curve, mults[-1], G))
     return len(mults) - 1, mults
 
@@ -624,7 +636,7 @@ def kernel_basis(curve: CurveInstance) -> tuple:
     for P in others:
         Q = P
         for _ in range(N):
-            if _in_kernel(Q):
+            if _in_kernel(Q.x):
                 break
             Q = add_points(curve, Q, G)
         else:
@@ -670,10 +682,11 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     with its negative.
 
     A coset without a common zero of the nonrational theta components mod 3
-    or mod 9 (mod 3^i on rank 2) is excluded.  Otherwise rank 1 bounds the
-    zeros by Strassman against the multiples that the exact scan found,
-    and rank 2 proves by Skolem that the one zero lifted mod 3^(k-j) is the
-    only one.  The identity coset holds O, at n = 0."""
+    or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the
+    condition value at the base alone (`_excluded_mod_3`).  Otherwise rank
+    1 bounds the zeros by Strassman against the multiples that the exact
+    scan found, and rank 2 proves by Skolem that the one zero lifted mod
+    3^(k-j) is the only one.  The identity coset holds O, at n = 0."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
@@ -691,13 +704,19 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     for eps, c in itertools.product((0, 1), range(N if rank == 1
                                                   else N // 2 + 1)):
         identity = c == 0 and eps == 0
-        base = add_torsion(curve, mults[c]) if eps else mults[c]
+        # X of the base: X(c G + T) = B / X(c G), X(T) = 0, and None at O
+        x = ((curve.b * mults[c].x.inv() if c else curve.field.zero())
+             if eps else mults[c].x)
         try:
             if identity:
                 series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
-            elif _in_kernel(base):
+            elif _in_kernel(x):
                 raise PrecisionError("coset base in kernel of reduction")
+            elif _excluded_mod_3(curve, x):
+                reports.append(CosetReport(c, eps, "excluded mod 3"))
+                continue
             else:
+                base = add_torsion(curve, mults[c]) if eps else mults[c]
                 series = beta_x_series(curve, reduce_element(base.x, k + 4),
                                        reduce_element(base.y, k + 4),
                                        order=k - 1, pack=pack)

@@ -206,3 +206,23 @@ def test_verify_theorem_certificate_digest(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(
         "final_pairs [(1, -4), (4, -17)] partial false")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_SHA256
+
+
+# sha256 of the certificates at --precision 1 and 2 (partial) and 3, as
+# written at commit dd03355.  At these precisions the drivers escalate from
+# k to k + 2 after a coset the truncation cannot decide.
+LOW_PRECISION_SHA256 = {
+    1: "a5134cd55aca354e1265ed19493bb7163f62ec682967f66a07a9bc1eed105d64",
+    2: "08d85e43758ea001fd01ca2fa16d254f2724bdfdc06d9de7d667aae60eaa01b7",
+    3: "93b9ebd99066540e5d418871a020159deae0d5e726478f29408d2237c34cb660",
+}
+
+
+@pytest.mark.parametrize("k", sorted(LOW_PRECISION_SHA256))
+def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    code = main(["verify-theorem", "--precision", str(k), "--out", str(out)])
+    assert code == (2 if k < 3 else 0)
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        LOW_PRECISION_SHA256[k])

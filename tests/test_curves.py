@@ -114,6 +114,27 @@ def test_reduction_mod_p_is_a_homomorphism(curve):
     assert compared >= 100 * len(curve.gens)
 
 
+def test_residue_decides_integrality_per_map():
+    """41^2 exactly divides the denominator of X(6G) on E1, yet X(6G) is
+    integral at three of the four maps of 41.  There `residue` gives the
+    coordinates of 6 G~ walked in F_41, and None at the fourth, where
+    6 G~ = O."""
+    E1 = CURVE_BY_ID["E1"]
+    p, maps = split_primes(E1.field, 1)[0]
+    G, P = E1.gens[0], scalar_mul(E1, 6, E1.gens[0])
+    assert p == 41 and max(c.denominator for c in P.x.coords) % p ** 2 == 0
+    walked = []
+    for a in maps:
+        ab, q = good_reduction(E1, p, a), None
+        for _ in range(6):
+            q = add_points_mod(ab, p, q, (residue(G.x, p, a),
+                                          residue(G.y, p, a)))
+        walked.append(q)
+    assert walked[3] is None and None not in walked[:3]
+    assert [(residue(P.x, p, a), residue(P.y, p, a)) for a in maps] == [
+        q or (None, None) for q in walked]
+
+
 def test_good_reduction_refuses_bad_maps():
     """B = 0 and A^2 = 4B mod p (a singular reduction) and a non-integral
     A are refused at every map."""

@@ -8,19 +8,21 @@ import pytest
 
 from lucassq import padic
 from lucassq.curves import (CURVE_BY_ID, INFINITY, CurvePoint, add_points,
-                            add_points_mod, condition_value, good_reduction,
-                            scalar_mul)
+                            add_points_mod, add_torsion, condition_value,
+                            good_reduction, scalar_mul)
 from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
 from lucassq.fields import K2, residue, split_primes
-from lucassq.padic import (PrecisionError, _known_count_strassman,
-                           _rejected_at, _scan_condition_points, _skolem_coset,
+from lucassq.padic import (PrecisionError, _excluded_mod_3, _in_kernel,
+                           _known_count_strassman, _rejected_at,
+                           _scan_condition_points, _skolem_coset,
                            beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
                            padic_exp, padic_log, poly_components_mod,
                            poly_mod, poly_shift, rank1_driver, rank2_driver,
                            reduce_element, reduction_order, skolem_check,
-                           strassman_bound, theta_components, z_of_point)
+                           strassman_bound, theta_components, z_linear_combo,
+                           z_of_point)
 
 E10 = CURVE_BY_ID["E10"]
 K = 5
@@ -166,6 +168,39 @@ def test_sieve_never_rejects_at_o():
     assert values[3] is None
     assert None not in values[:3] and len(set(values[:3])) > 1
     assert (6, 0) not in _rejected_at(E1, prime, 6)
+
+
+# --- the mod-3 verdict from the coset base ----------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_early_mod3_verdict_matches_full_theta(k):
+    """On all twelve curves, for every non-identity coset whose base is not
+    in the kernel, the verdict read from beta X(base) + gamma equals
+    `lift_roots` on the fully expanded theta components: no zero mod 3."""
+    total = excluded = 0
+    for cid in RANK1 + ["E10"]:
+        curve = CURVE_BY_ID[cid]
+        rank = len(curve.gens)
+        mults, basis = kernel_basis(curve)
+        N = len(mults) - 1
+        pack = derive_formal_series(curve, k + 5)
+        zpoly = z_linear_combo(pack, [padic_log(pack, z_of_point(Q), k + 4)
+                                      for Q in basis], k)
+        for eps in (0, 1):
+            for c in range(N if rank == 1 else N // 2 + 1):
+                base = add_torsion(curve, mults[c]) if eps else mults[c]
+                if base.at_infinity or _in_kernel(base.x):
+                    continue
+                series = beta_x_series(curve, reduce_element(base.x, k + 4),
+                                       reduce_element(base.y, k + 4),
+                                       order=k - 1, pack=pack)
+                comps = theta_components(series, zpoly, k)[1:]
+                full = lift_roots(comps, k, 2 if rank == 1 else k)
+                early = _excluded_mod_3(curve, base.x)
+                assert early == (full == (1, [])), (cid, c, eps)
+                total += 1
+                excluded += early
+    assert (total, excluded) == (378, 347)
 
 
 # --- golden 3-adic coordinates ----------------------------------------------
