@@ -527,8 +527,7 @@ def _skolem_coset(components: list, roots: list, k: int) -> tuple:
 def _in_kernel(x: Optional[FieldElement]) -> bool:
     """Whether the point with X-coordinate x (None at O) is a finite point
     in the kernel of reduction at 3, v(X) <= -2."""
-    v = None if x is None else three_adic_valuation(x)
-    return v is not None and v <= -2
+    return x is not None and (three_adic_valuation(x) or 0) <= -2
 
 
 def reduction_order(curve: CurveInstance, G: CurvePoint) -> tuple:
