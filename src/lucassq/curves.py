@@ -233,89 +233,67 @@ def _pt(fld, x_coords, y_coords) -> CurvePoint:
     return CurvePoint(fld.element(*x_coords), fld.element(*y_coords))
 
 
-def _eq1_curve(cid, delta, delta_name, rank, gens=()):
-    # A = -(theta+theta^2) d, B = (1+theta+theta^3) d^2,
-    # condition (2/((1+theta) d)) X - theta in Q
-    d = delta
-    a = -(ETA1 + ETA1 * ETA1) * d
-    b = K1.element(1, 1, 0, 1) * d * d
-    beta = (2 / (ONE_PLUS_THETA * d))
-    gamma = -ETA1
-    return CurveInstance(cid, K1, a, b, beta, gamma, d, delta_name,
-                         "eq1", rank, gens)
+_PHI = K2.element(0, 1)
+
+# (A0, B0, beta0, gamma0) of each source equation; the curve of twist unit
+# d has A = A0 d, B = B0 d^2, beta = beta0 / d and gamma = gamma0, so eq1's
+# condition is (2/((1+theta) d)) X - theta in Q
+_EQUATIONS = {
+    "eq1": (-(ETA1 + ETA1 * ETA1), K1.element(1, 1, 0, 1),
+            2 / ONE_PLUS_THETA, -ETA1),
+    "eq2": (K1.element(-1, -2, 0, -1), K1.element(1, 1, 0, 1),
+            2 / ONE_PLUS_THETA, -(ETA1.inv())),
+    "eq3": (-_PHI, K2.element(1, 0, Fraction(1, 2)), 4, -2 * _PHI),
+    "eq4": (-(2 / _PHI), 2 / (_PHI * _PHI) - 1, 4, -(4 / _PHI)),
+}
 
 
-def _eq2_curve(cid, delta, delta_name, rank, gens=()):
-    d = delta
-    a = K1.element(-1, -2, 0, -1) * d
-    b = K1.element(1, 1, 0, 1) * d * d
-    beta = 2 / (ONE_PLUS_THETA * d)
-    gamma = -(ETA1.inv())
-    return CurveInstance(cid, K1, a, b, beta, gamma, d, delta_name,
-                         "eq2", rank, gens)
-
-
-def _eq3_curve(cid, delta, delta_name, rank, gens=()):
-    d = delta
-    phi = K2.element(0, 1)
-    a = -phi * d
-    b = K2.element(1, 0, Fraction(1, 2)) * d * d
-    beta = 4 / d
-    gamma = -2 * phi
-    return CurveInstance(cid, K2, a, b, beta, gamma, d, delta_name,
-                         "eq3", rank, gens)
-
-
-def _eq4_curve(cid, delta, delta_name, rank, gens=()):
-    d = delta
-    phi = K2.element(0, 1)
-    a = -(2 / phi) * d
-    b = (2 / (phi * phi) - 1) * d * d
-    beta = 4 / d
-    gamma = -(4 / phi)
-    return CurveInstance(cid, K2, a, b, beta, gamma, d, delta_name,
-                         "eq4", rank, gens)
+def _curve(cid, equation, delta, delta_name, rank, gens=()):
+    a0, b0, beta0, gamma0 = _EQUATIONS[equation]
+    return CurveInstance(cid, delta.field, a0 * delta, b0 * delta * delta,
+                         beta0 / delta, gamma0, delta, delta_name, equation,
+                         rank, gens)
 
 
 _H = Fraction(1, 2)
 _Q = Fraction(1, 4)
 
-E1 = _eq1_curve("E1", K1.one(), "1", 1,
-                (_pt(K1, (Fraction(3, 2), 2, _H, 0),
-                     (-2, -3, -_H, Fraction(-5, 2))),))
-E2 = _eq1_curve("E2", ETA2, "eta2", 1,
-                (_pt(K1, (_H, 0, -_H, 0), (_H, -_H, 0, 0)),))
-E3 = _eq2_curve("E3", ETA1, "eta1", 1,
-                (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, _H)),))
-E4 = _eq2_curve("E4", ETA1 * ETA2, "eta1*eta2", 1,
-                (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, -_H)),))
-E5 = _eq3_curve("E5", K2.one(), "1", 1,
-                (_pt(K2, (2, -2, _H, -_H), (5, -5, 1, -1)),))
-E6 = _eq3_curve("E6", EPS1, "eps1", 1,
-                (_pt(K2, (1, 0, -_H, 0), (1, 0, -_H, 0)),))
-E7 = _eq3_curve("E7", EPS2, "eps2", 1,
-                (_pt(K2, (1, _H, 0, _Q), (-3, -3, -_H, -_H)),))
-E8 = _eq3_curve("E8", EPS1 * EPS2, "eps1*eps2", 1,
-                (_pt(K2, (1, _H, 0, _Q), (-2, -2, 0, -_H)),))
-E9 = _eq4_curve("E9", K2.one(), "1", 1,
-                (_pt(K2, (1, _H, 0, _Q), (0, -1, 0, 0)),))
-E10 = _eq4_curve("E10", EPS1, "eps1", 2,
-                 (_pt(K2, (1, 0, 0, 0), (0, 0, _H, 0)),
-                  _pt(K2, (0, _H, _H, -_Q), (1, 0, Fraction(-3, 2), 0))))
-E11 = _eq4_curve("E11", EPS2, "eps2", 1,
-                 (_pt(K2, (2, 2, _H, _H), (-2, -2, -_H, -_H)),))
-E12 = _eq4_curve("E12", EPS1 * EPS2, "eps1*eps2", 1,
-                 (_pt(K2, (1, _H, 0, _Q), (-1, -1, -_H, -_H)),))
+E1 = _curve("E1", "eq1", K1.one(), "1", 1,
+            (_pt(K1, (Fraction(3, 2), 2, _H, 0),
+                 (-2, -3, -_H, Fraction(-5, 2))),))
+E2 = _curve("E2", "eq1", ETA2, "eta2", 1,
+            (_pt(K1, (_H, 0, -_H, 0), (_H, -_H, 0, 0)),))
+E3 = _curve("E3", "eq2", ETA1, "eta1", 1,
+            (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, _H)),))
+E4 = _curve("E4", "eq2", ETA1 * ETA2, "eta1*eta2", 1,
+            (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, -_H)),))
+E5 = _curve("E5", "eq3", K2.one(), "1", 1,
+            (_pt(K2, (2, -2, _H, -_H), (5, -5, 1, -1)),))
+E6 = _curve("E6", "eq3", EPS1, "eps1", 1,
+            (_pt(K2, (1, 0, -_H, 0), (1, 0, -_H, 0)),))
+E7 = _curve("E7", "eq3", EPS2, "eps2", 1,
+            (_pt(K2, (1, _H, 0, _Q), (-3, -3, -_H, -_H)),))
+E8 = _curve("E8", "eq3", EPS1 * EPS2, "eps1*eps2", 1,
+            (_pt(K2, (1, _H, 0, _Q), (-2, -2, 0, -_H)),))
+E9 = _curve("E9", "eq4", K2.one(), "1", 1,
+            (_pt(K2, (1, _H, 0, _Q), (0, -1, 0, 0)),))
+E10 = _curve("E10", "eq4", EPS1, "eps1", 2,
+             (_pt(K2, (1, 0, 0, 0), (0, 0, _H, 0)),
+              _pt(K2, (0, _H, _H, -_Q), (1, 0, Fraction(-3, 2), 0))))
+E11 = _curve("E11", "eq4", EPS2, "eps2", 1,
+             (_pt(K2, (2, 2, _H, _H), (-2, -2, -_H, -_H)),))
+E12 = _curve("E12", "eq4", EPS1 * EPS2, "eps1*eps2", 1,
+             (_pt(K2, (1, _H, 0, _Q), (-1, -1, -_H, -_H)),))
 
 CURVES = (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12)
 
 # The remaining twist units give curves of rank 0: no rational-condition
 # points of infinite order can arise, so no driver runs on them.
 RANK0_STUBS = (
-    _eq1_curve("R1", ETA1, "eta1", 0),
-    _eq1_curve("R2", ETA1 * ETA2, "eta1*eta2", 0),
-    _eq2_curve("R3", K1.one(), "1", 0),
-    _eq2_curve("R4", ETA2, "eta2", 0),
+    _curve("R1", "eq1", ETA1, "eta1", 0),
+    _curve("R2", "eq1", ETA1 * ETA2, "eta1*eta2", 0),
+    _curve("R3", "eq2", K1.one(), "1", 0),
+    _curve("R4", "eq2", ETA2, "eta2", 0),
 )
 
 CURVE_BY_ID = {c.id: c for c in CURVES + RANK0_STUBS}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -376,24 +375,27 @@ def two_factorization_holds(fld: FieldDescriptor) -> bool:
     return EPS2 ** (-2) * PI ** 4 == 2
 
 
-@lru_cache(maxsize=None)
-def split_primes(fld: FieldDescriptor, count: int) -> tuple:
-    """The first `count` odd primes p at which the defining polynomial has
-    four distinct roots mod p, each as (p, roots).  Each root a gives a ring
-    map Z_(p)[alpha] -> F_p, alpha -> a (see `residue`); p does not divide
-    the discriminant of the defining polynomial, so Z_(p)[alpha] is the
-    integral closure of Z_(p) in the field, and it is F_p^4 mod p."""
+_SPLIT_PRIMES: dict = {}   # field -> its split primes found so far, in order
+
+
+def split_prime(fld: FieldDescriptor, i: int) -> tuple:
+    """The i-th (from 0) odd prime p at which the defining polynomial has
+    four distinct roots mod p, as (p, roots).  Each root a gives a ring map
+    Z_(p)[alpha] -> F_p, alpha -> a (see `residue`); p does not divide the
+    discriminant of the defining polynomial, so Z_(p)[alpha] is the
+    integral closure of Z_(p) in the field, and it is F_p^4 mod p.  One
+    list per field grows on demand."""
+    found = _SPLIT_PRIMES.setdefault(fld, [])
     f = [int(c) for c in fld.defining_poly]
-    out = []
-    p = 3
-    while len(out) < count:
+    p = found[-1][0] + 2 if found else 3
+    while len(found) <= i:
         if all(p % k for k in range(3, isqrt(p) + 1, 2)):
             roots = tuple(a for a in range(p)
                           if poly_eval(f, a) % p == 0)
             if len(roots) == 4:
-                out.append((p, roots))
+                found.append((p, roots))
         p += 2
-    return tuple(out)
+    return found[i]
 
 
 def residue(x: FieldElement, p: int, a: int) -> Optional[int]:
@@ -413,23 +415,16 @@ def residue(x: FieldElement, p: int, a: int) -> Optional[int]:
     return None if n % p ** e else n // p ** e * pow(d, -1, p) % p
 
 
-def pi_valuation(x: FieldElement, cap: int = 24) -> int:
-    """Valuation of a nonzero element of the K2 maximal order at the prime
-    pi above 2.  Computed by repeated exact division; capped."""
-    if x.field is not K2:
-        raise ValueError("pi-adic valuation lives in K2")
+def two_adic_valuation(x: FieldElement) -> int:
+    """v_2(N(x)) of a nonzero element: its valuation at the prime above 2,
+    (1 + theta) in K1 and pi in K2.  2 is totally ramified in both fields
+    (`two_factorization_holds`), so that prime has residue degree 1 and
+    v_2(N(x)) is exactly the valuation there."""
     if not x:
         raise ValueError("valuation of zero")
-    pi_inv = PI.inv()
-    v = 0
-    cur = x
-    while v < cap:
-        nxt = cur * pi_inv
-        if not nxt.in_maximal_order():
-            return v
-        cur = nxt
-        v += 1
-    return v
+    num, den = x.norm().as_integer_ratio()
+    # n & -n is the largest power of 2 dividing n
+    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 def three_adic_valuation(x: FieldElement) -> Optional[int]:

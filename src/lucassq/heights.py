@@ -5,7 +5,12 @@ boxes of candidate X-coordinate minimal polynomials.
 The caps of the boxes come from certified intervals for hhat: the bound C
 (h - 2 hhat <= C) gives the lower end and C' (2 hhat - h <= C') the upper
 end, and the generators are doubled only until the floored box ranges at
-both ends agree (`height_intervals`, `certify_generators`).
+both ends agree (`height_intervals`, `certify_generators`).  C is built
+from an epsilon at each place (Silverman, Math. Comp. 55, 1990): at the
+real places and the complex pair, the inverse of the least value of the
+objective over a finite candidate set; at pi in K2, 2^(v/4) for the largest
+valuation v of g over O_K2 mod 8, read from norms.  They are mpf values
+with guard digits, not enclosures.
 
 The box search (`_search_box`) streams each box in int64 blocks through a
 sieve at primes that split completely in the field and rebuilds the roots
@@ -35,43 +40,11 @@ from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
                      scalar_mul)
 from .exact import poly_add, poly_diff, poly_eval, poly_mul, poly_scale
 from .fields import (FieldElement, K2, _invert4, adjugate, charpoly,
-                     pi_valuation, residue, split_primes)
+                     residue, split_prime, two_adic_valuation)
 
 # decimal digits of the height computations; the epsilons, C and the caps
 # carry 15 guard digits on top
 DIGITS = 30
-
-
-@dataclass(frozen=True)
-class EpsilonProblem:
-    """f(X) = 4X(X^2+AX+B), g(X) = (X^2-B)^2 and their complex-place
-    counterparts F(X)^2 = f^sigma f^sigma-bar, G = (X^2-B^sigma)(X^2-B^sbar)."""
-
-    curve: CurveInstance
-
-    def real_fg(self, place: int, digits: int):
-        """Coefficient lists (low-to-high, mpf) of f and g at a real place."""
-        roots = self.curve.field.roots(digits)
-        r = roots[place]
-        a = _embed(self.curve.a, r)
-        b = _embed(self.curve.b, r)
-        f = [mp.mpf(0), 4 * b, 4 * a, mp.mpf(4)]
-        g = [b * b, mp.mpf(0), -2 * b, mp.mpf(0), mp.mpf(1)]
-        return f, g
-
-    def complex_fg(self, digits: int):
-        """Real-coefficient quartics F2 (with F^2 = 16 X^2 * F2-part folded
-        in) and G at the complex place."""
-        roots = self.curve.field.roots(digits)
-        r1, r2 = roots[2], roots[3]
-        a1, b1 = _embed(self.curve.a, r1), _embed(self.curve.b, r1)
-        a2, b2 = _embed(self.curve.a, r2), _embed(self.curve.b, r2)
-        # f^s1 * f^s2 = 16 X^2 (X^2+a1X+b1)(X^2+a2X+b2)
-        quart = poly_mul([b1, a1, 1], [b2, a2, 1])
-        f2 = [mp.mpf(16) * _re(c) for c in [0, 0] + quart]
-        gq = poly_mul([-b1, 0, 1], [-b2, 0, 1])
-        g = [_re(c) for c in gq]
-        return f2, g
 
 
 def _embed(x: FieldElement, root):
@@ -85,14 +58,36 @@ def _re(c):
 
 # --- archimedean epsilon -------------------------------------------------------
 
-def epsilon_archimedean(problem: EpsilonProblem, place: int,
-                        digits: int = 30, grid: int = 2000) -> mp.mpf:
+def _real_fg(curve: CurveInstance, place: int) -> tuple:
+    """Coefficient lists (low to high, mpf) of f(X) = 4X(X^2+AX+B) and
+    g(X) = (X^2-B)^2 at the real place 0 or 1."""
+    r = curve.field.roots(DIGITS + 15)[place]
+    a, b = _embed(curve.a, r), _embed(curve.b, r)
+    f = [mp.mpf(0), 4 * b, 4 * a, mp.mpf(4)]
+    g = [b * b, mp.mpf(0), -2 * b, mp.mpf(0), mp.mpf(1)]
+    return f, g
+
+
+def _complex_fg(curve: CurveInstance) -> tuple:
+    """Real-coefficient polynomials F2 = f^s1 f^s2 and
+    G = (X^2-B^s1)(X^2-B^s2) at the conjugate pair of places s1, s2."""
+    roots = curve.field.roots(DIGITS + 15)
+    a1, b1 = _embed(curve.a, roots[2]), _embed(curve.b, roots[2])
+    a2, b2 = _embed(curve.a, roots[3]), _embed(curve.b, roots[3])
+    # f^s1 * f^s2 = 16 X^2 (X^2+a1X+b1)(X^2+a2X+b2)
+    quart = poly_mul([b1, a1, 1], [b2, a2, 1])
+    f2 = [mp.mpf(16) * _re(c) for c in [0, 0] + quart]
+    g = [_re(c) for c in poly_mul([-b1, 0, 1], [-b2, 0, 1])]
+    return f2, g
+
+
+def epsilon_archimedean(curve: CurveInstance, place: int) -> mp.mpf:
     """epsilon_nu for place in {0,1} (real) or 2 (complex): inverse of the
     infimum of max(|f|,|g|)/max(1,|X|)^4 over the allowed region."""
-    with mp.workdps(digits + 15):
+    with mp.workdps(DIGITS + 15):
         if place in (0, 1):
-            return 1 / _real_infimum(problem, place, digits, grid)
-        return 1 / _complex_infimum(problem, digits, grid)
+            return 1 / _real_infimum(curve, place)
+        return 1 / _complex_infimum(curve)
 
 
 def _real_objective(f, g, x):
@@ -101,8 +96,26 @@ def _real_objective(f, g, x):
     return max(abs(fx), abs(gx)) / max(1, abs(x)) ** 4
 
 
-def _real_infimum(problem, place, digits, grid):
-    f, g = problem.real_fg(place, digits + 15)
+def _real_infimum(curve: CurveInstance, place: int):
+    """Infimum of max(|f|, |g|) / max(1, x)^4 over {f >= 0} at a real place:
+    f < 0 on x < 0 unless X^2 + AX + B has a real root x < 0, which raises,
+    so it is the least value at `_real_candidates`, or the limit 1 as
+    x -> oo (g is monic of degree 4 and f has degree 3)."""
+    f, g = _real_fg(curve, place)
+    if any(x < 0 for x in _real_roots(f[1:])):
+        raise ArithmeticError(
+            f"{curve.id}: f >= 0 somewhere on x < 0 at real place {place}")
+    return min(mp.mpf(1), *(_real_objective(f, g, x)
+                            for x in _real_candidates(f, g)))
+
+
+def _real_candidates(f, g) -> set:
+    """The x >= 0 where max(|f|, |g|) / max(1, x)^4 can be least on
+    [0, oo) with f >= 0.  Between its breakpoints (0, the kink 1, the sign
+    changes of f and g, and where |f| = |g|) the objective is one of +-f,
+    +-g, +-f/x^4 and +-g/x^4, so its minimum is at a breakpoint, at a
+    stationary point of a piece (a root of f', g' or x p' - 4p for
+    p = f, g), or at infinity."""
     cands = {mp.mpf(0), mp.mpf(1)}
     # f -+ g, x p' - 4 p (p = f, g), f' and g'
     polys = [g, f, poly_add(f, poly_scale(g, -1)), poly_add(f, g),
@@ -111,30 +124,12 @@ def _real_infimum(problem, place, digits, grid):
              poly_diff(f), poly_diff(g)]
     for p in polys:
         for r in _real_roots(p):
-            if r >= 0 and poly_eval(f, r) >= -mp.mpf(10) ** (-digits):
+            if r >= 0 and poly_eval(f, r) >= -mp.mpf(10) ** (-DIGITS):
                 cands.add(r)
-    # safety grid over [0, xmax]
-    xmax = max([mp.mpf(10)] + [2 * abs(r) for r in cands]) * 2
-    for i in range(grid + 1):
-        cands.add(xmax * i / grid)
-    best = min(cands, key=lambda x: _real_objective(f, g, x))
-    # local pattern refinement (minima can sit at kinks)
-    step = max(abs(best), mp.mpf(1)) / grid
-    val = _real_objective(f, g, best)
-    floor_step = mp.mpf(10) ** (-digits - 5)
-    while step > floor_step:
-        moved = False
-        for cand in (best - step, best + step):
-            if cand >= 0:
-                v = _real_objective(f, g, cand)
-                if v < val:
-                    best, val, moved = cand, v, True
-        if not moved:
-            step /= 2
-    return val
+    return cands
 
 
-def _complex_infimum(problem, digits, grid):
+def _complex_infimum(curve: CurveInstance):
     """Infimum of the two-piece objective at the conjugate pair of places.
 
     Both square-root pieces agree in modulus, so the balancing locus |f|=|g|
@@ -144,7 +139,7 @@ def _complex_infimum(problem, digits, grid):
     can dip slightly below this on one curve; the certified bound uses the
     balancing-locus value, which is what the downstream constants assume.)
     """
-    f2, g = problem.complex_fg(digits + 15)
+    f2, g = _complex_fg(curve)
     g2 = poly_mul(g, g)
 
     def objective(z):
@@ -163,49 +158,37 @@ def _complex_infimum(problem, digits, grid):
 
 
 def _real_roots(coeffs):
+    """The real roots of a polynomial (low to high, mpf), leading
+    coefficients below the working precision dropped; polyroots'
+    NoConvergence propagates, since a lost root could be the minimum."""
     while coeffs and abs(coeffs[-1]) < mp.mpf(10) ** (-mp.mp.dps + 5):
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
         return []
-    try:
-        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
-                             extraprec=80)
-    except mp.libmp.NoConvergence:
-        return []
-    out = []
-    for r in roots:
-        if abs(mp.im(r)) < mp.mpf(10) ** (-12):
-            out.append(mp.re(r))
-    return out
+    roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
+    return [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (-12)]
 
 
 # --- non-archimedean epsilon ----------------------------------------------------
 
 @lru_cache(maxsize=None)
 def epsilon_nonarchimedean(curve: CurveInstance) -> mp.mpf:
-    """epsilon_pi for K2 curves: scan O_2 mod pi^12 for the largest
-    valuation v of g(X) = (X^2 - B)^2; epsilon = 2^(v/4).  A scan that
-    reaches v >= 12 gives no bound and raises.  K1 curves have mu = 0 at
-    the finite place and contribute nothing.  Computed once per curve."""
+    """epsilon_pi for K2 curves: scan O_K2 mod 8 = pi^12 (coordinates in
+    [0, 8) over `order_basis`) for the largest valuation v at pi of
+    g(x) = (x^2 - B)^2; epsilon = 2^(v/4).  A scan that reaches v >= 12, or
+    g = 0, gives no bound and raises.  K1 curves have mu = 0 at the finite
+    place and contribute nothing.  Computed once per curve."""
     if curve.field.id != "K2":
         return mp.mpf(1)
     vmax = 0
-    basis = [K2.element(*row) for row in
-             [(1, 0, 0, 0), (0, 1, 0, 0),
-              (0, 0, Fraction(1, 2), 0),
-              (0, Fraction(1, 2), 0, Fraction(1, 4))]]
-    for c0 in range(8):
-        for c1 in range(8):
-            for c2 in range(8):
-                for c3 in range(8):
-                    x = (c0 * basis[0] + c1 * basis[1]
-                         + c2 * basis[2] + c3 * basis[3])
-                    w = x * x - curve.b
-                    v = pi_valuation(w, cap=7)
-                    vmax = max(vmax, 2 * min(v, 6))
-                    if vmax >= 12:
-                        raise ArithmeticError(
-                            "g vanishes to order >= pi^12; no bound")
+    basis = [K2.element(*row) for row in K2.order_basis]
+    for cs in itertools.product(range(8), repeat=4):
+        w = sum(c * e for c, e in zip(cs, basis)) ** 2 - curve.b
+        if not w:
+            raise ArithmeticError("g vanishes in O_K2; no bound")
+        vmax = max(vmax, 2 * two_adic_valuation(w))
+        if vmax >= 12:
+            raise ArithmeticError("g vanishes to order >= pi^12; no bound")
     with mp.workdps(DIGITS + 15):
         return mp.mpf(2) ** (Fraction(vmax, 4))
 
@@ -217,10 +200,7 @@ def height_diff_bound(curve_id: str):
     """C with h(P) - 2 hhat(P) <= C, assembled from the mu/n/epsilon data."""
     from .curves import CURVE_BY_ID
     curve = CURVE_BY_ID[curve_id]
-    prob = EpsilonProblem(curve)
-    e1 = epsilon_archimedean(prob, 0, DIGITS)
-    e2 = epsilon_archimedean(prob, 1, DIGITS)
-    e3 = epsilon_archimedean(prob, 2, DIGITS)
+    e1, e2, e3 = (epsilon_archimedean(curve, place) for place in range(3))
     epi = epsilon_nonarchimedean(curve)
     with mp.workdps(DIGITS + 15):
         # mu_pi * n_pi = (1/4) * 4; log(epi) = 0 on K1
@@ -627,7 +607,7 @@ def roots_in_field(fld, coeffs) -> list:
     top = max(sum(abs(v) * rho ** i for i, v in enumerate(c._n)) for c in g)
     bound = int(DENOMINATOR * (1 + top) * _dual_norm(fld))
     for i in itertools.count():
-        p, maps = prime = split_primes(fld, i + 1)[i]
+        p, maps = prime = split_prime(fld, i)
         c = np.array([[residue(x, p, a) for x in g] for a in maps])
         rows, roots = np.nonzero(_zeros_mod_p(c, p))
         if not np.bincount(rows, minlength=4).all():
@@ -793,12 +773,13 @@ def _classify_table(p: int, d: int) -> np.ndarray:
 
 def _sieve(fld, num: np.ndarray, den: tuple) -> tuple:
     """Indices of the monic polynomials num / den (as in `_monic_mod`) that
-    no sieve prime rejects, and for each the index into split_primes of
-    the first prime at which it is SPLIT (-1 if none).  The first prime
-    goes by table lookup."""
+    no sieve prime rejects, and for each the index i of the first split
+    prime `split_prime(fld, i)` at which it is SPLIT (-1 if none).  The
+    first prime goes by table lookup."""
     d = num.shape[1]
     idx, first = np.arange(len(num)), np.full(len(num), -1)
-    for i, (p, _) in enumerate(split_primes(fld, SIEVE_PRIMES)):
+    for i in range(SIEVE_PRIMES):
+        p, _ = split_prime(fld, i)
         c = _monic_mod(num[idx], den, p)
         code = (_classify_table(p, d)[_table_index(c, p)] if i == 0
                 else _classify(c, p))
@@ -823,7 +804,7 @@ def _late_split_index(fld, num: np.ndarray, den: tuple, disc: int):
     SPLIT."""
     i = SIEVE_PRIMES
     while True:
-        p, _ = split_primes(fld, i + 1)[i]
+        p, _ = split_prime(fld, i)
         if _root_counts(_monic_mod(num, den, p), p)[0] == num.shape[1]:
             return i
         if disc % p:
@@ -878,7 +859,7 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
     found = []
     for i in sorted(groups):
         group = np.concatenate(groups[i])
-        prime = split_primes(fld, i + 1)[i]
+        prime = split_prime(fld, i)
         q = _hensel_modulus(prime[0], bound)
         nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
         for r, k in zip(*np.nonzero((np.abs(nums) <= bound).all(axis=2))):
@@ -904,7 +885,7 @@ def _search_box(curve: CurveInstance, B) -> list:
     {x in K : minpoly(x) is such a row, and x lifts to a point}.
 
     Sieve.  Each shape's rows are streamed in int64 blocks and tested at
-    the first SIEVE_PRIMES split primes p (`split_primes`).  A row g of
+    the first SIEVE_PRIMES split primes p (`split_prime`).  A row g of
     degree d is dropped when, at some such p, p does not divide disc(g) and
     g mod p has fewer than d distinct roots in F_p.  That is sound for the
     minimal polynomial g of any x in K: x lies in Z_(p)[alpha] (its
@@ -929,10 +910,10 @@ def _search_box(curve: CurveInstance, B) -> list:
     return survivors
 
 
-def _names_for_survivors(curve: CurveInstance, survivors, span: int = 2):
-    """Match survivor X-coordinates against small combinations of the stored
-    generators and torsion."""
-    r = range(-span, span + 1)
+def _names_for_survivors(curve: CurveInstance, survivors):
+    """Match survivor X-coordinates against the combinations of the stored
+    generators with coefficients in [-2, 2], plus torsion."""
+    r = range(-2, 3)
     if curve.rank == 1:
         G = curve.gens[0]
         points = {f"{m}G": scalar_mul(curve, m, G) for m in r}

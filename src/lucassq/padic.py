@@ -39,7 +39,7 @@ from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
 from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
                     poly_scale, resultant)
 from .fields import (FieldDescriptor, FieldElement, _ord3, residue,
-                     split_primes, three_adic_valuation)
+                     split_prime, three_adic_valuation)
 
 P3 = 3
 
@@ -578,7 +578,7 @@ def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
     {(m, eps): point} for those whose condition value is rational.
 
     Each m >= 1 is first decided at split primes p, taken in order
-    (`fields.split_primes`).  A prime is used only if the curve has good
+    (`fields.split_prime`).  A prime is used only if the curve has good
     reduction at its four maps alpha -> a (`curves.good_reduction`) and
     beta, gamma and G are p-integral there.  Reduction at such a map is a
     group homomorphism E(K) -> E(F_p) (Silverman, *The Arithmetic of
@@ -604,7 +604,7 @@ def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
     open_keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
     for i in itertools.count():
         rejected = open_keys & _rejected_at(
-            curve, split_primes(curve.field, i + 1)[i], span)
+            curve, split_prime(curve.field, i), span)
         if not rejected:
             break
         open_keys -= rejected

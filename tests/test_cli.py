@@ -106,6 +106,47 @@ def test_heights_report_is_json():
     assert main(["heights", "no_such_curve"]) == 3
 
 
+# `lucassq heights Ei` at commit 7741cb3, as (epsilon_real at both real
+# places, epsilon_complex, epsilon_finite, height_diff_bound).  Every box cap
+# rests on these, so a refactor of the epsilon code leaves them alone.
+HEIGHTS_REPORTS = {
+    "E1": ("1.2470320338650864", "125.17810579814162", "1.4714753076345144",
+           "1.0", "0.4852529117468227"),
+    "E2": ("125.4819244695071", "1.1315677973508782", "1.4714753076345144",
+           "1.0", "0.47735806989783053"),
+    "E3": ("2.7564811396914317", "726.5157072525757", "8.131077260403098",
+           "1.0", "0.982800154866327"),
+    "E4": ("726.5157072525757", "2.7564811396914317", "8.131077260403098",
+           "1.0", "0.982800154866327"),
+    "E5": ("1.191239844329668", "1.1052130923823256", "1.791338940834688",
+           "5.656854249492381", "0.5532969474026876"),
+    "E6": ("3.1592677961360227", "3.1592677961360227", "4.698845073487851",
+           "5.656854249492381", "0.882826494540116"),
+    "E7": ("2.5018702539866036", "227.82407750842935", "1.9179791504074102",
+           "5.656854249492381", "1.0705633634218488"),
+    "E8": ("1.915771844834038", "1322.826482755138", "1.5002519559974885",
+           "5.656854249492381", "1.153959714852489"),
+    "E9": ("2.3070677137823226", "1.0816621954798262", "1.1377933310550161",
+           "5.656854249492381", "0.5309384613653398"),
+    "E10": ("4.3270695308271145", "4.3270695308271145", "1.389552611108013",
+            "5.656854249492381", "0.7321957150159999"),
+    "E11": ("10.638958021415828", "227.64911204172532", "1.1323045653098316",
+            "5.656854249492381", "1.1032868210560047"),
+    "E12": ("6.847348220144003", "1323.3640591081082", "1.1856364111834012",
+            "5.656854249492381", "1.220913082178307"),
+}
+
+
+@pytest.mark.parametrize("cid", HEIGHTS_REPORTS)
+def test_heights_report_values(cid, capsys):
+    assert main(["heights", cid]) == 0
+    real1, real2, cplx, fin, bound = HEIGHTS_REPORTS[cid]
+    assert json.loads(capsys.readouterr().out) == {
+        "curve": cid, "epsilon_real": [real1, real2],
+        "epsilon_complex": cplx, "epsilon_finite": fin,
+        "height_diff_bound": bound}
+
+
 def test_catalog_shape():
     cat = cmd_catalog()
     ids = {c["id"] for c in cat}

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lucassq.fields import (EPS1, EPS2, ETA1, ETA2, K1, K2, ONE_PLUS_THETA,
                             PI, FieldDescriptor, adjugate, charpoly,
-                            pi_valuation, three_adic_valuation,
+                            three_adic_valuation, two_adic_valuation,
                             two_factorization_holds)
 
 coords = st.tuples(*(st.fractions(min_value=-20, max_value=20,
@@ -214,11 +214,18 @@ def test_two_factorizations():
     assert two_factorization_holds(K2)
 
 
-def test_pi_valuation():
-    assert pi_valuation(PI) == 1
-    assert pi_valuation(K2.element(2)) == 4
-    assert pi_valuation(K2.element(8)) == 12
-    assert pi_valuation(EPS2) == 0
+def test_two_adic_valuation():
+    """v_2 of the norm is the valuation at pi in K2 and at 1 + theta in
+    K1, where 2 is totally ramified too."""
+    assert two_adic_valuation(PI) == 1
+    assert two_adic_valuation(K2.element(2)) == 4
+    assert two_adic_valuation(K2.element(8)) == 12
+    assert two_adic_valuation(EPS2) == 0
+    assert two_adic_valuation(ONE_PLUS_THETA) == 1
+    assert two_adic_valuation(K1.element(2)) == 4
+    assert two_adic_valuation(K1.element(Fraction(3, 4))) == -8
+    with pytest.raises(ValueError):
+        two_adic_valuation(K1.zero())
 
 
 def test_three_adic_valuation():

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             scalar_mul)
 from lucassq.exact import poly_diff, sylvester_resultant_univariate
-from lucassq.fields import K1, K2, split_primes
+from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
                              _charpoly_fractions, _classify, _classify_table,
                              _monic_mod, candidate_shapes, canonical_height,
@@ -46,6 +47,58 @@ def test_epsilon_nonarchimedean():
     with mp.workdps(heights.DIGITS + 15):
         assert mp.almosteq(epsilon_nonarchimedean(E10), 4 * mp.sqrt(2),
                            rel_eps=mp.mpf(10) ** -(heights.DIGITS + 10))
+
+
+def test_two_adic_valuation_matches_division_by_pi():
+    """On the 4,096 elements w = x^2 - B of E10's scan, v_2(N(w)) is the
+    number of exact divisions by pi that stay in the maximal order."""
+    basis = [K2.element(*row) for row in K2.order_basis]
+    pi_inv = PI.inv()
+    for cs in itertools.product(range(8), repeat=4):
+        w = sum(c * e for c, e in zip(cs, basis)) ** 2 - E10.b
+        assert w and w.in_maximal_order()
+        v, q = 0, w * pi_inv
+        while q.in_maximal_order():
+            v, q = v + 1, q * pi_inv
+        assert two_adic_valuation(w) == v, cs
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
+def test_real_infimum_dense_scan(curve):
+    """At both real places, no x of a 20,000-point scan of
+    [0, 4 max(10, largest candidate)] with f(x) >= 0 has an objective more
+    than 1e-12 (relative) below `_real_infimum`."""
+    for place in (0, 1):
+        with mp.workdps(heights.DIGITS + 15):
+            f, g = heights._real_fg(curve, place)
+            inf = heights._real_infimum(curve, place)
+            top = 4 * max(10, *heights._real_candidates(f, g))
+        x = np.linspace(0, float(top), 20000)
+        fx = np.polyval([float(c) for c in f[::-1]], x)
+        gx = np.polyval([float(c) for c in g[::-1]], x)
+        obj = np.maximum(abs(fx), abs(gx)) / np.maximum(1, x) ** 4
+        assert obj[fx >= 0].min() >= float(inf) * (1 - 1e-12), place
+
+
+def test_real_roots_raise_without_convergence(monkeypatch):
+    """A polynomial whose roots polyroots cannot find stops the epsilon
+    computation rather than losing candidates."""
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(heights.mp, "polyroots", no_convergence)
+    with pytest.raises(mpmath.libmp.NoConvergence):
+        heights._real_roots([mp.mpf(-2), mp.mpf(0), mp.mpf(1)])
+    with pytest.raises(mpmath.libmp.NoConvergence):
+        heights.epsilon_archimedean(E1, 0)
+
+
+def test_real_infimum_needs_f_negative_left_of_zero():
+    """With sigma(B) < 0, X^2 + AX + B has a root x < 0, so f >= 0 somewhere
+    on x < 0, where the candidates do not look: that raises."""
+    bad = dataclasses.replace(E1, id="E1/-B", b=-E1.b)
+    with pytest.raises(ArithmeticError, match="x < 0"):
+        heights.epsilon_archimedean(bad, 0)
 
 
 def test_height_diff_bound_positive_and_cached():
@@ -266,7 +319,7 @@ def _as_num_den(poly):
 
 def test_split_primes():
     for fld in (K1, K2):
-        primes = split_primes(fld, SIEVE_PRIMES)
+        primes = [split_prime(fld, i) for i in range(SIEVE_PRIMES)]
         assert [p for p, _ in primes] == [41, 113, 137, 257, 313, 337, 353, 409]
         for p, roots in primes:
             assert len(set(roots)) == 4
@@ -336,12 +389,13 @@ def _check_keep_and_reconstruct(x, late=False):
     assert (first[0] < 0) == late
     disc = heights._discriminant(num, den)[0]
     assert disc != 0
-    for p, _ in split_primes(fld, heights.SIEVE_PRIMES + 4):    # later primes too
+    for i in range(heights.SIEVE_PRIMES + 4):                   # later primes too
+        p, _ = split_prime(fld, i)
         count = heights._root_counts(_monic_mod(num, den, p), p)[0]
         assert count == num.shape[1] or disc % p == 0, p
     i = (int(first[0]) if first[0] >= 0
          else heights._late_split_index(fld, num, den, disc))
-    prime = split_primes(fld, i + 1)[i]
+    prime = split_prime(fld, i)
     bound = DENOMINATOR * max(abs(c) for c in x.coords)
     q = heights._hensel_modulus(prime[0], bound)
     nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
