@@ -3,6 +3,7 @@ residue-sieve scan for square terms."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,14 +107,8 @@ def square_term_indices(params: LucasParams, n_max: int,
 
 # --- residue-sieve scan for square terms -------------------------------------
 
-# The factors of each combined modulus M.  The recurrence runs mod M in
-# int64: with residues in [0, M), P*U - Q*U' lies within 2 M^2 < 2^63, so no
-# product overflows.  A square is a square modulo every factor, so a term
-# whose residue is not a square modulo some factor is not a square.
-SIEVE_MODULI = ((64, 63, 65, 11, 17, 19),
-                (23, 29, 31, 37, 41, 43),
-                (47,))
-assert all(2 * math.prod(f) ** 2 < 2 ** 63 for f in SIEVE_MODULI)
+# A term that is not a square modulo some factor is not a square.
+SIEVE_FACTORS = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def square_residue_table(m: int):
@@ -122,6 +117,23 @@ def square_residue_table(m: int):
     x = np.arange(m, dtype=np.int64)
     table = np.zeros(m, dtype=bool)
     table[x * x % m] = True
+    return table
+
+
+@functools.lru_cache(maxsize=len(SIEVE_FACTORS))
+def square_mask_table(m: int, n_max: int):
+    """Read-only numpy uint64 array; row (P mod m)*m + (Q mod m) has bit
+    (n - 2) % 64 of word (n - 2) // 64 set iff U_n(P, Q) is a square mod m,
+    for 2 <= n <= n_max.  U_n mod m depends on P and Q mod m alone."""
+    import numpy as np
+    p, q = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    square = square_residue_table(m)
+    table = np.zeros((m * m, max(0, (n_max + 62) // 64)), dtype=np.uint64)
+    a, b = np.zeros_like(p), np.ones_like(p)        # U_0, U_1
+    for n in range(2, n_max + 1):
+        a, b = b, (p * b - q * a) % m               # b = U_n mod m
+        table[square[b], (n - 2) // 64] |= np.uint64(1 << (n - 2) % 64)
+    table.flags.writeable = False
     return table
 
 
@@ -145,29 +157,17 @@ def square_terms(ps, q_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
     pair.
 
-    Each term is reduced modulo the combined SIEVE_MODULI and dropped when
-    it is not a square modulo one of their factors; the few that pass are
-    recomputed exactly by `square_term_indices`, one pass per pair.  Memory
-    is a few int64 arrays the size of the pair set."""
+    Terms that every SIEVE_FACTORS mask table keeps are rechecked exactly."""
     import numpy as np
     P, Q = _coprime_nondegenerate_pairs(ps, q_max)
-    M = np.array([math.prod(f) for f in SIEVE_MODULI], dtype=np.int64)[:, None]
-    pm, qm = P % M, Q % M           # one row per combined modulus
-    a, b = np.zeros_like(pm), np.ones_like(pm)      # U_0, U_1
-    checks = [(row, f, square_residue_table(f))
-              for row, factors in enumerate(SIEVE_MODULI) for f in factors]
-    candidates: dict = {}           # pair index -> indices the sieve kept
-    for n in range(2, n_max + 1):
-        a, b = b, (pm * b - qm * a) % M             # b = U_n mod M
-        alive = np.arange(P.size)
-        for row, f, table in checks:
-            alive = alive[table[b[row, alive] % f]]
-        for i in alive.tolist():
-            candidates.setdefault(i, []).append(n)
+    kept = functools.reduce(np.bitwise_and, (
+        square_mask_table(m, n_max)[P % m * m + Q % m] for m in SIEVE_FACTORS))
+    rows = np.flatnonzero(kept.any(axis=1)).tolist()
+    bits = np.unpackbits(kept[rows].astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")
     hits = []
-    for i, ns in candidates.items():
+    for i, row in zip(rows, bits):
         p, q = int(P[i]), int(Q[i])
-        hits += [(p, q, n, r) for n, r in
-                 square_term_indices(LucasParams(p, q), n_max, ns)]
-    hits.sort()
-    return hits
+        hits += [(p, q, n, r) for n, r in square_term_indices(
+            LucasParams(p, q), n_max, (np.flatnonzero(row) + 2).tolist())]
+    return sorted(hits)

@@ -12,7 +12,8 @@ from lucassq import cli, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
 from lucassq.curves import CURVE_BY_ID
-from lucassq.lucas import LucasParams, is_degenerate, square_terms
+from lucassq.lucas import (LucasParams, is_degenerate, square_mask_table,
+                           square_terms)
 
 
 def test_classify_reports():
@@ -72,26 +73,48 @@ def _scalar_census(p_max, q_max, n_max) -> list:
     return hits
 
 
-@settings(max_examples=40, deadline=None)
-@given(p_max=st.integers(2, 15), q_max=st.integers(1, 15),
-       n_max=st.integers(1, 60), block=st.integers(1, 200))
-@example(p_max=2, q_max=1, n_max=60, block=1)
-def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
-    """The sieve census equals the scalar scan on boxes that hold the
-    degenerate pairs (+-1, 1) and (+-2, 1) and the boundary Q = 1, cut
-    into blocks of every size from one P value to the whole box."""
-    hits = _scalar_census(p_max, q_max, n_max)
-    ps = [p for p in range(-p_max, p_max + 1) if p]
-    assert square_terms(ps, q_max, n_max) == hits
+def _report_fields(hits) -> dict:
+    """The fields of a `search` report that follow from the sorted hits."""
     per_n = {}
     for p, q, n, r in hits:
         per_n.setdefault(n, []).append((p, q, r))
+    return {"indices": sorted(per_n),
+            "hits_per_n": {str(n): len(v) for n, v in sorted(per_n.items())},
+            "n8_pairs": sorted({(p, q) for p, q, _ in per_n.get(8, [])}),
+            "examples_per_n": {str(n): v[:4] for n, v in sorted(per_n.items())}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_max=st.integers(2, 15), q_max=st.integers(1, 15),
+       n_max=st.integers(1, 140), block=st.integers(1, 200))
+@example(p_max=2, q_max=1, n_max=60, block=1)
+@example(p_max=3, q_max=4, n_max=64, block=1)
+@example(p_max=3, q_max=4, n_max=65, block=1)
+@example(p_max=3, q_max=4, n_max=66, block=1)
+@example(p_max=3, q_max=4, n_max=129, block=1)
+def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
+    """The sieve census equals the scalar scan on boxes that hold the
+    degenerate pairs (+-1, 1) and (+-2, 1) and the boundary Q = 1, cut
+    into blocks of every size from one P value to the whole box, with index
+    windows on both sides of the 64-index word boundaries of the sieve's
+    mask tables."""
+    hits = _scalar_census(p_max, q_max, n_max)
+    ps = [p for p in range(-p_max, p_max + 1) if p]
+    assert square_terms(ps, q_max, n_max) == hits
     with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", block):
         rep = cmd_search(p_max, q_max, n_max, workers=1)
-    assert rep["indices"] == sorted(per_n)
-    assert rep["hits_per_n"] == {str(n): len(v) for n, v in sorted(per_n.items())}
-    assert rep["n8_pairs"] == sorted({(p, q) for p, q, _ in per_n.get(8, [])})
-    assert rep["examples_per_n"] == {str(n): v[:4] for n, v in sorted(per_n.items())}
+    for key, value in _report_fields(hits).items():
+        assert rep[key] == value
+
+
+def test_search_workers():
+    """Two pool workers that build their own two-word mask tables give the
+    scalar scan's report on a box cut into several blocks."""
+    square_mask_table.cache_clear()
+    with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
+        rep = cmd_search(6, 5, 70, workers=2)
+    for key, value in _report_fields(_scalar_census(6, 5, 70)).items():
+        assert rep[key] == value
 
 
 def test_search_rejects_bad_bounds():

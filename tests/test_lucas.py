@@ -4,10 +4,11 @@ import math
 
 from hypothesis import given, strategies as st
 
-from lucassq.lucas import (SIEVE_MODULI, Degeneracy, LucasParams,
+from lucassq.lucas import (SIEVE_FACTORS, Degeneracy, LucasParams,
                            classify_degenerate, is_degenerate, lucas_u,
-                           lucas_u_iter, lucas_v, square_residue_table,
-                           square_term_indices, square_terms)
+                           lucas_u_iter, lucas_v, square_mask_table,
+                           square_residue_table, square_term_indices,
+                           square_terms)
 
 FIB = LucasParams(1, -1)
 
@@ -86,13 +87,30 @@ def test_square_term_indices_theorem_pairs():
 
 
 def test_square_residue_tables():
-    """Each sieve table holds x^2 mod m for every x, and nothing else; each
-    combined modulus keeps its int64 recurrence products below 2^63."""
-    for factors in SIEVE_MODULI:
-        assert 2 * math.prod(factors) ** 2 < 2 ** 63
-        for m in factors:
-            table = square_residue_table(m)
-            squares = {x * x % m for x in range(m)}
-            assert len(table) == m and int(table.sum()) == len(squares)
-            assert all(table[s] for s in squares)
+    """Each sieve table holds x^2 mod m for every x, and nothing else."""
+    for m in SIEVE_FACTORS:
+        table = square_residue_table(m)
+        squares = {x * x % m for x in range(m)}
+        assert len(table) == m and int(table.sum()) == len(squares)
+        assert all(table[s] for s in squares)
+
+
+def test_square_mask_tables():
+    """Bit n - 2 of row P*m + Q of each sieve factor's mask table says
+    whether U_n(P, Q) mod m, by the scalar recurrence, is a square mod m, for
+    every residue pair and every n <= 130: three words, two word boundaries."""
+    n_max = 130
+    for m in SIEVE_FACTORS:
+        table = square_mask_table(m, n_max)
+        assert table.shape == (m * m, 3) and not table.flags.writeable
+        squares = {x * x % m for x in range(m)}
+        for p in range(m):
+            for q in range(m):
+                want, a, b = 0, 0, 1                  # U_0, U_1 mod m
+                for n in range(2, n_max + 1):
+                    a, b = b, (p * b - q * a) % m     # b = U_n mod m
+                    want |= (b in squares) << (n - 2)
+                got = sum(int(w) << 64 * j
+                          for j, w in enumerate(table[p * m + q]))
+                assert got == want, (m, p, q)
 
