@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .curves import (CURVE_BY_ID, ab_to_pq, catalog, condition_value,
-                     recover_ab)
+from .curves import (CURVE_BY_ID, CURVES, ab_to_pq, catalog,
+                     condition_value, recover_ab)
 from .elementary import square_criterion, u7_solutions
 from .exact import is_perfect_square, perfect_square_root
 from .jsonio import dump, dumps, encode_point, encode_rational
@@ -82,11 +82,6 @@ def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
 
 
 # --- theorem pipeline -------------------------------------------------------
-
-RANK1_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
-             "E9", "E11", "E12")
-RANK2_IDS = ("E10",)
-
 
 @dataclass
 class TheoremCertificate:
@@ -163,13 +158,12 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
         raise ValueError(f"precision must be >= 1, got {precision}")
     drivers, descents, failing = [], [], []
     pairs = set()
-    for cid in RANK1_IDS + RANK2_IDS:
-        curve = CURVE_BY_ID[cid]
+    for curve in sorted(CURVES, key=lambda c: c.rank):
         run = padic.rank2_driver if curve.rank == 2 else padic.rank1_driver
         try:
             result = run(curve, k=precision)
         except padic.PrecisionError as exc:           # inconclusive coset
-            failing.append({"curve": cid, "error": str(exc)})
+            failing.append({"curve": curve.id, "error": str(exc)})
             continue
         drivers.append(_driver_record(curve, result))
         for pt in result.survivors:

@@ -35,7 +35,6 @@ class FieldDescriptor:
     id: str
     defining_poly: tuple  # coefficients low..high, monic degree 4
     order_basis: tuple    # rows: integral-basis vectors over the power basis
-    real_root_approx: float
 
     def __post_init__(self):
         # the fold in _mul_int and the subfield formulas rely on this shape
@@ -347,7 +346,6 @@ K1 = FieldDescriptor(
     defining_poly=(Fraction(-1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)),
     order_basis=_frac_rows([[1, 0, 0, 0], [0, 1, 0, 0],
                             [0, 0, 1, 0], [0, 0, 0, 1]]),
-    real_root_approx=0.6435942529055826,
 )
 
 K2 = FieldDescriptor(
@@ -356,7 +354,6 @@ K2 = FieldDescriptor(
     order_basis=_frac_rows([[1, 0, 0, 0], [0, 1, 0, 0],
                             [0, 0, Fraction(1, 2), 0],
                             [0, Fraction(1, 2), 0, Fraction(1, 4)]]),
-    real_root_approx=0.9101797211244548,
 )
 
 # distinguished elements

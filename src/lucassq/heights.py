@@ -19,6 +19,12 @@ lifting, square roots and halving, finds the roots in the field of any
 polynomial over it through the same maps to F_p and the same lifting, so
 no floating point enters the box search, lifting or halving.
 
+`certify_generators` checks E(K) = <gens> + {O, T} on one path for every
+rank: no nonzero class of <gens, T> mod 2 halves, which rules out an even
+index, and the boxes below the caps hold only small combinations of the
+generators and T, which rules out an odd index >= 3 (Siksek, Rocky
+Mountain J. Math. 25, 1995).
+
 The local data follow the usual normalization n_nu = [K_nu : Q_nu] with
 h(x) = (1/4) sum_nu n_nu log max(1, |x|_nu); equivalently (1/4) log of the
 Mahler measure of the primitive degree-4 characteristic polynomial.
@@ -29,15 +35,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import gcd, lcm, prod
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
-from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
-                     scalar_mul)
+from .curves import (INFINITY, CurveInstance, CurvePoint, add_points,
+                     add_torsion, scalar_mul)
 from .exact import poly_add, poly_diff, poly_eval, poly_mul, poly_scale
 from .fields import (FieldElement, K2, _invert4, adjugate, charpoly,
                      residue, split_prime, two_adic_valuation)
@@ -370,8 +376,7 @@ def height_intervals(curve: CurveInstance, points: list):
 class CandidateShape:
     tag: str
     multipliers: tuple        # coefficient of each box variable in the poly
-    bound_factors: tuple      # box bound = floor(factor * B^power / multiplier)
-    powers: tuple
+    bound_factors: tuple      # range k: floor(factor * B^(k+1) / multiplier)
     parities: tuple = ()      # (index, modulus, residue)
     denominator: int = 1      # trailing coefficient divided by this
 
@@ -380,28 +385,25 @@ def candidate_shapes(curve: CurveInstance) -> list:
     """Integer coefficient boxes for minimal polynomials of x(Q), H(Q) < B.
     Degree-4 Weil bounds |a_i| < (4,6,4,1) B^i specialize per field."""
     shapes = [
-        CandidateShape("quartic", (4, 2, 4, 1), (4, 6, 4, 1), (1, 2, 3, 4)),
-        CandidateShape("quadratic", (2, 1), (2, 1), (1, 2)),
-        CandidateShape("linear", (1,), (1,), (1,)),
+        CandidateShape("quartic", (4, 2, 4, 1), (4, 6, 4, 1)),
+        CandidateShape("quadratic", (2, 1), (2, 1)),
+        CandidateShape("linear", (1,), (1,)),
     ]
     if curve.field.id == "K1":
         # x = u/(1+theta)^2 with u = 1 mod (1+theta)
         shapes.append(CandidateShape(
-            "quartic-halfint", (4, 1, 2, 1), (4, 6, 4, 4), (1, 2, 3, 4),
+            "quartic-halfint", (4, 1, 2, 1), (4, 6, 4, 4),
             parities=((1, 2, 1), (3, 2, 1)), denominator=4))
         shapes.append(CandidateShape(
-            "quadratic-halfint", (2, 1), (2, 4), (1, 2),
+            "quadratic-halfint", (2, 1), (2, 4),
             parities=((1, 4, 3),), denominator=4))
     return shapes
 
 
 def shape_ranges(shape: CandidateShape, B) -> list:
-    out = []
-    for mult, fac, pw in zip(shape.multipliers, shape.bound_factors,
-                             shape.powers):
-        cap = mp.mpf(fac) * mp.mpf(B) ** pw / mult
-        out.append(int(mp.floor(cap)))
-    return out
+    return [int(mp.floor(mp.mpf(fac) * mp.mpf(B) ** (k + 1) / mult))
+            for k, (mult, fac) in enumerate(zip(shape.multipliers,
+                                                shape.bound_factors))]
 
 
 # --- split primes: exact arithmetic mod p ----------------------------------------------
@@ -734,7 +736,8 @@ def _poly_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for i in range(a.shape[1]):
         for j in range(b.shape[1]):
             out[:, i + j] += a[:, i] * b[:, j]
-    return out % p
+    out %= p                  # in place: no second copy of a large table
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -757,9 +760,11 @@ def _classify_table(p: int, d: int) -> np.ndarray:
         square = _poly_mul_mod(linear, linear, p)
         cofactors = (monic(tuples(itertools.product(range(p), repeat=2), 2))
                      if d == 4 else np.ones((1, 1), dtype=np.int64))
-        repeated = _poly_mul_mod(np.repeat(square, len(cofactors), axis=0),
-                                 np.tile(cofactors, (p, 1)), p)
-        table[_table_index(repeated[:, 1:], p)] = REPEATED
+        # unnamed, so freed before the split products: building this
+        # table is the memory peak of a certification
+        table[_table_index(_poly_mul_mod(
+            np.repeat(square, len(cofactors), axis=0),
+            np.tile(cofactors, (p, 1)), p)[:, 1:], p)] = REPEATED
         if d == 4:
             squares = _poly_mul_mod(cofactors, cofactors, p)
             table[_table_index(squares[:, 1:], p)] = REPEATED
@@ -910,31 +915,24 @@ def _search_box(curve: CurveInstance, B) -> list:
     return survivors
 
 
+def _labels(curve: CurveInstance) -> list:
+    """The names of the generators: G at rank 1, else P1, P2, ..."""
+    return ["G"] if curve.rank == 1 else [f"P{i}" for i in
+                                          range(1, curve.rank + 1)]
+
+
 def _names_for_survivors(curve: CurveInstance, survivors):
     """Match survivor X-coordinates against the combinations of the stored
     generators with coefficients in [-2, 2], plus torsion."""
-    r = range(-2, 3)
-    if curve.rank == 1:
-        G = curve.gens[0]
-        points = {f"{m}G": scalar_mul(curve, m, G) for m in r}
-    else:
-        P1, P2 = curve.gens
-        points = {f"{m1}P1+{m2}P2": add_points(curve, scalar_mul(curve, m1, P1),
-                                               scalar_mul(curve, m2, P2))
-                  for m1 in r for m2 in r}
-    combos = {}
-    for name, p in points.items():
+    combos, labels = {}, _labels(curve)
+    for ms in itertools.product(range(-2, 3), repeat=curve.rank):
+        name = "+".join(f"{m}{g}" for m, g in zip(ms, labels))
+        p = reduce(partial(add_points, curve),
+                   (scalar_mul(curve, m, g) for m, g in zip(ms, curve.gens)))
         combos[name] = p
         combos[name + "+T"] = add_torsion(curve, p)
-    names = []
-    for x in survivors:
-        label = None
-        for name, p in combos.items():
-            if not p.at_infinity and p.x == x:
-                label = name
-                break
-        names.append(label)
-    return names
+    return [next((name for name, p in combos.items()
+                  if not p.at_infinity and p.x == x), None) for x in survivors]
 
 
 def _named_survivors(curve: CurveInstance, B, what: str) -> tuple:
@@ -959,21 +957,21 @@ def _ranges(curve: CurveInstance, cap) -> list:
     return [(s.tag, shape_ranges(s, cap)) for s in candidate_shapes(curve)]
 
 
-def _decided_caps(curve: CurveInstance, points: list, bounds) -> tuple:
+def _decided_caps(curve: CurveInstance, points: list) -> tuple:
     """Double the points until the floored box ranges of every cap are
     decided.
 
-    bounds(intervals, end) gives, from the points' hhat intervals, the
-    height bounds b of the caps e^(C + 2b) at the lower (end = 0) or upper
-    (end = 1) endpoints; each b grows with every height.  At the first m
-    where both ends give the same ranges, these are the ranges of the
-    limit.  Returns (m, intervals, upper bounds, decided)."""
+    `_cap_bounds` gives, from the points' hhat intervals, the height bounds
+    b of the caps e^(C + 2b) at the lower (end = 0) or upper (end = 1)
+    endpoints; each b grows with every height.  At the first m where both
+    ends give the same ranges, these are the ranges of the limit.  Returns
+    (m, intervals, upper bounds, decided)."""
     C, _ = height_diff_bound(curve.id)
     for m, iv in height_intervals(curve, points):
         lower, upper = ([_ranges(curve, mp.e ** (C + 2 * b))
-                         for b in bounds(iv, end)] for end in (0, 1))
+                         for b in _cap_bounds(iv, end)] for end in (0, 1))
         if lower == upper or m == MAX_DOUBLINGS:
-            return m, iv, bounds(iv, 1), lower == upper
+            return m, iv, _cap_bounds(iv, 1), lower == upper
 
 
 def _pairing_interval(iv) -> tuple:
@@ -983,66 +981,67 @@ def _pairing_interval(iv) -> tuple:
     return l12 - u1 - u2, u12 - l1 - l2
 
 
-def _rank1_bounds(iv, end) -> list:
-    """The height bound hhat(G) / 9 at the lower or upper endpoint."""
-    return [iv[0][end] / 9]
-
-
-def _rank2_bounds(iv, end) -> list:
-    """Height bounds hhat(P1) / 9 and hhat(P1) / 4 + |<P1, P2>| / 6 +
-    hhat(P2) / 9 at the lower or upper endpoints; at the lower ones
+def _cap_bounds(iv, end) -> list:
+    """Height bounds hhat(P1) / 9, and given P2 and P1 + P2 too,
+    hhat(P1) / 4 + |<P1, P2>| / 6 + hhat(P2) / 9, at the lower (end = 0)
+    or upper (end = 1) endpoints of the intervals iv; at the lower ones
     |<P1, P2>| is its least value over the pairing interval."""
-    h1, h2 = iv[0][end], iv[1][end]
+    h1 = iv[0][end]
+    if len(iv) == 1:
+        return [h1 / 9]
     lo, hi = _pairing_interval(iv)
     pairing = max(abs(lo), abs(hi)) if end else max(lo, -hi, 0)
-    return [h1 / 9, h1 / 4 + pairing / 6 + h2 / 9]
+    return [h1 / 9, h1 / 4 + pairing / 6 + iv[1][end] / 9]
+
+
+def _odd_classes(curve: CurveInstance) -> list:
+    """(name, point) for the 2^(r+1) - 1 nonzero classes of <gens, T> mod
+    2, the sums of the nonempty subsets of gens + [T] in binary order with
+    T last: G, T, G+T at rank 1; P1, P2, P1+P2, T, P1+T, P2+T, P1+P2+T at
+    rank 2.  The first 2^r - 1 are the sums of generators alone."""
+    classes = [("", INFINITY)]
+    for label, g in zip(_labels(curve), curve.gens):
+        classes += [(f"{n}+{label}" if n else label, add_points(curve, p, g))
+                    for n, p in classes]
+    classes += [(f"{n}+T" if n else "T", add_torsion(curve, p))
+                for n, p in classes]
+    return classes[1:]
 
 
 def certify_generators(curve: CurveInstance) -> HeightCertificate:
-    """Full certification pipeline: 2-indivisibility, the bounds C and C',
-    hhat intervals doubled until the H-caps' box ranges are decided, box
-    enumeration at the upper caps, and survivor matching."""
+    """Certify E(K) = <gens> + {O, T}, the rank read from curve.gens: no
+    nonzero class of <gens, T> mod 2 halves (no even index), and every
+    point in the boxes of the caps, enumerated once the hhat intervals of
+    the sums of generators decide their ranges, is a small combination of
+    the generators and T (no odd index >= 3).  The first cap fills the
+    top-level fields and a second (rank 2) fills `extra`."""
     with mp.workdps(DIGITS + 15):
         C, eps = height_diff_bound(curve.id)
         eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
                     "inf3": float(eps[2])}
         if curve.field.id == "K2":
             eps_dict["pi"] = float(epsilon_nonarchimedean(curve))
-        if curve.rank == 1:
-            G = curve.gens[0]
-            if halving_candidates(curve, G):
+        classes = _odd_classes(curve)
+        for name, rep in classes:
+            if halving_candidates(curve, rep):
                 raise ArithmeticError(
-                    f"{curve.id}: generator is divisible by 2")
-            names, points, rule = ["G"], [G], _rank1_bounds
-        else:
-            P1, P2 = curve.gens
-            P12 = add_points(curve, P1, P2)
-            odd_classes = {
-                "P1": P1, "P2": P2, "P1+P2": P12, "T": curve.torsion,
-                "P1+T": add_torsion(curve, P1), "P2+T": add_torsion(curve, P2),
-                "P1+P2+T": add_torsion(curve, P12)}
-            for name, rep in odd_classes.items():
-                if halving_candidates(curve, rep):
-                    raise ArithmeticError(
-                        f"{curve.id}: class {name} is halvable; index is even")
-            names, rule = ["P1", "P2", "P1+P2"], _rank2_bounds
-            points = [odd_classes[n] for n in names]
-        m, iv, bounds, decided = _decided_caps(curve, points, rule)
-        cap = mp.e ** (C + 2 * bounds[0])
-        survivors, survivor_names = _named_survivors(curve, cap,
-                                                     "certification")
+                    f"{curve.id}: class {name} is halvable; index is even")
+        names, points = zip(*classes[:2 ** curve.rank - 1])
+        m, iv, bounds, decided = _decided_caps(curve, points)
+        caps = [mp.e ** (C + 2 * b) for b in bounds]
+        (survivors, survivor_names), *more = [
+            _named_survivors(curve, cap, what) for cap, what in
+            zip(caps, ("certification", "second enumeration"))]
         cert = HeightCertificate(
             curve.id, eps_dict, float(C), float(height_upper_bound(curve.id)),
             m, decided,
             {n: [float(lo), float(hi)] for n, (lo, hi) in zip(names, iv)},
-            [float(hi) for _, hi in iv[:curve.rank]], float(cap),
-            _ranges(curve, cap), survivors, survivor_names,
+            [float(hi) for _, hi in iv[:curve.rank]], float(caps[0]),
+            _ranges(curve, caps[0]), survivors, survivor_names,
             "generator" if curve.rank == 1 else "generators")
-        if curve.rank == 2:
-            cap2 = mp.e ** (C + 2 * bounds[1])
-            _, names2 = _named_survivors(curve, cap2, "second enumeration")
+        for b, cap, (_, names2) in zip(bounds[1:], caps[1:], more):
             cert.extra = {
                 "pairing_interval": [float(v) for v in _pairing_interval(iv)],
-                "g2_height_bound": float(bounds[1]), "cap2": float(cap2),
-                "shapes2": _ranges(curve, cap2), "survivors2_names": names2}
+                "g2_height_bound": float(b), "cap2": float(cap),
+                "shapes2": _ranges(curve, cap), "survivors2_names": names2}
         return cert

@@ -93,9 +93,9 @@ def square_term_indices(params: LucasParams, n_max: int,
     Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
     pair.  With `indices`, only those n are checked: `square_terms` passes
     the indices its residue sieve did not rule out."""
-    wanted = set(range(2, n_max + 1))
-    if indices is not None:
-        wanted &= set(indices)
+    if indices is None:
+        indices = range(2, n_max + 1)
+    wanted = {n for n in indices if 2 <= n <= n_max}
     hits = []
     for n, u in lucas_u_iter(params, max(wanted, default=1)):
         if n in wanted:

@@ -5,14 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from lucassq.cli import RANK1_IDS
-from lucassq.curves import CURVE_BY_ID
+from lucassq.curves import CURVE_BY_ID, CURVES
 
 
 @pytest.fixture(scope="session")
 def rank1_results():
     from lucassq.padic import rank1_driver
-    return {cid: rank1_driver(CURVE_BY_ID[cid]) for cid in RANK1_IDS}
+    return {c.id: rank1_driver(c) for c in CURVES if c.rank == 1}
 
 
 @pytest.fixture(scope="session")

@@ -164,7 +164,7 @@ def test_descriptor_requires_monic_even_integral_poly():
     basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for poly in ((-1, 1, 2, 0, 1), (-1, 0, 2, 0, 2), (Fraction(1, 2), 0, 2, 0, 1)):
         with pytest.raises(ValueError):
-            FieldDescriptor("bad", poly, basis, 0.0)
+            FieldDescriptor("bad", poly, basis)
 
 
 @given(coords, coords, coords)

@@ -14,7 +14,7 @@ from mpmath import mp
 import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
-                            scalar_mul)
+                            add_torsion, scalar_mul)
 from lucassq.exact import poly_diff, sylvester_resultant_univariate
 from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
@@ -188,19 +188,47 @@ def test_e9_golden_height_in_every_interval():
     assert mp.almosteq(lo + tail, canonical_height(E9, E9.gens[0], 2 * tail))
 
 
-def test_rank2_bounds_pairing_ends():
-    """The rank-2 height bounds take |<P1, P2>| at its largest over the
-    pairing interval at the upper end and at its least at the lower end,
-    which is 0 when the interval holds 0."""
+def test_cap_bounds_pairing_ends():
+    """The interval of G alone gives the one bound hhat(G) / 9.  Those of
+    P1, P2 and P1 + P2 add a second bound, which takes |<P1, P2>| at its
+    largest over the pairing interval at the upper end and at its least at
+    the lower end, which is 0 when the interval holds 0."""
+    assert heights._cap_bounds([(0.9, 1.8)], 0) == [0.9 / 9]
+    assert heights._cap_bounds([(0.9, 1.8)], 1) == [1.8 / 9]
     for iv, least, most in (([(1, 2), (1, 2), (2, 5)], 0, 3),
                             ([(1, 1.5), (1, 1.5), (4, 5)], 1, 3),
                             ([(1, 1.5), (1, 1.5), (-2, -1)], 3, 5)):
         lo1, lo2 = iv[0][0], iv[1][0]
         hi1, hi2 = iv[0][1], iv[1][1]
-        assert heights._rank2_bounds(iv, 0) == [
+        assert heights._cap_bounds(iv, 0) == [
             lo1 / 9, lo1 / 4 + least / 6 + lo2 / 9]
-        assert heights._rank2_bounds(iv, 1) == [
+        assert heights._cap_bounds(iv, 1) == [
             hi1 / 9, hi1 / 4 + most / 6 + hi2 / 9]
+
+
+def test_odd_classes_in_binary_order():
+    """The nonzero classes of <gens, T> mod 2: G, T and G + T at rank 1,
+    and the seven sums of P1, P2 and T at rank 2, T last."""
+    G = E9.gens[0]
+    assert heights._odd_classes(E9) == [
+        ("G", G), ("T", E9.torsion), ("G+T", add_torsion(E9, G))]
+    P1, P2 = E10.gens
+    P12 = add_points(E10, P1, P2)
+    assert heights._odd_classes(E10) == [
+        ("P1", P1), ("P2", P2), ("P1+P2", P12), ("T", E10.torsion),
+        ("P1+T", add_torsion(E10, P1)), ("P2+T", add_torsion(E10, P2)),
+        ("P1+P2+T", add_torsion(E10, P12))]
+
+
+def test_certification_halves_g_plus_t(monkeypatch):
+    """A rank-1 certificate halves G + T too, not only G: with a halving
+    routine that reports only G + T of E9 as halvable, it fails and names
+    the class."""
+    GT = add_torsion(E9, E9.gens[0])
+    monkeypatch.setattr(heights, "halving_candidates",
+                        lambda curve, pt: [pt] if pt == GT else [])
+    with pytest.raises(ArithmeticError, match=r"class G\+T is halvable"):
+        certify_generators(E9)
 
 
 @pytest.mark.parametrize("cid", ["E9", "E10"])
@@ -213,23 +241,19 @@ def test_ranges_at_stopping_m_match_full_depth(cid, e10_certificate):
     assert cert.ranges_decided and cert.doublings == {"E9": 2, "E10": 5}[cid]
     intervals = list(cert.height_intervals.values())
     assert cert.gen_heights == [hi for _, hi in intervals[:curve.rank]]
-    if curve.rank == 1:
-        points, bounds = [curve.gens[0]], heights._rank1_bounds
-    else:
-        P1, P2 = curve.gens
-        points = [P1, P2, add_points(curve, P1, P2)]
-        bounds = heights._rank2_bounds
-        lo, hi = cert.extra["pairing_interval"]
-        assert lo <= hi
+    classes = dict(heights._odd_classes(curve))
+    points = [classes[name] for name in cert.height_intervals]
+    lo, hi = cert.extra.get("pairing_interval", (0, 0))
+    assert lo <= hi
     C, _ = height_diff_bound(cid)
     with mp.workdps(heights.DIGITS + 15):
         for m, iv in height_intervals(curve, points):
             if m == MAX_DOUBLINGS:
                 break
-        caps = [mp.e ** (C + 2 * b) for b in bounds(iv, 1)]
-    assert cert.shapes == heights._ranges(curve, caps[0])
-    if curve.rank == 2:
-        assert cert.extra["shapes2"] == heights._ranges(curve, caps[1])
+        caps = [mp.e ** (C + 2 * b) for b in heights._cap_bounds(iv, 1)]
+    assert len(caps) == curve.rank
+    assert [cert.shapes, cert.extra.get("shapes2")][:len(caps)] == [
+        heights._ranges(curve, cap) for cap in caps]
 
 
 def test_roots_in_field_recovers_minimal_polynomial_roots():

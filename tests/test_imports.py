@@ -1,11 +1,17 @@
-"""Every imported name in `src/`, `tests/` and `scripts/` is used.
+"""Every imported name in `src/`, `tests/` and `scripts/` is used, and
+every top-level definition in `src/lucassq` is read.
 
 An `ast` walk stands in for a linter: a name bound by `import` or
 `from ... import` must be read somewhere in its module, be listed in the
 module's `__all__`, or appear in a string annotation.  `from __future__`
-imports and star imports bind no checked name."""
+imports and star imports bind no checked name.  A top-level function,
+class or constant of the package must be read, as a name or an
+attribute, somewhere in `src/`, `tests/` or `scripts/` outside its own
+definition; dataclass fields are records, not helpers, and are not
+checked."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,11 +33,28 @@ def _imported(tree: ast.Module) -> dict:
     return names
 
 
+def _annotation_names(tree: ast.Module) -> set:
+    """Names read inside the module's string annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            args = node.args
+            annotations += [a.annotation for a in
+                            args.posonlyargs + args.args + args.kwonlyargs
+                            + [args.vararg, args.kwarg] if a is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return {n.id for ann in annotations if ann is not None
+            for c in ast.walk(ann)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            for n in ast.walk(ast.parse(c.value)) if isinstance(n, ast.Name)}
+
+
 def _used(tree: ast.Module) -> set:
     """Names read in the module, named in `__all__`, or read inside a
     string annotation."""
-    used = set()
-    annotations = []
+    used = _annotation_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -42,19 +65,6 @@ def _used(tree: ast.Module) -> set:
                 used.update(c.value for c in ast.walk(node.value)
                             if isinstance(c, ast.Constant)
                             and isinstance(c.value, str))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-            args = node.args
-            annotations += [a.annotation for a in
-                            args.posonlyargs + args.args + args.kwonlyargs
-                            + [args.vararg, args.kwarg] if a is not None]
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-    for ann in annotations:
-        for c in ast.walk(ann) if ann is not None else ():
-            if isinstance(c, ast.Constant) and isinstance(c.value, str):
-                used.update(n.id for n in ast.walk(ast.parse(c.value))
-                            if isinstance(n, ast.Name))
     return used
 
 
@@ -89,3 +99,82 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in files
               for line, name in _unused(p.read_text(encoding="utf-8"))]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _defined(tree: ast.Module) -> list:
+    """(name, node) of every top-level function, class and constant,
+    dunder names aside."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in getattr(node, "targets", None) or [node.target]:
+                out += [(n.id, node) for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is loaded or read as an attribute within the
+    node, or read in one of its string annotations."""
+    return Counter([n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+                   + [n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)]
+                   + list(_annotation_names(node)))
+
+
+def _unread(sources: dict) -> list:
+    """(file, line, name) of the package definitions in `sources` (path ->
+    text, package files under src/lucassq) that no source reads outside
+    the definition itself."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    reads = sum(map(_reads, trees.values()), Counter())
+    return sorted((path, node.lineno, name)
+                  for path, tree in trees.items()
+                  if path.startswith("src/lucassq/")
+                  for name, node in _defined(tree)
+                  if reads[name] == _reads(node)[name])
+
+
+def test_dead_definition_checker():
+    """The checker itself: a definition that is only bound, only named in
+    `__all__` or only read in its own body is flagged; a read by name, by
+    attribute or in a string annotation, from any of the sources, is
+    not."""
+    package = '''
+import dataclasses
+LIMIT = 3
+UNUSED, PAIRED = 1, 2
+_helper = None
+@dataclasses.dataclass
+class Record:
+    field: int = LIMIT
+def dead(): pass
+def recursive(n): return recursive(n - 1) if n else 0
+def used(x: "Record"): return x
+def by_attribute(): pass
+def by_test(): pass
+__all__ = ["dead"]
+'''
+    test = '''
+from lucassq import mod
+mod.by_attribute()
+def test(): by_test(); used(PAIRED)
+'''
+    assert _unread({"src/lucassq/mod.py": package,
+                    "tests/test_mod.py": test}) == [
+        ("src/lucassq/mod.py", 4, "UNUSED"),
+        ("src/lucassq/mod.py", 5, "_helper"),
+        ("src/lucassq/mod.py", 9, "dead"),
+        ("src/lucassq/mod.py", 10, "recursive")]
+
+
+def test_no_dead_definitions():
+    files = sorted(p for d in CHECKED for p in (ROOT / d).rglob("*.py"))
+    unread = _unread({p.relative_to(ROOT).as_posix():
+                      p.read_text(encoding="utf-8") for p in files})
+    assert not unread, "unread definitions:\n" + "\n".join(
+        f"{path}:{line}: {name}" for path, line, name in unread)
