@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``exact``       -- integer/rational square roots, multivariate Poly, resultants
+* ``exact``       -- exact square roots, multivariate Poly, binary-form resultants
 * ``lucas``       -- Lucas sequences, degeneracy classes, square-term scans
 * ``elementary``  -- square criteria and solution families for n = 2..7
 * ``fields``      -- the two quartic fields, their units and ideals

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: perfect-square tests, dense one-variable
-polynomials and series, sparse multivariate polynomials, resultants.
+polynomials and series, sparse multivariate polynomials, and the
+Sylvester resultant of two binary forms.
 
 Everything in this module works over exact coefficient rings (Python ints,
 Fractions, or any object supporting +, -, *, bool).  No floats enter here,
@@ -195,11 +196,6 @@ class Poly:
     def map_coeffs(self, f) -> "Poly":
         return Poly(self.nvars, {e: f(c) for e, c in self.terms.items()})
 
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def coefficient(self, exponents: Sequence[int]):
         return self.terms.get(tuple(exponents), 0)
 
@@ -255,100 +251,19 @@ def _det_fractions(m: list) -> Fraction:
     return det
 
 
-def _lagrange_interpolate(points: list) -> list:
-    """Given [(x_i, y_i)] with distinct rational x_i, return dense
-    coefficient list (low to high) of the unique interpolating polynomial."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (x - x_j), built densely
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= xj * num[k + 1]
-            denom *= xi - xj
-        scale = yi / denom
-        for k in range(len(num)):
-            coeffs[k] += scale * num[k]
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def sylvester_resultant_univariate(f: list, g: list) -> Fraction:
-    """Resultant of two univariate polynomials given as dense coefficient
-    lists (low to high) of Fractions/ints."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    while f and not f[-1]:
-        f.pop()
-    while g and not g[-1]:
-        g.pop()
-    if not f or not g:
-        raise ValueError("resultant of zero polynomial")
+def resultant(f: list, g: list) -> Fraction:
+    """Sylvester resultant of the binary forms sum f[i] x^i y^(m-i) and
+    sum g[i] x^i y^(n-i), with m = len(f) - 1 and n = len(g) - 1.  Zero
+    leading coefficients are kept, not trimmed: the resultant vanishes
+    exactly when the forms share a zero (x : y) over an algebraic closure,
+    (1 : 0) included.  With nonzero leading coefficients it is the
+    resultant of the polynomials f and g in x."""
     m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    mat = [[Fraction(0)] * (m + n) for _ in range(m + n)]
     for i in range(n):
         for j, c in enumerate(reversed(f)):
-            mat[i][i + j] = c
+            mat[i][i + j] = Fraction(c)
     for i in range(m):
         for j, c in enumerate(reversed(g)):
-            mat[n + i][i + j] = c
+            mat[n + i][i + j] = Fraction(c)
     return _det_fractions(mat)
-
-
-def resultant(p: Poly, q: Poly, eliminate: int) -> Poly:
-    """Resultant of two bivariate polynomials with respect to variable
-    `eliminate`, returned as a univariate Poly (nvars=1) in the other
-    variable.  Coefficients must be rational.
-
-    Uses evaluation at rational points plus Lagrange interpolation, which
-    sidesteps Gaussian elimination over a polynomial entry ring.
-    """
-    if p.nvars != 2 or q.nvars != 2:
-        raise ValueError("resultant() expects bivariate polynomials")
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of zero polynomial")
-    other = 1 - eliminate
-    dp, dq = p.degree_in(eliminate), q.degree_in(eliminate)
-    # Degree bound of the resultant in the surviving variable.
-    bound = dp * q.degree_in(other) + dq * p.degree_in(other)
-    if dp == 0 or dq == 0:
-        # Degenerate: one input is constant in the eliminated variable.
-        const, power = (p, dq) if dp == 0 else (q, dp)
-        return Poly(1, {(e[other],): c
-                        for e, c in (const ** power).terms.items()})
-    samples = []
-    t = 0
-    while len(samples) < bound + 1:
-        point = Fraction(t)
-        fc = _specialize(p, other, point, eliminate)
-        gc = _specialize(q, other, point, eliminate)
-        # Leading-coefficient vanishing at the sample point would change the
-        # Sylvester matrix dimensions; skip such points.
-        if len(fc) - 1 != dp or len(gc) - 1 != dq or not fc[-1] or not gc[-1]:
-            t = -t if t > 0 else -t + 1
-            continue
-        samples.append((point, sylvester_resultant_univariate(fc, gc)))
-        t = -t if t > 0 else -t + 1
-    coeffs = _lagrange_interpolate(samples)
-    return Poly(1, {(k,): c for k, c in enumerate(coeffs) if c})
-
-
-def _specialize(p: Poly, var: int, value: Fraction, keep: int) -> list:
-    """Substitute value for variable `var`; return dense coefficient list
-    in variable `keep`."""
-    d = p.degree_in(keep)
-    out = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        out[e[keep]] += Fraction(c) * value ** e[var]
-    return out

@@ -24,10 +24,6 @@ class LucasParams:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"parameters not coprime: ({self.p}, {self.q})")
 
-    @property
-    def discriminant(self) -> int:
-        return self.p * self.p - 4 * self.q
-
 
 class Degeneracy(Enum):
     """Degenerate parameter pairs, where P^2/Q is 0, 1, 2, 3 or 4 and the

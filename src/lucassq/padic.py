@@ -309,46 +309,23 @@ def build_skolem_system(f1: Poly, f2: Poly) -> SkolemSystem:
 def skolem_check(system: SkolemSystem) -> dict:
     """Decide whether the only 3-adic solution of F1 = F2 = 0 is zero.
 
-    Linear lowest parts: determinant mod 3.  Otherwise eliminate by
-    resultants to get H_r(x_r) whose only root mod 3 must be 0.
+    The lowest parts are binary forms mod 3, and zero is the only solution
+    when they share no zero over the algebraic closure of F_3, that is when
+    their resultant is nonzero mod 3.  For linear parts a11 n1 + a12 n2 and
+    a21 n1 + a22 n2 the resultant is the determinant a11 a22 - a12 a21.
     """
-    f01, f02 = system.lowest1, system.lowest2
-    if system.d1 == 1 and system.d2 == 1:
-        a11 = f01.coefficient((1, 0))
-        a12 = f01.coefficient((0, 1))
-        a21 = f02.coefficient((1, 0))
-        a22 = f02.coefficient((0, 1))
-        det = (a11 * a22 - a12 * a21) % P3
-        return {"kind": "linear", "det_mod_3": det,
-                "unique": det != 0}
-    hs = []
-    for r in (0, 1):
-        other = 1 - r
-        if all(e[other] == 0 for e in f01.terms):
-            h = Poly(1, {(e[r],): c for e, c in f01.terms.items()})
-        elif all(e[other] == 0 for e in f02.terms):
-            h = Poly(1, {(e[r],): c for e, c in f02.terms.items()})
-        else:
-            q1 = f01.map_coeffs(Fraction)
-            q2 = f02.map_coeffs(Fraction)
-            h = resultant(q1, q2, eliminate=other)
-            h = h.map_coeffs(lambda c: int(c))
-        hs.append(h)
-    unique = True
-    for h in hs:
-        hm = poly_mod(h, P3)
-        if hm.is_zero():
-            return {"kind": "resultant", "unique": False,
-                    "reason": "H vanishes mod 3"}
-        for x in (1, 2):
-            if sum(c * pow(x, e[0], P3) for e, c in hm.terms.items()) % P3 == 0:
-                unique = False
-    return {"kind": "resultant", "unique": unique,
-            "H1": hs[0], "H2": hs[1]}
+    forms = [[low.coefficient((i, d - i)) for i in range(d + 1)]
+             for low, d in ((system.lowest1, system.d1),
+                            (system.lowest2, system.d2))]
+    res = int(resultant(*forms))
+    return {"kind": "linear" if system.d1 == system.d2 == 1 else "resultant",
+            "resultant": res, "unique": res % P3 != 0}
 
 
 def poly_shift(poly: Poly, shifts: tuple) -> Poly:
     """Substitute x_i -> x_i + shifts[i]."""
+    if not any(shifts):
+        return poly
     n = poly.nvars
     vars_shifted = [Poly.variable(i, n) + Poly.constant(n, shifts[i])
                     for i in range(n)]
@@ -507,12 +484,11 @@ def _skolem_coset(components: list, roots: list, k: int) -> tuple:
     if len(roots) != 1:
         raise PrecisionError(f"{len(roots)} candidate roots")
     root = roots[0]
+    shifted = [poly_mod(poly_shift(c, root), P3 ** k)
+               for c in components if not c.is_zero()]
     last = None
-    for f1, f2 in itertools.permutations(
-            [c for c in components if not c.is_zero()], 2):
-        f1 = poly_mod(poly_shift(f1, root), P3 ** k)
-        f2 = poly_mod(poly_shift(f2, root), P3 ** k)
-        (f1, f2), _ = divide_out_3([f1, f2], k)
+    for pair in itertools.combinations(shifted, 2):
+        (f1, f2), _ = divide_out_3(list(pair), k)
         try:
             system = build_skolem_system(f1, f2)
         except ValueError as exc:

@@ -175,7 +175,7 @@ def test_criterion_8_skolem_cases(e10_kernel):
     comps = coset_comps(2)
     system, res = _skolem_system(comps[2], comps[1], (0, 0))
     assert res["unique"] and res["kind"] == "linear"
-    assert res["det_mod_3"] == 2
+    assert res["resultant"] % 3 == 2
     assert system.lowest1.terms == {(1, 0): 2}
     assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}
     _brute_force_origin_only(system)
@@ -184,18 +184,20 @@ def test_criterion_8_skolem_cases(e10_kernel):
     comps = coset_comps(10)
     system, res = _skolem_system(comps[2], comps[1], (2, -1))
     assert res["unique"] and res["kind"] == "linear"
-    assert res["det_mod_3"] == 2
+    assert res["resultant"] % 3 == 2
     assert system.lowest1.terms == {(1, 0): 2}
     assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}
     _brute_force_origin_only(system)
 
-    # Case 2: the identity coset, H1 = 2 n1^2 and H2 = 16 n2^4
+    # Case 2: the identity coset, H1 = 2 n1^2 is the first lowest part and
+    # H2 = 16 n2^4 is the resultant 16 of the two
     inv = inverse_beta_x_series(E10, order=6, pack=pack)
     comps = theta_components(inv, zpoly, 5)[1:]
     system, res = _skolem_system(comps[2], comps[0], (0, 0))
     assert res["unique"] and res["kind"] == "resultant"
-    assert res["H1"].terms == {(2,): 2}
-    assert res["H2"].terms == {(4,): 16}
+    assert system.lowest1.terms == {(2, 0): 2}
+    assert system.lowest2.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
+    assert res["resultant"] == 16
     _brute_force_origin_only(system)
 
 

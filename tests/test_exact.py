@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from lucassq.exact import (Poly, is_perfect_square, perfect_square_root,
                            poly_add, poly_diff, poly_eval, poly_mul,
-                           poly_scale, resultant,
-                           sylvester_resultant_univariate)
+                           poly_scale, resultant)
 
 
 def test_perfect_square_root_small():
@@ -62,7 +61,8 @@ coeff_lists = st.lists(st.fractions(min_value=-20, max_value=20,
 
 def _dense(p):
     """The univariate Poly as a dense list, trailing zeros dropped."""
-    return [p.coefficient((i,)) for i in range(p.degree_in(0) + 1)]
+    top = max((e[0] for e in p.terms), default=-1)
+    return [p.coefficient((i,)) for i in range(top + 1)]
 
 
 def _trim(cs):
@@ -122,19 +122,29 @@ def test_sylvester_resultant_common_root():
     # (x-2)(x-3) and (x-2)(x+1) share the root 2
     f = [Fraction(6), Fraction(-5), Fraction(1)]
     g = [Fraction(-2), Fraction(-1), Fraction(1)]
-    assert sylvester_resultant_univariate(f, g) == 0
+    assert resultant(f, g) == 0
 
 
 def test_sylvester_resultant_coprime():
     f = [Fraction(1), Fraction(0), Fraction(1)]     # x^2 + 1
     g = [Fraction(-1), Fraction(1)]                  # x - 1
-    assert sylvester_resultant_univariate(g, f) != 0
+    assert resultant(g, f) == 2
 
 
 def test_bivariate_resultant_eliminates():
-    # res_x(2x^2, x^2 + xy + 2y^2) = 16 y^4, the paper-style elimination
-    f = Poly(2, {(2, 0): Fraction(2)})
-    g = Poly(2, {(2, 0): Fraction(1), (1, 1): Fraction(1),
-                 (0, 2): Fraction(2)})
-    h = resultant(f, g, eliminate=0)
-    assert h.terms == {(4,): Fraction(16)}
+    """Eliminating x from 2 x^2 and x^2 + x y + 2 y^2 leaves 16 y^4, the
+    paper's H2 = 16 n2^4 of the identity coset of E10: the resultant of
+    the two forms is 16."""
+    assert resultant([0, 0, 2], [2, 1, 1]) == 16
+    assert resultant([2, 1, 1], [0, 0, 2]) == 16
+
+
+def test_sylvester_resultant_keeps_zero_leading_coefficients():
+    """y^2 and x y share the zero (1 : 0), so their resultant is 0; with
+    the leading zeros trimmed, 1 and x would give 1.  For linear forms
+    a11 x + a12 y, a21 x + a22 y it is the determinant a11 a22 - a12 a21:
+    2 for (2 x, x + y), the paper's linear Skolem cases, and -1 for
+    (y, x + y)."""
+    assert resultant([1, 0, 0], [0, 1, 0]) == 0
+    assert resultant([0, 2], [1, 1]) == 2
+    assert resultant([1, 0], [1, 1]) == -1

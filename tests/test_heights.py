@@ -15,7 +15,7 @@ import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             add_torsion, scalar_mul)
-from lucassq.exact import poly_diff, sylvester_resultant_univariate
+from lucassq.exact import poly_diff, resultant
 from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
                              _charpoly_fractions, _classify, _classify_table,
@@ -378,7 +378,7 @@ def test_discriminant_formula():
             discs = heights._discriminant(rows * mult, den)
             for row, disc in zip(rows, discs):
                 g = heights._row_poly(shape, row)
-                res = sylvester_resultant_univariate(g, poly_diff(g))
+                res = resultant(g, poly_diff(g))
                 assert (res == 0) == (disc == 0), (shape.tag, row)
 
 

@@ -5,10 +5,10 @@ An `ast` walk stands in for a linter: a name bound by `import` or
 `from ... import` must be read somewhere in its module, be listed in the
 module's `__all__`, or appear in a string annotation.  `from __future__`
 imports and star imports bind no checked name.  A top-level function,
-class or constant of the package must be read, as a name or an
-attribute, somewhere in `src/`, `tests/` or `scripts/` outside its own
-definition; dataclass fields are records, not helpers, and are not
-checked."""
+class or constant of the package, and a public method or property of a
+top-level class, must be read, as a name or an attribute, somewhere in
+`src/`, `tests/` or `scripts/` outside its own definition; dataclass
+fields are records, not helpers, and are not checked."""
 
 import ast
 from collections import Counter
@@ -103,12 +103,17 @@ def test_no_unused_imports():
 
 def _defined(tree: ast.Module) -> list:
     """(name, node) of every top-level function, class and constant,
-    dunder names aside."""
+    dunder names aside, and of every public method and property of a
+    top-level class."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.name, m) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_")]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for t in getattr(node, "targets", None) or [node.target]:
                 out += [(n.id, node) for n in ast.walk(t)
@@ -141,9 +146,10 @@ def _unread(sources: dict) -> list:
 
 def test_dead_definition_checker():
     """The checker itself: a definition that is only bound, only named in
-    `__all__` or only read in its own body is flagged; a read by name, by
-    attribute or in a string annotation, from any of the sources, is
-    not."""
+    `__all__` or only read in its own body is flagged, public methods and
+    properties included; a read by name, by attribute or in a string
+    annotation, from any of the sources, is not.  Dunder and private
+    methods are not checked."""
     package = '''
 import dataclasses
 LIMIT = 3
@@ -152,6 +158,12 @@ _helper = None
 @dataclasses.dataclass
 class Record:
     field: int = LIMIT
+    def __len__(self): return 0
+    def _private(self): pass
+    def read(self): return self.field
+    def unread(self): pass
+    @property
+    def unread_property(self): return self.read()
 def dead(): pass
 def recursive(n): return recursive(n - 1) if n else 0
 def used(x: "Record"): return x
@@ -168,8 +180,10 @@ def test(): by_test(); used(PAIRED)
                     "tests/test_mod.py": test}) == [
         ("src/lucassq/mod.py", 4, "UNUSED"),
         ("src/lucassq/mod.py", 5, "_helper"),
-        ("src/lucassq/mod.py", 9, "dead"),
-        ("src/lucassq/mod.py", 10, "recursive")]
+        ("src/lucassq/mod.py", 12, "unread"),
+        ("src/lucassq/mod.py", 14, "unread_property"),
+        ("src/lucassq/mod.py", 15, "dead"),
+        ("src/lucassq/mod.py", 16, "recursive")]
 
 
 def test_no_dead_definitions():

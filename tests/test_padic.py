@@ -2,14 +2,15 @@
 Strassman/Skolem machinery on the rank-2 curve."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from lucassq import padic
-from lucassq.curves import (CURVE_BY_ID, INFINITY, CurvePoint, add_points,
-                            add_points_mod, add_torsion, condition_value,
-                            good_reduction, scalar_mul)
+from lucassq.curves import (CURVE_BY_ID, CURVES, INFINITY, CurvePoint,
+                            add_points, add_points_mod, add_torsion,
+                            condition_value, good_reduction, scalar_mul)
 from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
 from lucassq.fields import K2, residue, split_prime
 from lucassq.padic import (PrecisionError, _excluded_mod_3, _in_kernel,
@@ -76,7 +77,7 @@ def _scan(curve):
     return _scan_condition_points(curve, kernel_basis(curve)[0])
 
 
-RANK1 = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "E12"]
+RANK1 = [c.id for c in CURVES if c.rank == 1]
 # the (m, eps) with m > 0 whose condition value is rational; the scan
 # records each at -m too
 SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
@@ -178,9 +179,8 @@ def test_early_mod3_verdict_matches_full_theta(k):
     in the kernel, the verdict read from beta X(base) + gamma equals
     `lift_roots` on the fully expanded theta components: no zero mod 3."""
     total = excluded = 0
-    for cid in RANK1 + ["E10"]:
-        curve = CURVE_BY_ID[cid]
-        rank = len(curve.gens)
+    for curve in CURVES:
+        cid, rank = curve.id, curve.rank
         mults, basis = kernel_basis(curve)
         N = len(mults) - 1
         pack = derive_formal_series(curve, k + 5)
@@ -403,11 +403,12 @@ def _brute_force_only_origin(system):
 
 
 def test_skolem_case_1_1(e10_kernel):
-    """Coset of 2 P2: linear lowest parts (2 n1, n1 + n2), det = 2 mod 3."""
+    """Coset of 2 P2: linear lowest parts (2 n1, n1 + n2), whose resultant
+    is the determinant 2, nonzero mod 3."""
     comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 2, 0))
     system, res = _system_for(comps[2], comps[1], (0, 0))
     assert res["unique"]
-    assert res["kind"] == "linear" and res["det_mod_3"] == 2
+    assert res["kind"] == "linear" and res["resultant"] % 3 == 2
     assert system.lowest1.terms == {(1, 0): 2}            # 2 n1
     assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}  # n1 + n2
     _brute_force_only_origin(system)
@@ -419,15 +420,16 @@ def test_skolem_case_1_2(e10_kernel):
     comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 10, 0))
     system, res = _system_for(comps[2], comps[1], (2, -1))
     assert res["unique"]
-    assert res["kind"] == "linear" and res["det_mod_3"] == 2
+    assert res["kind"] == "linear" and res["resultant"] % 3 == 2
     assert system.lowest1.terms == {(1, 0): 2}            # 2 x1
     assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}  # x1 + x2
     _brute_force_only_origin(system)
 
 
 def test_skolem_case_2(e10_kernel):
-    """Identity coset: quadratic lowest parts with elimination polynomials
-    H1 = 2 n1^2 and H2 = 16 n2^4."""
+    """Identity coset: quadratic lowest parts 2 n1^2, which is the paper's
+    elimination polynomial H1, and n1^2 + n1 n2 + 2 n2^2; their resultant
+    16 is the coefficient of H2 = 16 n2^4."""
     inv = inverse_beta_x_series(E10, order=K + 1, pack=e10_kernel.pack)
     comps = theta_components(inv, e10_kernel.zpoly, K)[1:]
     system, res = _system_for(comps[2], comps[0], (0, 0))
@@ -435,9 +437,47 @@ def test_skolem_case_2(e10_kernel):
     assert res["kind"] == "resultant"
     assert system.lowest1.terms == {(2, 0): 2}                       # 2 n1^2
     assert system.lowest2.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
-    assert res["H1"].terms == {(2,): 2}                              # 2 n1^2
-    assert res["H2"].terms == {(4,): 16}                             # 16 n2^4
+    assert res["resultant"] == 16                                    # H2
     _brute_force_only_origin(system)
+
+
+def _trim_mod3(cs):
+    cs = [c % 3 for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _gcd_degree_mod3(a, b):
+    """The degree of gcd(a, b) over F_3, for coefficient lists (low to
+    high) not both zero, by Euclid's algorithm."""
+    a, b = _trim_mod3(a), _trim_mod3(b)
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] * b[-1], len(a) - len(b)    # 1/b[-1] = b[-1]
+            a = _trim_mod3([c - q * b[i - shift] if i >= shift else c
+                            for i, c in enumerate(a)])
+        a, b = b, a
+    return len(a) - 1
+
+
+def test_skolem_check_is_coprimality_of_forms_mod_3():
+    """For every pair of nonzero binary forms mod 3 of degree 1 to 3, the
+    origin is certified unique exactly when the forms share no factor over
+    F_3: when the dehomogenized forms are coprime and do not both vanish
+    at (1 : 0)."""
+    forms = [cs for d in range(1, 4)
+             for cs in itertools.product(range(3), repeat=d + 1) if any(cs)]
+    assert len(forms) == 114
+    polys = [Poly(2, {(i, len(cs) - 1 - i): c for i, c in enumerate(cs)})
+             for cs in forms]
+    outcomes = set()
+    for (a, f), (b, g) in itertools.product(zip(forms, polys), repeat=2):
+        shared = _gcd_degree_mod3(a, b) > 0 or not (a[-1] or b[-1])
+        unique = skolem_check(build_skolem_system(f, g))["unique"]
+        assert unique != shared, (a, b)
+        outcomes.add(unique)
+    assert outcomes == {True, False}
 
 
 def test_three_is_inert():
