@@ -9,7 +9,7 @@ both ends agree (`height_intervals`, `certify_generators`).  C is built
 from an epsilon at each place (Silverman, Math. Comp. 55, 1990): at the
 real places and the complex pair, the inverse of the least value of the
 objective over a finite candidate set; at pi in K2, 2^(v/4) for the largest
-valuation v of g over O_K2 mod 8, read from norms.  They are mpf values
+valuation v of g over O_K2 mod 4, read from norms.  They are mpf values
 with guard digits, not enclosures.
 
 The box search (`_search_box`) streams each box in int64 blocks through a
@@ -17,7 +17,8 @@ sieve at primes that split completely in the field and rebuilds the roots
 of the surviving rows by Hensel lifting.  `roots_in_field`, behind point
 lifting, square roots and halving, finds the roots in the field of any
 polynomial over it through the same maps to F_p and the same lifting, so
-no floating point enters the box search, lifting or halving.
+no floating point enters the box search, lifting or halving; `field_sqrt`
+first rejects most non-squares by Euler's criterion at those maps.
 
 `certify_generators` checks E(K) = <gens> + {O, T} on one path for every
 rank: no nonzero class of <gens, T> mod 2 halves, which rules out an even
@@ -179,16 +180,19 @@ def _real_roots(coeffs):
 
 @lru_cache(maxsize=None)
 def epsilon_nonarchimedean(curve: CurveInstance) -> mp.mpf:
-    """epsilon_pi for K2 curves: scan O_K2 mod 8 = pi^12 (coordinates in
-    [0, 8) over `order_basis`) for the largest valuation v at pi of
-    g(x) = (x^2 - B)^2; epsilon = 2^(v/4).  A scan that reaches v >= 12, or
-    g = 0, gives no bound and raises.  K1 curves have mu = 0 at the finite
-    place and contribute nothing.  Computed once per curve."""
+    """epsilon_pi for K2 curves: 2^(v/4) for the largest valuation v at pi
+    of g(x) = (x^2 - B)^2 over O_K2, by a scan of O_K2 mod 4 = pi^8
+    (coordinates in [0, 4) over `order_basis`).  If x = x' mod pi^8, then
+    x^2 - x'^2 = (x - x')(x + x') has valuation >= 8, so v_pi(x^2 - B) is
+    the same on the whole class when it is below 8 at one element; the
+    scan raises at v >= 12, v_pi >= 6, or at g = 0: no bound.  K1 curves
+    have mu = 0 at the finite place and contribute nothing.  Computed once
+    per curve."""
     if curve.field.id != "K2":
         return mp.mpf(1)
     vmax = 0
     basis = [K2.element(*row) for row in K2.order_basis]
-    for cs in itertools.product(range(8), repeat=4):
+    for cs in itertools.product(range(4), repeat=4):
         w = sum(c * e for c, e in zip(cs, basis)) ** 2 - curve.b
         if not w:
             raise ArithmeticError("g vanishes in O_K2; no bound")
@@ -629,9 +633,19 @@ def roots_in_field(fld, coeffs) -> list:
 
 
 def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
-    """Exact square root of w in the field, if one exists."""
+    """Exact square root of w in the field, if one exists.
+
+    Euler's criterion first: if w = y^2 and w is integral at a map
+    alpha -> a of a split prime p, then so is y, and residue(y)^2 =
+    residue(w).  So w is no square when, at some map of the first
+    SIEVE_PRIMES split primes, its residue is a nonzero non-residue mod p;
+    `roots_in_field` decides the rest."""
     if not w:
         return fld.zero()
+    for p, maps in (split_prime(fld, i) for i in range(SIEVE_PRIMES)):
+        if any(r and pow(r, (p - 1) // 2, p) == p - 1
+               for r in (residue(w, p, a) for a in maps)):
+            return None
     roots = roots_in_field(fld, [-w, 0, 1])
     return roots[0] if roots else None
 
@@ -757,22 +771,23 @@ def _classify_table(p: int, d: int) -> np.ndarray:
     table = np.zeros(p ** d, dtype=np.int8)
     if d >= 2:
         linear = monic(-np.arange(p, dtype=np.int64).reshape(-1, 1) % p)
-        square = _poly_mul_mod(linear, linear, p)
         cofactors = (monic(tuples(itertools.product(range(p), repeat=2), 2))
                      if d == 4 else np.ones((1, 1), dtype=np.int64))
-        # unnamed, so freed before the split products: building this
-        # table is the memory peak of a certification
-        table[_table_index(_poly_mul_mod(
-            np.repeat(square, len(cofactors), axis=0),
-            np.tile(cofactors, (p, 1)), p)[:, 1:], p)] = REPEATED
+        # one squared factor, then 4,096 split products, at a time: built at
+        # once, the table took 14 MiB, the memory peak of a certification
+        for square in _poly_mul_mod(linear, linear, p):
+            table[_table_index(_poly_mul_mod(
+                np.tile(square, (len(cofactors), 1)), cofactors, p)[:, 1:],
+                p)] = REPEATED
         if d == 4:
             squares = _poly_mul_mod(cofactors, cofactors, p)
             table[_table_index(squares[:, 1:], p)] = REPEATED
-    roots = tuples(itertools.combinations(range(p), d), d)
-    split = np.ones((len(roots), 1), dtype=np.int64)
-    for k in range(d):
-        split = _poly_mul_mod(split, monic(-roots[:, k:k + 1] % p), p)
-    table[_table_index(split[:, 1:], p)] = SPLIT
+    combos = itertools.combinations(range(p), d)
+    while len(roots := tuples(itertools.islice(combos, 1 << 12), d)):
+        split = np.ones((len(roots), 1), dtype=np.int64)
+        for k in range(d):
+            split = _poly_mul_mod(split, monic(-roots[:, k:k + 1] % p), p)
+        table[_table_index(split[:, 1:], p)] = SPLIT
     return table
 
 
@@ -841,8 +856,8 @@ def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> np.ndarray:
 
 
 def _box_elements(fld, shape: CandidateShape, B) -> list:
-    """Every x in the field whose minimal polynomial is a row of the shape's
-    box (see `_search_box`)."""
+    """(row, x) for every x in the field whose minimal polynomial is a row
+    of the shape's box (see `_search_box`)."""
     mult, den = _shape_fractions(shape)
     rows, first = [], []
     for block in _shape_rows(shape, B):
@@ -874,7 +889,7 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
             for _ in range(4 // len(mult)):
                 want = poly_mul(want, poly)
             if _charpoly_fractions(x) == want:   # so poly is its minimal polynomial
-                found.append(x)
+                found.append((group[r], x))
     return found
 
 
@@ -887,7 +902,9 @@ def _row_poly(shape: CandidateShape, row) -> list:
 def _search_box(curve: CurveInstance, B) -> list:
     """The X-coordinates of the points of the curve whose minimal polynomial
     is a row of the box, for cap B, of a candidate shape of its degree:
-    {x in K : minpoly(x) is such a row, and x lifts to a point}.
+    {x in K : minpoly(x) is such a row, and x lifts to a point}, as
+    (shape tag, row, x) by shape, then by the first split prime at which
+    the row splits, then by row: an order that does not depend on B.
 
     Sieve.  Each shape's rows are streamed in int64 blocks and tested at
     the first SIEVE_PRIMES split primes p (`split_prime`).  A row g of
@@ -907,12 +924,9 @@ def _search_box(curve: CurveInstance, B) -> list:
     the bound are kept when the characteristic polynomial of the element
     is exactly g^(4/d), which makes g its minimal polynomial.  A row with
     exact discriminant 0 is no minimal polynomial.  No float is used."""
-    survivors = []
-    for shape in candidate_shapes(curve):
-        for x in _box_elements(curve.field, shape, B):
-            if lift_x_to_point(curve, x) is not None:
-                survivors.append(x)
-    return survivors
+    return [(shape.tag, row, x) for shape in candidate_shapes(curve)
+            for row, x in _box_elements(curve.field, shape, B)
+            if lift_x_to_point(curve, x) is not None]
 
 
 def _labels(curve: CurveInstance) -> list:
@@ -935,10 +949,13 @@ def _names_for_survivors(curve: CurveInstance, survivors):
                   if not p.at_infinity and p.x == x), None) for x in survivors]
 
 
-def _named_survivors(curve: CurveInstance, B, what: str) -> tuple:
-    """The box survivors for cap B and their names; raise if one of them
-    is not a small combination of the generators and torsion."""
-    survivors = _search_box(curve, B)
+def _named_survivors(curve: CurveInstance, box: list, B, what: str) -> tuple:
+    """The survivors for cap B, kept from box, the `_search_box` of a cap
+    >= B, by their rows (`shape_ranges` grows with the cap), and their
+    names; raise if one of them is not a small combination of the
+    generators and torsion."""
+    ranges = dict(_ranges(curve, B))
+    survivors = [x for tag, row, x in box if (abs(row) <= ranges[tag]).all()]
     names = _names_for_survivors(curve, survivors)
     if None in names:
         bad = survivors[names.index(None)]
@@ -1014,7 +1031,8 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
     point in the boxes of the caps, enumerated once the hhat intervals of
     the sums of generators decide their ranges, is a small combination of
     the generators and T (no odd index >= 3).  The first cap fills the
-    top-level fields and a second (rank 2) fills `extra`."""
+    top-level fields and a second (rank 2) fills `extra`; one enumeration
+    at the larger cap serves both."""
     with mp.workdps(DIGITS + 15):
         C, eps = height_diff_bound(curve.id)
         eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
@@ -1029,8 +1047,9 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
         names, points = zip(*classes[:2 ** curve.rank - 1])
         m, iv, bounds, decided = _decided_caps(curve, points)
         caps = [mp.e ** (C + 2 * b) for b in bounds]
+        box = _search_box(curve, max(caps))
         (survivors, survivor_names), *more = [
-            _named_survivors(curve, cap, what) for cap, what in
+            _named_survivors(curve, box, cap, what) for cap, what in
             zip(caps, ("certification", "second enumeration"))]
         cert = HeightCertificate(
             curve.id, eps_dict, float(C), float(height_upper_bound(curve.id)),

@@ -327,13 +327,18 @@ def poly_shift(poly: Poly, shifts: tuple) -> Poly:
     if not any(shifts):
         return poly
     n = poly.nvars
-    vars_shifted = [Poly.variable(i, n) + Poly.constant(n, shifts[i])
-                    for i in range(n)]
+    powers = []       # powers[i][p] = (x_i + shifts[i])^p, built once
+    for i in range(n):
+        step = Poly.variable(i, n) + Poly.constant(n, shifts[i])
+        powers.append([Poly.constant(n, 1)])
+        for _ in range(max((e[i] for e in poly.terms), default=0)):
+            powers[i].append(powers[i][-1] * step)
     out = Poly(n)
     for e, c in poly.terms.items():
         term = Poly.constant(n, c)
         for i, p in enumerate(e):
-            term = term * vars_shifted[i] ** p
+            if p:
+                term = term * powers[i][p]
         out = out + term
     return out
 

@@ -3,6 +3,7 @@ enumeration/lifting toolkit."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -49,9 +50,44 @@ def test_epsilon_nonarchimedean():
                            rel_eps=mp.mpf(10) ** -(heights.DIGITS + 10))
 
 
+def _order_k2(cs):
+    """The element of O_K2 with coordinates cs over `order_basis`."""
+    return sum(c * K2.element(*row) for c, row in zip(cs, K2.order_basis))
+
+
+@pytest.mark.parametrize("curve", [c for c in CURVES if c.field is K2],
+                         ids=lambda c: c.id)
+def test_epsilon_nonarchimedean_matches_mod_8_scan(curve):
+    """The O_K2 mod 4 scan gives the epsilon of a scan of O_K2 mod 8 =
+    pi^12, the largest 2 v_pi(x^2 - B) over its 4,096 elements."""
+    vs = [2 * two_adic_valuation(_order_k2(cs) ** 2 - curve.b)
+          for cs in itertools.product(range(8), repeat=4)]
+    assert max(vs) < 12
+    with mp.workdps(heights.DIGITS + 15):
+        assert epsilon_nonarchimedean(curve) == mp.mpf(2) ** Fraction(max(vs), 4)
+
+
+@given(st.sampled_from([c.b for c in CURVES if c.field is K2]),
+       *(st.tuples(*(st.integers(-40, 40) for _ in range(4)))
+         for _ in range(2)))
+@settings(max_examples=200, deadline=None)
+def test_pi_adic_valuation_of_x2_minus_b_is_fixed_mod_4(b, xs, ds):
+    """v_pi(x^2 - B) and v_pi((x + 4d)^2 - B) agree when either is below 6,
+    for x and d in O_K2: (x + 4d)^2 - x^2 = 4d(2x + 4d) has valuation >= 8,
+    so the O_K2 mod 4 scan of `epsilon_nonarchimedean` sees every
+    valuation below 6 and every class that reaches 6."""
+    def v(w):
+        return two_adic_valuation(w) if w else 99
+
+    x = _order_k2(xs)
+    v1, v2 = v(x * x - b), v((x + 4 * _order_k2(ds)) ** 2 - b)
+    assert v1 == v2 or min(v1, v2) >= 6
+
+
 def test_two_adic_valuation_matches_division_by_pi():
-    """On the 4,096 elements w = x^2 - B of E10's scan, v_2(N(w)) is the
-    number of exact divisions by pi that stay in the maximal order."""
+    """On the 4,096 elements w = x^2 - B of E10, x in O_K2 mod 8, v_2(N(w))
+    is the number of exact divisions by pi that stay in the maximal
+    order."""
     basis = [K2.element(*row) for row in K2.order_basis]
     pi_inv = PI.inv()
     for cs in itertools.product(range(8), repeat=4):
@@ -363,6 +399,13 @@ def test_classify_table_matches_evaluation():
             table = _classify_table(p, d)
             assert (table[heights._table_index(polys, p)]
                     == _classify(polys, p)).all(), (p, d)
+    # at the first sieve prime, 41, the split products take 25 chunks: all
+    # C(41, 4) split quartics are found, and the p^3 with a repeated root
+    table = _classify_table(41, 4)
+    assert (table == heights.SPLIT).sum() == math.comb(41, 4)
+    assert (table == heights.REPEATED).sum() == 41 ** 3
+    polys = np.random.default_rng(0).integers(0, 41, (20000, 4))
+    assert (table[heights._table_index(polys, 41)] == _classify(polys, 41)).all()
     # (X - 1)^2 (X^2 + 1) and (X^2 + 2)^2 mod 7 are REPEATED, X^4 - 1 is 0
     c = np.array([[5, 2, 5, 1], [0, 4, 0, 4], [0, 0, 0, 6]])
     assert list(_classify(c, 7)) == [heights.REPEATED, heights.REPEATED, 0]
@@ -435,6 +478,65 @@ def _check_keep_and_reconstruct(x, late=False):
 def test_field_sqrt_recovers_squares(fld, cs):
     x = fld.element(*cs)
     assert field_sqrt(fld, x * x) in (x, -x)
+
+
+@given(fields, rationals, st.sampled_from(["square", "any", "split"]),
+       st.integers(0, SIEVE_PRIMES + 1))
+@settings(max_examples=120, deadline=None)
+@example(K2, (1, 0, 1, 0), "any", 0)            # 1 + phi^2, no square
+@example(K1, (3, 0, 0, 0), "split", 0)
+def test_field_sqrt_euler_check_agrees_with_roots(fld, cs, kind, i):
+    """Euler's criterion in field_sqrt rejects only non-squares: it returns
+    None exactly when roots_in_field finds no root of X^2 - w, for squares,
+    for any w, and for w whose denominator a split prime divides."""
+    x = fld.element(*cs)
+    p = split_prime(fld, i)[0]
+    w = {"square": x * x, "any": x, "split": x * x / p + x}[kind]
+    assert (field_sqrt(fld, w) is None) == (
+        roots_in_field(fld, [-w, 0, 1]) == [])
+
+
+def test_certify_e10_calls_roots_in_field_rarely(monkeypatch):
+    """Euler's criterion and one enumeration of the box, at the larger of
+    the two caps, leave under twenty root searches in E10's certification
+    (515 without them)."""
+    roots, caps = [], []
+    search, box = heights.roots_in_field, heights._search_box
+    monkeypatch.setattr(heights, "roots_in_field",
+                        lambda *args: roots.append(args) or search(*args))
+    monkeypatch.setattr(heights, "_search_box",
+                        lambda curve, cap: caps.append(cap) or box(curve, cap))
+    cert = certify_generators(E10)
+    assert cert.conclusion == "generators"
+    assert 0 < len(roots) <= 20
+    assert [float(cap) for cap in caps] == [max(cert.cap_b, cert.extra["cap2"])]
+
+
+def test_smaller_cap_survivors_filtered_from_larger_box():
+    """The survivors of a smaller cap, kept from the box of a larger one by
+    their rows, are those of its own enumeration, in the same order."""
+    box = heights._search_box(E10, 2.5)
+    assert len(box) == 11
+    sizes = []
+    for cap in (1.2, 1.5, 1.8):
+        kept, _ = heights._named_survivors(E10, box, cap, "test")
+        assert kept == [x for *_, x in heights._search_box(E10, cap)]
+        sizes.append(len(kept))
+    assert sizes == [5, 6, 8]
+
+
+@pytest.mark.parametrize("cid", ["E9", "E5"])
+def test_certification_rejects_three_times_the_generator(cid):
+    """With 3G in place of the generator no class halves, so only the box
+    can catch the odd index: it holds G and G + T, which are no small
+    combinations of 3G and T."""
+    curve = CURVE_BY_ID[cid]
+    G = curve.gens[0]
+    bad = dataclasses.replace(curve, gens=(scalar_mul(curve, 3, G),))
+    with pytest.raises(ArithmeticError, match="unexplained point") as err:
+        certify_generators(bad)
+    assert any(str(p.x.coords) in str(err.value)
+               for p in (G, add_torsion(curve, G)))
 
 
 @given(st.sampled_from(["E1", "E5", "E9", "E10"]), st.integers(-2, 2),
