@@ -7,10 +7,12 @@ certification on each, and prints a one-line verdict per curve with the
 number m of doublings after which its box ranges were decided ("undecided"
 if they were taken at the upper endpoints after MAX_DOUBLINGS), the bound
 C' with 2 hhat - h <= C', and its box classes.  The tier-1 acceptance
-suite certifies E1, E8 and E10; this script covers all twelve with the
-same per-curve coefficient ranges, in about 13 s (12.4-14.5 s in three
-runs, Python 3.11) on one core of a 2-core VM.  Exits with status 1 if
-any curve's certification FAILED.
+suite checks the survivors of E1, E8 and E10 against an exact oracle; this
+script certifies all twelve with the same per-curve coefficient ranges and
+compares each curve's box classes with BOX_CLASSES, since a sieve that
+dropped a true point would still certify.  It takes about 5 s (4.8-5.4 s in two runs) on
+one core of a 2-core VM with Python 3.11.  Exits with status 1 if any
+curve's certification FAILED or its box classes differ from the table.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """
@@ -21,6 +23,24 @@ import time
 from lucassq.curves import CURVES, CURVE_BY_ID
 from lucassq.heights import certify_generators
 from lucassq.padic import rank1_driver, rank2_driver
+
+# the names of each curve's box survivors, as sets
+BOX_CLASSES = {
+    "E1": {"0G+T"},
+    "E2": {"0G+T"},
+    "E3": {"-1G+T", "0G+T"},
+    "E4": {"-1G+T", "0G+T"},
+    "E5": {"-1G", "0G+T"},
+    "E6": {"-1G", "-1G+T", "0G+T"},
+    "E7": {"-1G", "0G+T"},
+    "E8": {"-2G+T", "-1G", "-1G+T", "0G+T"},
+    "E9": {"-1G", "-1G+T", "0G+T"},
+    "E10": {"0P1+0P2+T", "-1P1+0P2", "-1P1+0P2+T", "0P1+-1P2", "0P1+-1P2+T",
+            "-1P1+-1P2", "-1P1+-1P2+T", "-1P1+-2P2", "-1P1+-2P2+T",
+            "0P1+-2P2+T", "-2P1+-2P2+T"},
+    "E11": {"-1G", "-1G+T", "0G+T"},
+    "E12": {"-2G+T", "-1G", "-1G+T", "0G+T"},
+}
 
 
 def run_one(curve):
@@ -45,6 +65,10 @@ def run_one(curve):
           f"driver: {len(result.survivors):2d} survivors in {t_driver:6.1f}s  "
           f"heights: {verdict} in {t_cert:6.1f}s  {depth}  "
           f"box classes: {names}")
+    if set(names) != BOX_CLASSES[curve.id]:
+        print(f"{curve.id}: box classes differ from "
+              f"{sorted(BOX_CLASSES[curve.id])}")
+        return False
     return not verdict.startswith("FAILED")
 
 

@@ -383,12 +383,12 @@ def split_prime(fld: FieldDescriptor, i: int) -> tuple:
     integral closure of Z_(p) in the field, and it is F_p^4 mod p.  One
     list per field grows on demand."""
     found = _SPLIT_PRIMES.setdefault(fld, [])
-    f = [int(c) for c in fld.defining_poly]
+    c2, c0 = fld._c2, fld._c0
     p = found[-1][0] + 2 if found else 3
     while len(found) <= i:
         if all(p % k for k in range(3, isqrt(p) + 1, 2)):
             roots = tuple(a for a in range(p)
-                          if poly_eval(f, a) % p == 0)
+                          if (a * a * (a * a + c2) + c0) % p == 0)
             if len(roots) == 4:
                 found.append((p, roots))
         p += 2

@@ -9,11 +9,13 @@ both ends agree (`height_intervals`, `certify_generators`).  C is built
 from an epsilon at each place (Silverman, Math. Comp. 55, 1990): at the
 real places and the complex pair, the inverse of the least value of the
 objective over a finite candidate set; at pi in K2, 2^(v/4) for the largest
-valuation v of g over O_K2 mod 4, read from norms.  They are mpf values
+valuation v of g over O_K2 mod 2, read from norms.  They are mpf values
 with guard digits, not enclosures.
 
-The box search (`_search_box`) streams each box in int64 blocks through a
-sieve at primes that split completely in the field and rebuilds the roots
+The box search (`_search_box`) walks each box in blocks of whole prefixes
+(every coefficient but the constant term) through a sieve at primes that
+split completely in the field, which keeps the rows that are products of
+linear factors mod each prime and builds only those, and rebuilds the roots
 of the surviving rows by Hensel lifting.  `roots_in_field`, behind point
 lifting, square roots and halving, finds the roots in the field of any
 polynomial over it through the same maps to F_p and the same lifting, so
@@ -37,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional
 
 import mpmath as mp
@@ -181,18 +183,18 @@ def _real_roots(coeffs):
 @lru_cache(maxsize=None)
 def epsilon_nonarchimedean(curve: CurveInstance) -> mp.mpf:
     """epsilon_pi for K2 curves: 2^(v/4) for the largest valuation v at pi
-    of g(x) = (x^2 - B)^2 over O_K2, by a scan of O_K2 mod 4 = pi^8
-    (coordinates in [0, 4) over `order_basis`).  If x = x' mod pi^8, then
-    x^2 - x'^2 = (x - x')(x + x') has valuation >= 8, so v_pi(x^2 - B) is
-    the same on the whole class when it is below 8 at one element; the
-    scan raises at v >= 12, v_pi >= 6, or at g = 0: no bound.  K1 curves
-    have mu = 0 at the finite place and contribute nothing.  Computed once
-    per curve."""
+    of g(x) = (x^2 - B)^2 over O_K2, by a scan of O_K2 mod 2 = pi^4
+    (coordinates in [0, 2) over `order_basis`).  If x = x' mod pi^4, then
+    x + x' = 2x' + (x - x') has valuation >= 4 too, so x^2 - x'^2 =
+    (x - x')(x + x') has valuation >= 8, and v_pi(x^2 - B) is the same on
+    the whole class when it is below 8 at one element; the scan raises at
+    v >= 12, v_pi >= 6, or at g = 0: no bound.  K1 curves have mu = 0 at
+    the finite place and contribute nothing.  Computed once per curve."""
     if curve.field.id != "K2":
         return mp.mpf(1)
     vmax = 0
     basis = [K2.element(*row) for row in K2.order_basis]
-    for cs in itertools.product(range(4), repeat=4):
+    for cs in itertools.product(range(2), repeat=4):
         w = sum(c * e for c, e in zip(cs, basis)) ** 2 - curve.b
         if not w:
             raise ArithmeticError("g vanishes in O_K2; no bound")
@@ -413,7 +415,6 @@ def shape_ranges(shape: CandidateShape, B) -> list:
 # --- split primes: exact arithmetic mod p ----------------------------------------------
 
 SIEVE_PRIMES = 8          # split primes of the box sieve
-SPLIT, REPEATED = 1, 2    # `_classify` codes; 0 rejects
 
 # Every root x of a box row has 4x integral (4^d g(X/4) has integer
 # coefficients when g is monic with coefficients in (1/4)Z), and the maximal
@@ -426,31 +427,36 @@ def _dtype(q: int):
     return np.int64 if q < 1 << 31 else object
 
 
+def _values_mod(c: np.ndarray, r, m: int) -> np.ndarray:
+    """Values mod m of the polynomials with coefficient rows c (high to low,
+    leading coefficient included) at r, which broadcasts against a column
+    per row: one array of residues for every row, or a column per row."""
+    val = np.zeros(np.broadcast_shapes((len(c), 1), np.shape(r)), dtype=c.dtype)
+    for k in range(c.shape[1]):
+        val = (val * r + c[:, k:k + 1]) % m
+    return val
+
+
+def _derivative_rows(c: np.ndarray) -> np.ndarray:
+    """The coefficient rows (as in `_values_mod`) of the derivatives."""
+    return c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1)
+
+
+def _monic_rows(c: np.ndarray) -> np.ndarray:
+    """Coefficient rows below a leading 1 with the 1 put in front."""
+    return np.hstack([np.ones_like(c[:, :1]), c])
+
+
 def _zeros_mod_p(c: np.ndarray, p: int) -> np.ndarray:
     """(rows, p) mask of the residues at which monic polynomials mod p
     vanish.  Row k of c holds the coefficients below the leading 1, high
-    to low, in [0, p); for degree <= 4 and p < 2^12 the values stay below
-    p^5 < 2^63 without reduction."""
-    residues = np.arange(p, dtype=np.int64)
-    val = np.ones((len(c), p), dtype=np.int64)
-    for k in range(c.shape[1]):
-        val = val * residues + c[:, k:k + 1]
-    return val % p == 0
-
-
-def _root_counts(c: np.ndarray, p: int) -> np.ndarray:
-    """The number of distinct roots in F_p of monic polynomials mod p
-    (coefficient rows as in `_zeros_mod_p`), in blocks of 512 rows."""
-    count = np.empty(len(c), dtype=np.int64)
-    for s in range(0, len(c), 512):
-        count[s:s + 512] = _zeros_mod_p(c[s:s + 512], p).sum(axis=1)
-    return count
+    to low."""
+    return _values_mod(_monic_rows(c), np.arange(p), p) == 0
 
 
 def _disc_formula(c: np.ndarray) -> np.ndarray:
     """The discriminants of monic polynomials of degree 1, 2 or 4 from their
-    coefficient rows (as in `_zeros_mod_p`): exact for object arrays, and in
-    int64 for entries below 450 (|disc| <= 1069 * max|entry|^6 < 2^63)."""
+    coefficient rows (as in `_zeros_mod_p`), exact for object arrays."""
     d = c.shape[1]
     if d == 1:
         return np.ones(len(c), dtype=c.dtype)
@@ -466,14 +472,32 @@ def _disc_formula(c: np.ndarray) -> np.ndarray:
             + b**2 * a**2 * f**2)
 
 
-def _classify(c: np.ndarray, p: int) -> np.ndarray:
-    """SPLIT where the monic polynomial (coefficient rows mod p) has as many
-    distinct roots in F_p as its degree, else REPEATED where its
-    discriminant vanishes mod p, else 0."""
-    if p >= 450:
-        raise ValueError(f"{p}: the int64 discriminant needs p < 450")
-    return np.where(_root_counts(c, p) == c.shape[1], SPLIT,
-                    np.where(_disc_formula(c) % p == 0, REPEATED, 0))
+def _fibre_counts(head: np.ndarray, p: int) -> tuple:
+    """(distinct, total) for the prefixes h = X^d + head[k, 0] X^(d-1) + ...
+    + head[k, d-2] X mod p: entry [k, t] counts the roots in F_p of h - t,
+    the r with h(r) = t, without and with multiplicity.  As p > d, Taylor's
+    formula makes the multiplicity of r one plus the number of leading
+    derivatives h', h'', ... that vanish at r (h - t has the same ones).
+    h and h' are evaluated at every r, each higher derivative only where
+    the lower ones vanish, and a bincount covers every t at once."""
+    n, d = len(head), head.shape[1] + 1
+    if p >= 1 << 12:
+        raise ValueError(f"{p}: the uint32 values need p < 2^12")
+    c = _monic_rows(np.hstack([head % p, np.zeros((n, 1), dtype=np.int64)]))
+    # rows r^d, ..., r^0: each value below is a sum of at most d + 1 terms
+    # below d p^2, so exact in float64 and below 2^32
+    powers = (np.arange(p) ** np.arange(d, -1, -1)[:, None] % p).astype(float)
+    bins = ((c @ powers).astype(np.uint32) % p + p * np.arange(n)[:, None]).ravel()
+    distinct = np.bincount(bins, minlength=n * p)
+    total = distinct.copy()
+    c = _derivative_rows(c)
+    at = np.flatnonzero((c @ powers[1:]).astype(np.uint32) % p == 0)
+    while len(at):                         # the d-th derivative is d! != 0
+        np.add.at(total, bins[at], 1)
+        c = _derivative_rows(c)
+        rows, roots = divmod(at, p)
+        at = at[_values_mod(c[rows], roots[:, None], p)[:, 0] == 0]
+    return distinct.reshape(n, p), total.reshape(n, p)
 
 
 @lru_cache(maxsize=None)
@@ -504,11 +528,7 @@ def _hensel_modulus(p: int, bound: int) -> int:
 def _derivative_mod(c: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
     """h'(r) mod p for the monic polynomials h with coefficient rows c (as
     in `_zeros_mod_p`) at the entries r of the matching rows of roots."""
-    d = c.shape[1]
-    der = np.full_like(roots, d)
-    for k in range(d - 1):
-        der = (der * roots + (d - 1 - k) * c[:, k:k + 1]) % p
-    return der
+    return _values_mod(_derivative_rows(_monic_rows(c)), roots, p)
 
 
 def _hensel(c: np.ndarray, roots: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -702,22 +722,24 @@ class HeightCertificate:
 
 # --- the box sieve -------------------------------------------------------------------
 
-BOX_CHUNK_ROWS = 1 << 16  # rows per int64 block of the streamed box
+BOX_BLOCK_ROWS = 1 << 16  # box rows per block of whole prefixes
 
 
-def _shape_rows(shape: CandidateShape, B):
+def _prefix_blocks(shape: CandidateShape, B):
     """The rows of the shape's box (integer tuples within shape_ranges that
-    meet its parities) in lexicographic order, as int64 arrays of at most
-    BOX_CHUNK_ROWS rows, so that memory does not grow with the box."""
+    meet its parities) in blocks (head, tail) of whole prefixes: each row
+    of head followed by each constant term in tail, in lexicographic
+    order.  A block holds at most BOX_BLOCK_ROWS rows, or one prefix, so
+    that memory does not grow with the box."""
     axes = [np.arange(-r, r + 1, dtype=np.int64) for r in shape_ranges(shape, B)]
     for idx, modulus, rem in shape.parities:
         axes[idx] = axes[idx][axes[idx] % modulus == rem]
-    sizes = [len(a) for a in axes]
-    total = prod(sizes)
-    for start in range(0, total, BOX_CHUNK_ROWS):
-        flat = np.arange(start, min(total, start + BOX_CHUNK_ROWS))
-        digits = np.unravel_index(flat, sizes)
-        yield np.stack([a[i] for a, i in zip(axes, digits)], axis=1)
+    *axes, tail = axes
+    heads = list(itertools.product(*axes))
+    head = np.array(heads, dtype=np.int64).reshape(len(heads), len(axes))
+    step = max(1, BOX_BLOCK_ROWS // len(tail))
+    for start in range(0, len(head), step):
+        yield head[start:start + step], tail
 
 
 def _shape_fractions(shape: CandidateShape) -> tuple:
@@ -739,73 +761,43 @@ def _monic_mod(num: np.ndarray, den: tuple, m: int) -> np.ndarray:
     return c
 
 
-def _table_index(c: np.ndarray, p: int) -> np.ndarray:
-    """Coefficient rows mod p read as base-p numbers."""
-    return c @ p ** np.arange(c.shape[1] - 1, -1, -1, dtype=np.int64)
-
-
-def _poly_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise products mod p of polynomials with coefficients high to low."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-    for i in range(a.shape[1]):
-        for j in range(b.shape[1]):
-            out[:, i + j] += a[:, i] * b[:, j]
-    out %= p                  # in place: no second copy of a large table
-    return out
-
-
-@lru_cache(maxsize=None)
-def _classify_table(p: int, d: int) -> np.ndarray:
-    """`_classify` of every monic polynomial of degree d in {1, 2, 4} mod p,
-    indexed by `_table_index`, built from factorisations instead of
-    evaluations: a product of d distinct linear factors is SPLIT; a squared
-    linear factor times any monic polynomial, or for d = 4 the square of a
-    quadratic, is REPEATED; everything else is 0."""
-    def monic(tails):
-        return np.hstack([np.ones((len(tails), 1), dtype=np.int64), tails])
-
-    def tuples(iterable, k):
-        return np.fromiter(itertools.chain.from_iterable(iterable),
-                           dtype=np.int64).reshape(-1, k)
-
-    table = np.zeros(p ** d, dtype=np.int8)
-    if d >= 2:
-        linear = monic(-np.arange(p, dtype=np.int64).reshape(-1, 1) % p)
-        cofactors = (monic(tuples(itertools.product(range(p), repeat=2), 2))
-                     if d == 4 else np.ones((1, 1), dtype=np.int64))
-        # one squared factor, then 4,096 split products, at a time: built at
-        # once, the table took 14 MiB, the memory peak of a certification
-        for square in _poly_mul_mod(linear, linear, p):
-            table[_table_index(_poly_mul_mod(
-                np.tile(square, (len(cofactors), 1)), cofactors, p)[:, 1:],
-                p)] = REPEATED
-        if d == 4:
-            squares = _poly_mul_mod(cofactors, cofactors, p)
-            table[_table_index(squares[:, 1:], p)] = REPEATED
-    combos = itertools.combinations(range(p), d)
-    while len(roots := tuples(itertools.islice(combos, 1 << 12), d)):
-        split = np.ones((len(roots), 1), dtype=np.int64)
-        for k in range(d):
-            split = _poly_mul_mod(split, monic(-roots[:, k:k + 1] % p), p)
-        table[_table_index(split[:, 1:], p)] = SPLIT
-    return table
-
-
-def _sieve(fld, num: np.ndarray, den: tuple) -> tuple:
-    """Indices of the monic polynomials num / den (as in `_monic_mod`) that
-    no sieve prime rejects, and for each the index i of the first split
-    prime `split_prime(fld, i)` at which it is SPLIT (-1 if none).  The
-    first prime goes by table lookup."""
-    d = num.shape[1]
-    idx, first = np.arange(len(num)), np.full(len(num), -1)
+def _sieve(fld, head: np.ndarray, tail: np.ndarray, den: tuple) -> tuple:
+    """(prefix indices, constant indices, first) of the rows of the block
+    head x tail that every sieve prime keeps, in lexicographic order, with
+    first the index i of the first `split_prime(fld, i)` at which the row
+    splits (-1 if none).  Row (j, k) is the monic g = h + e of degree d
+    with coefficients (head[j], tail[k]) / den below the leading 1 (as in
+    `_monic_mod`).  At each p, g is kept when its roots in F_p, the r with
+    h(r) = -e, number d with multiplicity: g is a product of linear
+    factors; it splits when they are d distinct roots (`_fibre_counts`)."""
+    d = head.shape[1] + 1
     for i in range(SIEVE_PRIMES):
         p, _ = split_prime(fld, i)
-        c = _monic_mod(num[idx], den, p)
-        code = (_classify_table(p, d)[_table_index(c, p)] if i == 0
-                else _classify(c, p))
-        first[(first < 0) & (code == SPLIT)] = i
-        idx, first = idx[code > 0], first[code > 0]
-    return idx, first
+        t = -_monic_mod(tail[:, None], den[-1:], p)[:, 0] % p   # h(r) = -e
+        if i == 0:                         # every row of the block
+            distinct, total = _fibre_counts(_monic_mod(head, den[:-1], p), p)
+            pre, col = np.nonzero(total[:, t] == d)
+            first = np.where(distinct[pre, t[col]] == d, 0, -1)
+            continue
+        live, inverse = np.unique(pre, return_inverse=True)
+        distinct, total = _fibre_counts(_monic_mod(head[live], den[:-1], p), p)
+        at = inverse, t[col]
+        first[(first < 0) & (distinct[at] == d)] = i
+        keep = total[at] == d
+        pre, col, first = pre[keep], col[keep], first[keep]
+    return pre, col, first
+
+
+def _kept_rows(fld, shape: CandidateShape, B) -> tuple:
+    """(rows, first): the rows of the shape's box that `_sieve` keeps, in
+    lexicographic order, and the first split prime index of each."""
+    mult, den = _shape_fractions(shape)
+    rows, first = [], []
+    for head, tail in _prefix_blocks(shape, B):
+        pre, col, fst = _sieve(fld, head * mult[:-1], tail * mult[-1], den)
+        rows.append(np.hstack([head[pre], tail[col, None]]))
+        first.append(fst)
+    return np.concatenate(rows), np.concatenate(first)
 
 
 def _discriminant(num: np.ndarray, den: tuple) -> np.ndarray:
@@ -819,13 +811,14 @@ def _discriminant(num: np.ndarray, den: tuple) -> np.ndarray:
 
 def _late_split_index(fld, num: np.ndarray, den: tuple, disc: int):
     """For one polynomial (num a 1-row array, disc its nonzero `_discriminant`)
-    that is REPEATED at every sieve prime: None if a later split prime
-    rejects it, else the index of the first split prime at which it is
-    SPLIT."""
+    that the sieve keeps without a split at any sieve prime: None if a later
+    split prime rejects it (no p | disc and fewer than d distinct roots),
+    else the index of the first split prime at which it has d distinct
+    roots."""
     i = SIEVE_PRIMES
     while True:
         p, _ = split_prime(fld, i)
-        if _root_counts(_monic_mod(num, den, p), p)[0] == num.shape[1]:
+        if _zeros_mod_p(_monic_mod(num, den, p), p).sum() == num.shape[1]:
             return i
         if disc % p:
             return None
@@ -859,12 +852,7 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
     """(row, x) for every x in the field whose minimal polynomial is a row
     of the shape's box (see `_search_box`)."""
     mult, den = _shape_fractions(shape)
-    rows, first = [], []
-    for block in _shape_rows(shape, B):
-        idx, fst = _sieve(fld, block * mult, den)
-        rows.append(block[idx])
-        first.append(fst)
-    rows, first = np.concatenate(rows), np.concatenate(first)
+    rows, first = _kept_rows(fld, shape, B)
     groups = {int(i): [rows[first == i]] for i in np.unique(first) if i >= 0}
     late = rows[first < 0]
     for row, disc in zip(late, _discriminant(late * mult, den)):
@@ -906,15 +894,15 @@ def _search_box(curve: CurveInstance, B) -> list:
     (shape tag, row, x) by shape, then by the first split prime at which
     the row splits, then by row: an order that does not depend on B.
 
-    Sieve.  Each shape's rows are streamed in int64 blocks and tested at
-    the first SIEVE_PRIMES split primes p (`split_prime`).  A row g of
-    degree d is dropped when, at some such p, p does not divide disc(g) and
-    g mod p has fewer than d distinct roots in F_p.  That is sound for the
+    Sieve.  Each shape's box is walked in blocks of whole prefixes and
+    tested at the first SIEVE_PRIMES split primes p (`split_prime`).  A
+    row g of degree d is dropped when, at some such p, g mod p is not a
+    product of linear factors (`_sieve`).  That is sound for the
     minimal polynomial g of any x in K: x lies in Z_(p)[alpha] (its
     coordinates are in (1/16)Z), whose reduction mod p is F_p^4 through the
     four maps alpha -> a_j, so g^(4/d), the characteristic polynomial of
-    x, is prod_j (X - x(a_j)) mod p; g splits mod p, and with p not
-    dividing disc(g) its d roots are distinct.
+    x, is prod_j (X - x(a_j)) mod p.  Rows with d distinct roots at no
+    sieve prime go on to `_late_split_index`.
 
     Reconstruction.  At a prime where g has d distinct roots mod p they
     are Hensel-lifted to p^k > 2 * 16 * (a bound on the coordinates of any

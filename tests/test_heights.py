@@ -19,8 +19,8 @@ from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
 from lucassq.exact import poly_diff, resultant
 from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
-                             _charpoly_fractions, _classify, _classify_table,
-                             _monic_mod, candidate_shapes, canonical_height,
+                             _charpoly_fractions, _fibre_counts, _monic_mod,
+                             candidate_shapes, canonical_height,
                              certify_generators, epsilon_nonarchimedean,
                              field_sqrt, halving_candidates, height_diff_bound,
                              height_intervals, height_upper_bound,
@@ -58,7 +58,7 @@ def _order_k2(cs):
 @pytest.mark.parametrize("curve", [c for c in CURVES if c.field is K2],
                          ids=lambda c: c.id)
 def test_epsilon_nonarchimedean_matches_mod_8_scan(curve):
-    """The O_K2 mod 4 scan gives the epsilon of a scan of O_K2 mod 8 =
+    """The O_K2 mod 2 scan gives the epsilon of a scan of O_K2 mod 8 =
     pi^12, the largest 2 v_pi(x^2 - B) over its 4,096 elements."""
     vs = [2 * two_adic_valuation(_order_k2(cs) ** 2 - curve.b)
           for cs in itertools.product(range(8), repeat=4)]
@@ -71,16 +71,16 @@ def test_epsilon_nonarchimedean_matches_mod_8_scan(curve):
        *(st.tuples(*(st.integers(-40, 40) for _ in range(4)))
          for _ in range(2)))
 @settings(max_examples=200, deadline=None)
-def test_pi_adic_valuation_of_x2_minus_b_is_fixed_mod_4(b, xs, ds):
-    """v_pi(x^2 - B) and v_pi((x + 4d)^2 - B) agree when either is below 6,
-    for x and d in O_K2: (x + 4d)^2 - x^2 = 4d(2x + 4d) has valuation >= 8,
-    so the O_K2 mod 4 scan of `epsilon_nonarchimedean` sees every
+def test_pi_adic_valuation_of_x2_minus_b_is_fixed_mod_2(b, xs, ds):
+    """v_pi(x^2 - B) and v_pi((x + 2d)^2 - B) agree when either is below 6,
+    for x and d in O_K2: (x + 2d)^2 - x^2 = 4d(x + d) has valuation >= 8,
+    so the O_K2 mod 2 scan of `epsilon_nonarchimedean` sees every
     valuation below 6 and every class that reaches 6."""
     def v(w):
         return two_adic_valuation(w) if w else 99
 
     x = _order_k2(xs)
-    v1, v2 = v(x * x - b), v((x + 4 * _order_k2(ds)) ** 2 - b)
+    v1, v2 = v(x * x - b), v((x + 2 * _order_k2(ds)) ** 2 - b)
     assert v1 == v2 or min(v1, v2) >= 6
 
 
@@ -345,25 +345,42 @@ def test_candidate_shapes_and_ranges():
         assert all(r >= 0 for r in rng)
 
 
+def _block_rows(head, tail):
+    """The rows of a prefix block: each row of head followed by each entry
+    of tail."""
+    return np.hstack([np.repeat(head, len(tail), axis=0),
+                      np.tile(tail, len(head))[:, None]])
+
+
+def _box(shape, B):
+    """The box rows within shape_ranges that meet the shape's parities, in
+    lexicographic order, by brute force: every integer tuple in the ranges,
+    then the parity filter."""
+    ranges = shape_ranges(shape, B)
+    box = np.indices([2 * r + 1 for r in ranges]).reshape(len(ranges), -1).T
+    box -= ranges
+    ok = np.ones(len(box), dtype=bool)
+    for i, modulus, residue in shape.parities:
+        ok &= box[:, i] % modulus == residue
+    return box[ok]
+
+
 def test_enumerate_candidates_small_box(monkeypatch):
-    """The streamed box rows of each shape, over all blocks, are exactly the
-    integer tuples within shape_ranges that satisfy the shape's parities,
-    each once, in blocks of at most BOX_CHUNK_ROWS rows."""
-    monkeypatch.setattr(heights, "BOX_CHUNK_ROWS", 7)
+    """The prefix blocks of each shape together hold exactly the integer
+    tuples within shape_ranges that satisfy the shape's parities, each
+    once and in lexicographic order, in blocks of whole prefixes of at most
+    BOX_BLOCK_ROWS rows (or one prefix)."""
+    monkeypatch.setattr(heights, "BOX_BLOCK_ROWS", 20)
     for curve in (E1, E9):
         for shape in candidate_shapes(curve):
-            ranges = shape_ranges(shape, 2.0)
-            blocks = list(heights._shape_rows(shape, 2.0))
-            assert all(0 < len(b) <= 7 for b in blocks), shape.tag
-            rows = [tuple(int(c) for c in row) for b in blocks for row in b]
-            expected = {
-                v for v in itertools.product(*[range(-r, r + 1)
-                                               for r in ranges])
-                if all(v[i] % modulus == residue
-                       for i, modulus, residue in shape.parities)}
-            assert rows, shape.tag
-            assert len(rows) == len(set(rows)), shape.tag
-            assert set(rows) == expected, shape.tag
+            blocks = list(heights._prefix_blocks(shape, 2.0))
+            tails = {tuple(tail) for _, tail in blocks}
+            assert len(tails) == 1, shape.tag
+            assert all(0 < len(head) * len(tail) <= max(20, len(tail))
+                       for head, tail in blocks), shape.tag
+            assert len(blocks) > 1 or shape.tag == "linear", shape.tag
+            rows = np.concatenate([_block_rows(*b) for b in blocks])
+            assert np.array_equal(rows, _box(shape, 2.0)), shape.tag
 
 
 # --- the exact box sieve -------------------------------------------------------
@@ -389,26 +406,101 @@ def test_split_primes():
         assert all((4 * c).denominator == 1 for row in fld.order_basis for c in row)
 
 
-def test_classify_table_matches_evaluation():
-    """The first-prime table, built from factorisations, agrees with root
-    counting at every monic polynomial mod small primes."""
-    for p in (7, 13):
-        for d in (1, 2, 4):
-            polys = np.array(list(itertools.product(range(p), repeat=d)),
-                             dtype=np.int64)
-            table = _classify_table(p, d)
-            assert (table[heights._table_index(polys, p)]
-                    == _classify(polys, p)).all(), (p, d)
-    # at the first sieve prime, 41, the split products take 25 chunks: all
-    # C(41, 4) split quartics are found, and the p^3 with a repeated root
-    table = _classify_table(41, 4)
-    assert (table == heights.SPLIT).sum() == math.comb(41, 4)
-    assert (table == heights.REPEATED).sum() == 41 ** 3
-    polys = np.random.default_rng(0).integers(0, 41, (20000, 4))
-    assert (table[heights._table_index(polys, 41)] == _classify(polys, 41)).all()
-    # (X - 1)^2 (X^2 + 1) and (X^2 + 2)^2 mod 7 are REPEATED, X^4 - 1 is 0
-    c = np.array([[5, 2, 5, 1], [0, 4, 0, 4], [0, 0, 0, 6]])
-    assert list(_classify(c, 7)) == [heights.REPEATED, heights.REPEATED, 0]
+def _linear_products(p: int, d: int) -> set:
+    """The monic products of d linear factors mod p, as coefficient tuples
+    below the leading 1, high to low."""
+    roots = np.array(list(itertools.combinations_with_replacement(range(p), d)),
+                     dtype=np.int64)
+    poly = np.ones((len(roots), 1), dtype=np.int64)
+    zero = np.zeros((len(roots), 1), dtype=np.int64)
+    for k in range(d):                     # times X - root k
+        poly = (np.hstack([poly, zero]) - roots[:, k:k + 1]
+                * np.hstack([zero, poly])) % p
+    return set(map(tuple, poly[:, 1:].tolist()))
+
+
+def _fibre_counts_at(polys, p):
+    """`_fibre_counts` read at each monic polynomial (coefficient rows below
+    the leading 1, high to low, in [0, p)): (distinct roots, roots counted
+    with multiplicity)."""
+    distinct, total = _fibre_counts(polys[:, :-1], p)
+    at = np.arange(len(polys)), -polys[:, -1] % p
+    return distinct[at], total[at]
+
+
+def test_fibre_counts_match_evaluation():
+    """On every monic polynomial of degree 1, 2 and 4 mod 7 and mod 13, and
+    on 20,000 random quartics mod 41: the distinct roots are those found by
+    evaluation at every residue, and the roots counted with multiplicity
+    number d exactly on the products of d linear factors."""
+    rng = np.random.default_rng(0)
+    cases = [(p, d, np.array(list(itertools.product(range(p), repeat=d)),
+                             dtype=np.int64))
+             for p in (7, 13) for d in (1, 2, 4)]
+    cases.append((41, 4, rng.integers(0, 41, (20000, 4))))
+    for p, d, polys in cases:
+        distinct, total = _fibre_counts_at(polys, p)
+        r = np.arange(p)
+        values = r ** d + sum(polys[:, k:k + 1] * r ** (d - 1 - k)
+                              for k in range(d))
+        assert np.array_equal(distinct, (values % p == 0).sum(axis=1)), (p, d)
+        products = _linear_products(p, d)
+        linear = np.array([tuple(c) in products for c in polys.tolist()])
+        assert np.array_equal(total == d, linear), (p, d)
+        assert (total <= d).all() and (distinct <= total).all(), (p, d)
+        if len(polys) == p ** d:           # every polynomial: count them
+            assert (total == d).sum() == math.comb(p + d - 1, d), (p, d)
+            assert (distinct == d).sum() == math.comb(p, d), (p, d)
+    # mod 7: (X - 1)^2 (X^2 + 1), (X^2 + 2)^2 and X^4 - 1 are no products of
+    # linear factors; (X - 1)^3 (X - 2) and (X - 3)^4 need the second and
+    # third derivatives
+    c = np.array([[5, 2, 5, 1], [0, 4, 0, 4], [0, 0, 0, 6],
+                  [2, 2, 0, 2], [2, 5, 4, 4]])
+    assert [list(v) for v in _fibre_counts_at(c, 7)] == [[1, 0, 2, 2, 1],
+                                                         [2, 0, 2, 4, 4]]
+
+
+def _root_multiplicities(c, p):
+    """(rows, p): the multiplicity of each r in F_p as a root of the monic
+    polynomials with coefficient rows c below the leading 1, by repeated
+    synthetic division by X - r."""
+    n, d = c.shape
+    r = np.arange(p)
+    quotient = [np.ones((n, p), dtype=np.int64)] + [
+        np.repeat(c[:, k:k + 1] % p, p, axis=1) for k in range(d)]
+    mult = np.zeros((n, p), dtype=np.int64)
+    divides = np.ones((n, p), dtype=bool)
+    for _ in range(d):
+        for k in range(1, len(quotient)):
+            quotient[k] = (quotient[k] + quotient[k - 1] * r) % p
+        divides &= quotient.pop() == 0          # the remainder
+        mult += divides
+    return mult
+
+
+def test_sieve_matches_per_row_oracle():
+    """On every shape of E1 and E9 at B = 2, the sieve keeps exactly the
+    box rows that are products of linear factors at every sieve prime (the
+    multiplicities by synthetic division), in order, and `first` is the
+    first sieve prime at which the row has d distinct roots."""
+    for curve in (E1, E9):
+        for shape in candidate_shapes(curve):
+            rows, first = heights._kept_rows(curve.field, shape, 2.0)
+            mult, den = heights._shape_fractions(shape)
+            box = _box(shape, 2.0)
+            keep = np.ones(len(box), dtype=bool)
+            want = np.full(len(box), -1)
+            for i in range(SIEVE_PRIMES):
+                p, _ = split_prime(curve.field, i)
+                live = np.flatnonzero(keep)
+                for chunk in np.array_split(live, len(live) // 2048 + 1):
+                    m = _root_multiplicities(
+                        _monic_mod(box[chunk] * mult, den, p), p)
+                    keep[chunk] = m.sum(axis=1) == box.shape[1]
+                    split = (m > 0).sum(axis=1) == box.shape[1]
+                    want[chunk[split & (want[chunk] < 0)]] = i
+            assert np.array_equal(rows, box[keep]), (curve.id, shape.tag)
+            assert np.array_equal(first, want[keep]), (curve.id, shape.tag)
 
 
 def test_discriminant_formula():
@@ -417,7 +509,7 @@ def test_discriminant_formula():
     for curve in (E1, E9):
         for shape in candidate_shapes(curve):
             mult, den = heights._shape_fractions(shape)
-            rows = next(heights._shape_rows(shape, 2.0))[::37]
+            rows = _block_rows(*next(heights._prefix_blocks(shape, 2.0)))[::37]
             discs = heights._discriminant(rows * mult, den)
             for row, disc in zip(rows, discs):
                 g = heights._row_poly(shape, row)
@@ -427,15 +519,16 @@ def test_discriminant_formula():
 
 @given(fields, sixteenths)
 @settings(max_examples=60, deadline=None)
-@example(K1, (0, 41, 0, 0))                     # X^4 at 41: REPEATED there
-@example(K2, (Fraction(1, 16), 113, 0, 0))      # REPEATED at 113
+@example(K1, (0, 41, 0, 0))                     # X^4 at 41: a fourfold root
+@example(K2, (Fraction(1, 16), 113, 0, 0))      # a repeated root at 113
 @example(K1, (3, 0, 41, 0))                     # degree 2
 @example(K2, (Fraction(-7, 16), 0, 0, 0))       # degree 1
 @example(K1, (Fraction(1, 16), Fraction(-1, 16), Fraction(5, 16), Fraction(3, 16)))
 def test_sieve_keeps_and_reconstructs_minimal_polynomials(fld, cs):
     """For x with coordinates in (1/16)Z, the minimal polynomial of x is
-    kept at every sieve prime and at later split primes, and the
-    reconstruction from its roots mod p returns x exactly."""
+    a product of linear factors at every sieve prime and at later split
+    primes, so the sieve keeps it, and the reconstruction from its roots
+    mod p returns x exactly."""
     _check_keep_and_reconstruct(fld.element(*cs))
 
 
@@ -451,15 +544,17 @@ def test_sieve_late_split_path(monkeypatch):
 def _check_keep_and_reconstruct(x, late=False):
     fld = x.field
     num, den = _as_num_den(_minimal_polynomial(x))
-    idx, first = heights._sieve(fld, num, den)
-    assert list(idx) == [0]
+    pre, col, first = heights._sieve(fld, num[:, :-1], num[:, -1], den)
+    assert list(pre) == [0] and list(col) == [0]
     assert (first[0] < 0) == late
     disc = heights._discriminant(num, den)[0]
     assert disc != 0
     for i in range(heights.SIEVE_PRIMES + 4):                   # later primes too
         p, _ = split_prime(fld, i)
-        count = heights._root_counts(_monic_mod(num, den, p), p)[0]
+        c = _monic_mod(num, den, p)
+        count = heights._zeros_mod_p(c, p).sum()
         assert count == num.shape[1] or disc % p == 0, p
+        assert _fibre_counts_at(c, p)[1][0] == num.shape[1], p
     i = (int(first[0]) if first[0] >= 0
          else heights._late_split_index(fld, num, den, disc))
     prime = split_prime(fld, i)
