@@ -10,9 +10,13 @@ C' with 2 hhat - h <= C', and its box classes.  The tier-1 acceptance
 suite checks the survivors of E1, E8 and E10 against an exact oracle; this
 script certifies all twelve with the same per-curve coefficient ranges and
 compares each curve's box classes with BOX_CLASSES, since a sieve that
-dropped a true point would still certify.  It takes about 5 s (4.8-5.4 s in two runs) on
-one core of a 2-core VM with Python 3.11.  Exits with status 1 if any
-curve's certification FAILED or its box classes differ from the table.
+dropped a true point would still certify.  Each line gives the time of
+the bound C (`height_diff_bound`, about 0.02 s) apart from the rest of the
+certification.  The sweep takes about 5 s (4.8-6.0 s in seven runs, against
+5.3-7.9 s for the root finding by mpmath's polyroots that the epsilons used
+before) on one core of a shared 2-core VM with Python 3.11.  Exits with
+status 1 if any curve's certification FAILED or its box classes differ from
+the table.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """
@@ -21,7 +25,7 @@ import sys
 import time
 
 from lucassq.curves import CURVES, CURVE_BY_ID
-from lucassq.heights import certify_generators
+from lucassq.heights import certify_generators, height_diff_bound
 from lucassq.padic import rank1_driver, rank2_driver
 
 # the names of each curve's box survivors, as sets
@@ -50,6 +54,10 @@ def run_one(curve):
     t_driver = time.monotonic() - t0
 
     t0 = time.monotonic()
+    height_diff_bound(curve.id)            # cached for certify_generators
+    t_bound = time.monotonic() - t0
+
+    t0 = time.monotonic()
     try:
         cert = certify_generators(curve)
         verdict = cert.conclusion
@@ -63,6 +71,7 @@ def run_one(curve):
 
     print(f"{curve.id:4s} rank {curve.rank}  "
           f"driver: {len(result.survivors):2d} survivors in {t_driver:6.1f}s  "
+          f"C in {t_bound:5.2f}s  "
           f"heights: {verdict} in {t_cert:6.1f}s  {depth}  "
           f"box classes: {names}")
     if set(names) != BOX_CLASSES[curve.id]:

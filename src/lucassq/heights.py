@@ -9,8 +9,11 @@ both ends agree (`height_intervals`, `certify_generators`).  C is built
 from an epsilon at each place (Silverman, Math. Comp. 55, 1990): at the
 real places and the complex pair, the inverse of the least value of the
 objective over a finite candidate set; at pi in K2, 2^(v/4) for the largest
-valuation v of g over O_K2 mod 2, read from norms.  They are mpf values
-with guard digits, not enclosures.
+valuation v of g over O_K2 mod 2, read from norms.  The candidates are the
+roots of quadratic factors, by the quadratic formula, and of two quartics
+at each real place and two octics at the complex pair, seeded by
+Durand-Kerner in floats and polished by Newton's method at 45 digits
+(`_roots`).  They are mpf values with guard digits, not enclosures.
 
 The box search (`_search_box`) walks each box in blocks of whole prefixes
 (every coefficient but the constant term) through a sieve at primes that
@@ -39,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 import mpmath as mp
@@ -61,20 +64,14 @@ def _embed(x: FieldElement, root):
                       for c in x.coords], root)
 
 
-def _re(c):
-    return c.real if isinstance(c, mp.mpc) else mp.mpf(c)
-
-
 # --- archimedean epsilon -------------------------------------------------------
 
 def _real_fg(curve: CurveInstance, place: int) -> tuple:
-    """Coefficient lists (low to high, mpf) of f(X) = 4X(X^2+AX+B) and
+    """Coefficient lists (low to high) of f(X) = 4X(X^2+AX+B) and
     g(X) = (X^2-B)^2 at the real place 0 or 1."""
     r = curve.field.roots(DIGITS + 15)[place]
     a, b = _embed(curve.a, r), _embed(curve.b, r)
-    f = [mp.mpf(0), 4 * b, 4 * a, mp.mpf(4)]
-    g = [b * b, mp.mpf(0), -2 * b, mp.mpf(0), mp.mpf(1)]
-    return f, g
+    return [0, 4 * b, 4 * a, 4], [b * b, 0, -2 * b, 0, 1]
 
 
 def _complex_fg(curve: CurveInstance) -> tuple:
@@ -85,8 +82,8 @@ def _complex_fg(curve: CurveInstance) -> tuple:
     a2, b2 = _embed(curve.a, roots[3]), _embed(curve.b, roots[3])
     # f^s1 * f^s2 = 16 X^2 (X^2+a1X+b1)(X^2+a2X+b2)
     quart = poly_mul([b1, a1, 1], [b2, a2, 1])
-    f2 = [mp.mpf(16) * _re(c) for c in [0, 0] + quart]
-    g = [_re(c) for c in poly_mul([-b1, 0, 1], [-b2, 0, 1])]
+    f2 = [16 * c.real for c in [0, 0] + quart]
+    g = [c.real for c in poly_mul([-b1, 0, 1], [-b2, 0, 1])]
     return f2, g
 
 
@@ -99,23 +96,17 @@ def epsilon_archimedean(curve: CurveInstance, place: int) -> mp.mpf:
         return 1 / _complex_infimum(curve)
 
 
-def _real_objective(f, g, x):
-    fx = poly_eval(f, x)
-    gx = poly_eval(g, x)
-    return max(abs(fx), abs(gx)) / max(1, abs(x)) ** 4
-
-
 def _real_infimum(curve: CurveInstance, place: int):
     """Infimum of max(|f|, |g|) / max(1, x)^4 over {f >= 0} at a real place:
     f < 0 on x < 0 unless X^2 + AX + B has a real root x < 0, which raises,
     so it is the least value at `_real_candidates`, or the limit 1 as
     x -> oo (g is monic of degree 4 and f has degree 3)."""
     f, g = _real_fg(curve, place)
-    if any(x < 0 for x in _real_roots(f[1:])):
+    if any(x < 0 for x in _quadratic_roots(*f[1:])):
         raise ArithmeticError(
             f"{curve.id}: f >= 0 somewhere on x < 0 at real place {place}")
-    return min(mp.mpf(1), *(_real_objective(f, g, x)
-                            for x in _real_candidates(f, g)))
+    return min(mp.mpf(1), *(max(abs(poly_eval(f, x)), abs(poly_eval(g, x)))
+                            / max(1, x) ** 4 for x in _real_candidates(f, g)))
 
 
 def _real_candidates(f, g) -> set:
@@ -124,30 +115,36 @@ def _real_candidates(f, g) -> set:
     changes of f and g, and where |f| = |g|) the objective is one of +-f,
     +-g, +-f/x^4 and +-g/x^4, so its minimum is at a breakpoint, at a
     stationary point of a piece (a root of f', g' or x p' - 4p for
-    p = f, g), or at infinity."""
-    cands = {mp.mpf(0), mp.mpf(1)}
-    # f -+ g, x p' - 4 p (p = f, g), f' and g'
-    polys = [g, f, poly_add(f, poly_scale(g, -1)), poly_add(f, g),
-             *(poly_add([0] + poly_diff(p), poly_scale(p, -4))
-               for p in (f, g)),
-             poly_diff(f), poly_diff(g)]
-    for p in polys:
-        for r in _real_roots(p):
-            if r >= 0 and poly_eval(f, r) >= -mp.mpf(10) ** (-DIGITS):
-                cands.add(r)
-    return cands
+    p = f, g), or at infinity.
+
+    With f = 4X(X^2 + AX + B) and g = (X^2 - B)^2, all of these but f -+ g
+    factor into X and quadratics: g, x g' - 4g = 4B(X^2 - B) and
+    g' = 4X(X^2 - B) vanish at 0 and +-sqrt(B), f at 0 and the roots of
+    X^2 + AX + B, x f' - 4f = -4X(X^2 + 2AX + 3B) at 0 and the roots of its
+    quadratic, and f' = 4(3X^2 + 2AX + B).  Their roots come from
+    `_quadratic_roots`, and those of the quartics f -+ g from `_roots`."""
+    a, b = f[2] / 4, f[1] / 4
+    xs = [*_quadratic_roots(-b, 0, 1), *_quadratic_roots(b, a, 1),
+          *_quadratic_roots(3 * b, 2 * a, 1), *_quadratic_roots(b, 2 * a, 3)]
+    for p in (poly_add(f, poly_scale(g, -1)), poly_add(f, g)):
+        xs += [r.real for r in _roots(p) if abs(r.imag) < mp.mpf(10) ** -12]
+    return {mp.mpf(0), mp.mpf(1),
+            *(x for x in xs
+              if x >= 0 and poly_eval(f, x) >= -mp.mpf(10) ** (-DIGITS))}
 
 
 def _complex_infimum(curve: CurveInstance):
-    """Infimum of the two-piece objective at the conjugate pair of places.
+    """Least value of the two-piece objective over the roots of the two real
+    octics f^2 - g^2 and f^2 + g^2 at the conjugate pair of places, the
+    algebraic skeleton of the balancing locus |f| = |g| on which both
+    square-root pieces agree in modulus.
 
-    Both square-root pieces agree in modulus, so the balancing locus |f|=|g|
-    carries the relevant minima; its algebraic skeleton is the root set of the
-    two real octics f^2 - g^2 and f^2 + g^2, and the value is the smallest
-    objective value attained on that finite set.  (An unconstrained 2-D search
-    can dip slightly below this on one curve; the certified bound uses the
-    balancing-locus value, which is what the downstream constants assume.)
-    """
+    This is not the infimum the bound needs: the pieces are square roots
+    of |f^s f^s'(z)| and |g^s g^s'(z)|, products with real coefficients,
+    which equal |f^s(z)| and |g^s(z)| only for real z, and the value is
+    wrong on nine of the twelve curves (ROADMAP, Direction 1).  It is kept
+    unchanged here, since every downstream constant and golden value is
+    built on it."""
     f2, g = _complex_fg(curve)
     g2 = poly_mul(g, g)
 
@@ -156,26 +153,56 @@ def _complex_infimum(curve: CurveInstance):
         gz = abs(poly_eval(g, z))
         return max(fz, gz) / max(1, abs(z)) ** 4
 
-    val = None
-    for octic in (poly_add(f2, poly_scale(g2, -1)), poly_add(f2, g2)):
-        coeffs = [_re(c) for c in reversed(octic)]
-        for r in mp.polyroots(coeffs, maxsteps=500, extraprec=200):
-            v = objective(mp.mpc(r))
-            if val is None or v < val:
-                val = v
-    return val
+    octics = poly_add(f2, poly_scale(g2, -1)), poly_add(f2, g2)
+    return min(objective(r) for octic in octics for r in _roots(octic))
 
 
-def _real_roots(coeffs):
-    """The real roots of a polynomial (low to high, mpf), leading
-    coefficients below the working precision dropped; polyroots'
-    NoConvergence propagates, since a lost root could be the minimum."""
-    while coeffs and abs(coeffs[-1]) < mp.mpf(10) ** (-mp.mp.dps + 5):
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
+def _quadratic_roots(c0, c1, c2) -> list:
+    """The real roots of c2 X^2 + c1 X + c0 (mpf or int, c2 != 0), by the
+    form of the quadratic formula that does not cancel."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
         return []
-    roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
-    return [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (-12)]
+    q = -(c1 + mp.sqrt(disc)) / 2 if c1 >= 0 else (mp.sqrt(disc) - c1) / 2
+    return [q / c2, c0 / q] if q else [mp.mpf(0)] * 2
+
+
+NEWTON_STEPS = 20         # Newton steps allowed to polish one root
+
+
+def _roots(coeffs) -> list:
+    """Every complex root (mpc) of a polynomial (coefficients low to high,
+    mpf or int, the leading one nonzero) at the working precision.
+    Durand-Kerner iteration in Python complex floats gives one seed per
+    root, and Newton's method polishes each at mp.dps until its step is
+    below 10^(3 - dps) relative.  Raises NoConvergence if a root does not
+    converge or two polished roots coincide, since a lost or doubled root
+    could hide the minimum."""
+    monic = [complex(float(c / coeffs[-1])) for c in coeffs]
+    zs = [(1 + max(map(abs, monic[:-1]))) * (0.4 + 0.9j) ** k
+          for k in range(len(coeffs) - 1)]
+    for _ in range(200):
+        steps = [poly_eval(monic, z)
+                 / prod(z - w for w in zs[:i] + zs[i + 1:])
+                 for i, z in enumerate(zs)]
+        zs = [z - d for z, d in zip(zs, steps)]
+        if max(abs(d) / max(1, abs(z)) for z, d in zip(zs, steps)) < 1e-12:
+            break
+    tol, deriv, roots = mp.mpf(10) ** (3 - mp.mp.dps), poly_diff(coeffs), []
+    for z in zs:
+        r = mp.mpc(z)
+        for _ in range(NEWTON_STEPS):
+            d = poly_eval(coeffs, r) / poly_eval(deriv, r)
+            r -= d
+            if abs(d) <= tol * abs(r):
+                break
+        else:
+            raise mp.libmp.NoConvergence(f"Newton's method did not polish {z}")
+        roots.append(r)
+    if any(abs(r - s) <= mp.sqrt(tol) * abs(r)
+           for r, s in itertools.combinations(roots, 2)):
+        raise mp.libmp.NoConvergence("two roots coincide")
+    return roots
 
 
 # --- non-archimedean epsilon ----------------------------------------------------

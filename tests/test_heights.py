@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,7 +17,8 @@ import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             add_torsion, scalar_mul)
-from lucassq.exact import poly_diff, resultant
+from lucassq.exact import (poly_add, poly_diff, poly_mul, poly_scale,
+                           resultant)
 from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
                              _charpoly_fractions, _fibre_counts, _monic_mod,
@@ -116,17 +118,96 @@ def test_real_infimum_dense_scan(curve):
         assert obj[fx >= 0].min() >= float(inf) * (1 - 1e-12), place
 
 
-def test_real_roots_raise_without_convergence(monkeypatch):
-    """A polynomial whose roots polyroots cannot find stops the epsilon
-    computation rather than losing candidates."""
-    def no_convergence(*args, **kwargs):
-        raise mpmath.libmp.NoConvergence("no convergence")
-
-    monkeypatch.setattr(heights.mp, "polyroots", no_convergence)
-    with pytest.raises(mpmath.libmp.NoConvergence):
-        heights._real_roots([mp.mpf(-2), mp.mpf(0), mp.mpf(1)])
-    with pytest.raises(mpmath.libmp.NoConvergence):
+def test_roots_raise_without_convergence(monkeypatch):
+    """A root that Newton's method cannot polish, or a root found twice,
+    raises NoConvergence, which stops the epsilon computation rather than
+    losing candidates."""
+    NoConvergence = mpmath.libmp.NoConvergence
+    with mp.workdps(heights.DIGITS + 15):
+        two = [mp.mpf(-2), mp.mpf(0), mp.mpf(1)]
+        _same_roots(heights._roots(two), [-mp.sqrt(2), mp.sqrt(2)])
+        double = poly_mul(two, two)                     # (X^2 - 2)^2
+        with pytest.raises(NoConvergence, match="polish"):
+            heights._roots(double)
+        # Newton's method converges only linearly to a double root; given
+        # the steps, it stops on both of its seeds, which then coincide
+        monkeypatch.setattr(heights, "NEWTON_STEPS", 200)
+        with pytest.raises(NoConvergence, match="coincide"):
+            heights._roots(double)
+        monkeypatch.setattr(heights, "NEWTON_STEPS", 0)
+        with pytest.raises(NoConvergence, match="polish"):
+            heights._roots(two)
+    with pytest.raises(NoConvergence):
         heights.epsilon_archimedean(E1, 0)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+@given(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+       st.builds(Fraction, st.integers(-50, 50).filter(bool),
+                 st.integers(1, 9)))
+@settings(max_examples=50, deadline=None)
+def test_real_candidate_factorizations(a, b):
+    """The identities behind `_real_candidates`, over exact a and b != 0:
+    with f = 4X(X^2 + aX + b) and g = (X^2 - b)^2, the polynomials
+    x g' - 4g, g', x f' - 4f and f' factor into X and the quadratics whose
+    roots `_quadratic_roots` finds."""
+    f, g = [0, 4 * b, 4 * a, 4], [b * b, 0, -2 * b, 0, 1]
+    assert g == poly_mul([-b, 0, 1], [-b, 0, 1])
+    assert _trim(poly_add([0] + poly_diff(g), poly_scale(g, -4))) == \
+        poly_scale([-b, 0, 1], 4 * b)
+    assert poly_diff(g) == poly_mul([0, 4], [-b, 0, 1])
+    assert f == poly_mul([0, 4], [b, a, 1])
+    assert _trim(poly_add([0] + poly_diff(f), poly_scale(f, -4))) == \
+        poly_mul([0, -4], [3 * b, 2 * a, 1])
+    assert poly_diff(f) == poly_scale([b, 2 * a, 3], 4)
+
+
+def _same_roots(got, want):
+    """got and want are the same multiset of complex numbers, to 10^-40
+    relative."""
+    want = list(want)
+    assert len(got) == len(want)
+    for r in got:
+        s = min(want, key=lambda s: abs(r - s))
+        assert abs(r - s) <= mp.mpf(10) ** -40 * abs(s), (r, s)
+        want.remove(s)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.id)
+def test_roots_match_polyroots(curve):
+    """`_roots` of f -+ g at both real places and of both octics at the
+    complex pair agree with mpmath's polyroots (maxsteps 200 and extraprec
+    80 on the quartics, 500 and 200 on the octics), and `_quadratic_roots`
+    of each quadratic factor with the real roots polyroots finds for it."""
+    def polyroots(p, maxsteps, extraprec):
+        return mp.polyroots(p[::-1], maxsteps=maxsteps, extraprec=extraprec)
+
+    with mp.workdps(heights.DIGITS + 15):
+        for place in (0, 1):
+            f, g = heights._real_fg(curve, place)
+            for p in (poly_add(f, poly_scale(g, -1)), poly_add(f, g)):
+                _same_roots(heights._roots(p), polyroots(p, 200, 80))
+            a, b = f[2] / 4, f[1] / 4
+            for q in ([-b, 0, 1], [b, a, 1], [3 * b, 2 * a, 1],
+                      [b, 2 * a, 3]):
+                _same_roots(heights._quadratic_roots(*q),
+                            [r for r in polyroots(q, 200, 80)
+                             if mp.im(r) == 0])
+        f2, g = heights._complex_fg(curve)
+        g2 = poly_mul(g, g)
+        for octic in (poly_add(f2, poly_scale(g2, -1)), poly_add(f2, g2)):
+            _same_roots(heights._roots(octic), polyroots(octic, 500, 200))
+
+
+def test_src_names_no_polyroots():
+    """No module of the package calls mpmath's general root finder."""
+    for path in Path(heights.__file__).parent.glob("*.py"):
+        assert "polyroots" not in path.read_text(), path.name
 
 
 def test_real_infimum_needs_f_negative_left_of_zero():
@@ -706,12 +787,14 @@ def test_field_sqrt_nonsquare_positive_at_real_places(monkeypatch):
 
 
 def test_lifting_and_halving_use_no_floats(monkeypatch):
-    """Square roots, point lifting and halving never call mpmath's root
-    finder."""
+    """Square roots, point lifting, halving and the whole certification,
+    the epsilons included, never call mpmath's root finder."""
     def boom(*args, **kw):
         raise AssertionError("polyroots called")
 
     monkeypatch.setattr(heights.mp, "polyroots", boom)
+    height_diff_bound.cache_clear()
+    assert certify_generators(E10).survivor_names
     x = 1 + K2.element(0, Fraction(1, 7))
     assert field_sqrt(K2, x * x) in (x, -x)
     G = E9.gens[0]

@@ -203,6 +203,59 @@ def test_early_mod3_verdict_matches_full_theta(k):
     assert (total, excluded) == (378, 347)
 
 
+# --- the 3-adic truncation orders -------------------------------------------
+
+def _series_cosets(curve, k):
+    """(c, eps, nonrational theta components mod 3^k) for every coset on
+    which the driver at 3^k expands theta, in its order: the identity, and
+    each coset that the mod-3 test keeps, by the steps of `_cosets_once`."""
+    mults, basis = kernel_basis(curve)
+    N = len(mults) - 1
+    pack = derive_formal_series(curve, k + 5)
+    zpoly = z_linear_combo(pack, [padic_log(pack, z_of_point(Q), k + 4)
+                                  for Q in basis], k)
+    for eps, c in itertools.product(
+            (0, 1), range(N if curve.rank == 1 else N // 2 + 1)):
+        base = add_torsion(curve, mults[c]) if eps else mults[c]
+        if base.at_infinity:
+            series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
+        elif _excluded_mod_3(curve, base.x):
+            continue
+        else:
+            series = beta_x_series(curve, reduce_element(base.x, k + 4),
+                                   reduce_element(base.y, k + 4),
+                                   order=k - 1, pack=pack)
+        yield c, eps, theta_components(series, zpoly, k)[1:]
+
+
+def test_theta_truncation_orders(monkeypatch):
+    """The theta components that the drivers at k = 5 expand, on the 43
+    cosets that reach a series (12 identity, 31 others), are the same mod
+    3^5 when every order (the pack of order k + 5, the logs mod 3^(k+4),
+    the degrees up to `max_useful_degree(k)` under `fact2_floor`, the
+    series orders k - 1 and k + 1) is raised to that of k = 8."""
+    seen = []
+
+    def record(series, zpoly, k):
+        comps = theta_components(series, zpoly, k)
+        seen.append(comps[1:])
+        return comps
+
+    monkeypatch.setattr(padic, "theta_components", record)
+    total = 0
+    for curve in CURVES:
+        seen.clear()
+        result = (rank1_driver if curve.rank == 1 else rank2_driver)(curve)
+        assert result.precision == K
+        at8 = list(_series_cosets(curve, 8))
+        assert [(c, eps) for c, eps, _ in at8] == [
+            (r.coset, r.eps) for r in result.reports
+            if r.verdict != "excluded mod 3"], curve.id
+        assert [[poly_mod(p, M) for p in comps] for _, _, comps in at8] == seen
+        total += len(seen)
+    assert total == 43
+
+
 # --- golden 3-adic coordinates ----------------------------------------------
 
 def test_z_coordinates_golden(e10_kernel):
