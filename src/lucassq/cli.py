@@ -12,11 +12,12 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import __version__
 from .curves import (CURVE_BY_ID, CURVES, ab_to_pq, catalog,
                      condition_value, recover_ab)
-from .elementary import square_criterion, u7_solutions
+from .elementary import u7_solutions
 from .exact import is_perfect_square, perfect_square_root
 from .jsonio import dump, dumps, encode_point, encode_rational
 from .lucas import (LucasParams, classify_degenerate, is_degenerate, lucas_u,
@@ -186,15 +187,19 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
 # --- reports ----------------------------------------------------------------
 
 def _descent_witness(p: int, q: int) -> dict:
-    """Invert the descent map over a small (equation, a, b) box."""
-    for eq in ("eq1", "eq2", "eq3", "eq4"):
-        for a in range(1, 16):
-            for b in range(-400, 401):
-                if b == 0:
-                    continue
-                params, _ = ab_to_pq(eq, a, b)
-                if params is not None and (params.p, params.q) == (p, q):
-                    return {"equation": eq, "a": a, "b": abs(b)}
+    """Invert the descent map in closed form: a = sqrt(P) with
+    b^2 = a^4 - 2Q (eq1) or 2Q - a^4 (eq2), and a = sqrt(P/4) with
+    b^2 = 8a^4 - Q (eq3) or Q - 8a^4 (eq4); the first (equation, a, b)
+    that `ab_to_pq` maps back to (P, Q)."""
+    eight_a4 = Fraction(p * p, 2)                   # 8a^4 when a^2 = P/4
+    for eq, a2, b2 in (("eq1", p, p * p - 2 * q), ("eq2", p, 2 * q - p * p),
+                       ("eq3", Fraction(p, 4), eight_a4 - q),
+                       ("eq4", Fraction(p, 4), q - eight_a4)):
+        a, b = perfect_square_root(a2), perfect_square_root(b2)
+        if a and b:
+            params, _ = ab_to_pq(eq, a, b)
+            if params is not None and (params.p, params.q) == (p, q):
+                return {"equation": eq, "a": a, "b": b}
     return {}
 
 
@@ -209,8 +214,6 @@ def cmd_classify(n: int, p: int, q: int) -> dict:
         "square": is_perfect_square(u),
         "root": perfect_square_root(u) if u >= 0 else None,
     }
-    if n <= 7:
-        rep["criterion"] = square_criterion(n, params)
     if n == 7 and rep["square"]:
         fam = u7_solutions(8)
         if (p, q) in fam:

@@ -1,9 +1,7 @@
-"""Elementary square-term classification for small indices n = 2..7.
-
-For each n there is a polynomial criterion in (P, Q) that is a perfect
-square exactly when U_n is, together with parametrized solution families.
-The n = 7 case rides on a rank-1 elliptic curve over the rationals whose
-multiples of a fixed generator enumerate all solutions.
+"""Elementary square-term classification for small indices n = 2..7:
+parametrized families of the (P, Q) with U_n a square.  The n = 7 case
+rides on a rank-1 elliptic curve over the rationals whose multiples of a
+fixed generator enumerate all solutions.
 """
 
 from __future__ import annotations
@@ -19,25 +17,6 @@ from .lucas import LucasParams
 
 class FamilyConditionError(ValueError):
     """Raised when family parameters violate a stated side-condition."""
-
-
-def square_criterion(n: int, params: LucasParams) -> int:
-    """The integer that must be a perfect square for U_n(P,Q) to be one,
-    for 2 <= n <= 7.  (Each criterion equals U_n itself.)"""
-    p, q = params.p, params.q
-    if n == 2:
-        return p
-    if n == 3:
-        return p * p - q
-    if n == 4:
-        return p * (p * p - 2 * q)
-    if n == 5:
-        return p ** 4 - 3 * p * p * q + q * q
-    if n == 6:
-        return p * (p * p - q) * (p * p - 3 * q)
-    if n == 7:
-        return p ** 6 - 5 * p ** 4 * q + 6 * p * p * q * q - q ** 3
-    raise ValueError(f"criterion defined for 2 <= n <= 7, got {n}")
 
 
 # --- solution families for n = 4, 5, 6 ------------------------------------
@@ -78,7 +57,7 @@ def family_generate(n: int, family_tag: str, parameters: tuple) -> LucasParams:
     """Instantiate one of the n = 4/5/6 solution families.
 
     Raises FamilyConditionError naming the violated side-condition; the
-    returned pair always has square_criterion(n, .) a perfect square.
+    returned pair always has U_n a perfect square.
     The gcd(P,Q) = 1 requirement is enforced last (it is a filter on the
     family output, not part of the parametrization itself).
     """
@@ -188,7 +167,7 @@ def u7_point_to_pq(pt: RationalCurvePoint) -> Optional[tuple[int, int]]:
 
 
 def u7_solutions(k_max: int) -> list[tuple[int, int]]:
-    """(P, Q) pairs with the n=7 criterion a square, from multiples
+    """(P, Q) pairs with U_7 a square, from multiples
     k = 1..k_max of the generator, deduplicated in order of k."""
     if k_max < 1:
         raise ValueError("k_max >= 1 required")

@@ -19,7 +19,8 @@ The box search (`_search_box`) walks each box in blocks of whole prefixes
 (every coefficient but the constant term) through a sieve at primes that
 split completely in the field, which keeps the rows that are products of
 linear factors mod each prime and builds only those, and rebuilds the roots
-of the surviving rows by Hensel lifting.  `roots_in_field`, behind point
+of each kept row of nonzero discriminant by Hensel lifting from the first
+such prime that does not divide it.  `roots_in_field`, behind point
 lifting, square roots and halving, finds the roots in the field of any
 polynomial over it through the same maps to F_p and the same lifting, so
 no floating point enters the box search, lifting or halving; `field_sqrt`
@@ -499,14 +500,14 @@ def _disc_formula(c: np.ndarray) -> np.ndarray:
             + b**2 * a**2 * f**2)
 
 
-def _fibre_counts(head: np.ndarray, p: int) -> tuple:
-    """(distinct, total) for the prefixes h = X^d + head[k, 0] X^(d-1) + ...
-    + head[k, d-2] X mod p: entry [k, t] counts the roots in F_p of h - t,
-    the r with h(r) = t, without and with multiplicity.  As p > d, Taylor's
-    formula makes the multiplicity of r one plus the number of leading
-    derivatives h', h'', ... that vanish at r (h - t has the same ones).
-    h and h' are evaluated at every r, each higher derivative only where
-    the lower ones vanish, and a bincount covers every t at once."""
+def _fibre_counts(head: np.ndarray, p: int) -> np.ndarray:
+    """For the prefixes h = X^d + head[k, 0] X^(d-1) + ... + head[k, d-2] X
+    mod p: entry [k, t] counts with multiplicity the roots in F_p of h - t,
+    the r with h(r) = t.  As p > d, Taylor's formula makes the multiplicity
+    of r one plus the number of leading derivatives h', h'', ... that
+    vanish at r (h - t has the same ones).  h and h' are evaluated at every
+    r, each higher derivative only where the lower ones vanish, and a
+    bincount covers every t at once."""
     n, d = len(head), head.shape[1] + 1
     if p >= 1 << 12:
         raise ValueError(f"{p}: the uint32 values need p < 2^12")
@@ -515,8 +516,7 @@ def _fibre_counts(head: np.ndarray, p: int) -> tuple:
     # below d p^2, so exact in float64 and below 2^32
     powers = (np.arange(p) ** np.arange(d, -1, -1)[:, None] % p).astype(float)
     bins = ((c @ powers).astype(np.uint32) % p + p * np.arange(n)[:, None]).ravel()
-    distinct = np.bincount(bins, minlength=n * p)
-    total = distinct.copy()
+    total = np.bincount(bins, minlength=n * p)
     c = _derivative_rows(c)
     at = np.flatnonzero((c @ powers[1:]).astype(np.uint32) % p == 0)
     while len(at):                         # the d-th derivative is d! != 0
@@ -524,7 +524,7 @@ def _fibre_counts(head: np.ndarray, p: int) -> tuple:
         c = _derivative_rows(c)
         rows, roots = divmod(at, p)
         at = at[_values_mod(c[rows], roots[:, None], p)[:, 0] == 0]
-    return distinct.reshape(n, p), total.reshape(n, p)
+    return total.reshape(n, p)
 
 
 @lru_cache(maxsize=None)
@@ -541,6 +541,13 @@ def _dual_norm(fld) -> Fraction:
     rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])
     return max(sum(abs(t) * 4 * rho ** k for k, t in enumerate(row))
                for row in tinv)
+
+
+def _coordinate_bound(fld, top) -> int:
+    """A bound on DENOMINATOR * coordinates of the roots of monic polynomials
+    with |sigma(c)| <= top for c below the leading 1: Cauchy's 1 + top times
+    `_dual_norm`."""
+    return int(DENOMINATOR * (1 + top) * _dual_norm(fld))
 
 
 def _hensel_modulus(p: int, bound: int) -> int:
@@ -569,11 +576,9 @@ def _hensel(c: np.ndarray, roots: np.ndarray, p: int, q: int) -> np.ndarray:
     inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)],
                        dtype=np.int64)
     u = inverse[_derivative_mod(c, roots, p).astype(np.int64)]
-    pj = p
+    c, pj = _monic_rows(c), p
     while pj < q:
-        val = np.ones_like(roots)
-        for k in range(c.shape[1]):
-            val = (val * roots + c[:, k:k + 1]) % q
+        val = _values_mod(c, roots, q)
         roots = (roots - pj * ((val // pj) % p * u % p)) % q
         pj *= p
     return roots
@@ -644,7 +649,7 @@ def roots_in_field(fld, coeffs) -> list:
     roots of G mod p (see `_search_box`): none at some map means no root.
     At the first split prime where all those roots are simple they are
     Hensel-lifted past twice the bound on DENOMINATOR * coordinates of y
-    (Cauchy bound times `_dual_norm`), each choice of one root per map goes
+    (`_coordinate_bound`), each choice of one root per map goes
     through `_coordinates`, and the exact roots within the bound are kept."""
     cs = [c if isinstance(c, FieldElement) else fld.element(c) for c in coeffs]
     while len(cs) > 1 and not cs[-1]:
@@ -658,7 +663,7 @@ def roots_in_field(fld, coeffs) -> list:
     g = [c * scale ** (n - k) for k, c in enumerate(f)][-2::-1]  # high to low
     rho = 1 + max(abs(c) for c in fld.defining_poly[:-1])      # |sigma(alpha)|
     top = max(sum(abs(v) * rho ** i for i, v in enumerate(c._n)) for c in g)
-    bound = int(DENOMINATOR * (1 + top) * _dual_norm(fld))
+    bound = _coordinate_bound(fld, top)
     for i in itertools.count():
         p, maps = prime = split_prime(fld, i)
         c = np.array([[residue(x, p, a) for x in g] for a in maps])
@@ -781,75 +786,58 @@ def _shape_fractions(shape: CandidateShape) -> tuple:
 def _monic_mod(num: np.ndarray, den: tuple, m: int) -> np.ndarray:
     """num[:, k] / den[k] mod m (m coprime to every den[k]): the
     coefficients below the leading 1, high to low, of monic polynomials."""
-    c = np.asarray(num, dtype=_dtype(m)) % m
-    for k, v in enumerate(den):
-        if v != 1:
-            c[:, k] = c[:, k] * pow(v, -1, m) % m
-    return c
+    return np.asarray(num, dtype=_dtype(m)) % m * [pow(v, -1, m) for v in den] % m
 
 
 def _sieve(fld, head: np.ndarray, tail: np.ndarray, den: tuple) -> tuple:
-    """(prefix indices, constant indices, first) of the rows of the block
-    head x tail that every sieve prime keeps, in lexicographic order, with
-    first the index i of the first `split_prime(fld, i)` at which the row
-    splits (-1 if none).  Row (j, k) is the monic g = h + e of degree d
-    with coefficients (head[j], tail[k]) / den below the leading 1 (as in
-    `_monic_mod`).  At each p, g is kept when its roots in F_p, the r with
-    h(r) = -e, number d with multiplicity: g is a product of linear
-    factors; it splits when they are d distinct roots (`_fibre_counts`)."""
+    """(prefix indices, constant indices) of the rows of the block
+    head x tail that every sieve prime keeps, in lexicographic order.  Row
+    (j, k) is the monic g = h + e of degree d with coefficients
+    (head[j], tail[k]) / den below the leading 1 (as in `_monic_mod`).  At
+    each p, g is kept when its roots in F_p, the r with h(r) = -e, number d
+    with multiplicity (`_fibre_counts`): g is a product of linear factors.
+    Only the prefixes with a row still kept are counted."""
     d = head.shape[1] + 1
+    keep = np.ones((len(head), len(tail)), dtype=bool)
     for i in range(SIEVE_PRIMES):
         p, _ = split_prime(fld, i)
         t = -_monic_mod(tail[:, None], den[-1:], p)[:, 0] % p   # h(r) = -e
-        if i == 0:                         # every row of the block
-            distinct, total = _fibre_counts(_monic_mod(head, den[:-1], p), p)
-            pre, col = np.nonzero(total[:, t] == d)
-            first = np.where(distinct[pre, t[col]] == d, 0, -1)
-            continue
-        live, inverse = np.unique(pre, return_inverse=True)
-        distinct, total = _fibre_counts(_monic_mod(head[live], den[:-1], p), p)
-        at = inverse, t[col]
-        first[(first < 0) & (distinct[at] == d)] = i
-        keep = total[at] == d
-        pre, col, first = pre[keep], col[keep], first[keep]
-    return pre, col, first
+        live = np.flatnonzero(keep.any(axis=1))
+        total = _fibre_counts(_monic_mod(head[live], den[:-1], p), p)
+        keep[live] &= total[:, t] == d
+    return np.nonzero(keep)
 
 
-def _kept_rows(fld, shape: CandidateShape, B) -> tuple:
-    """(rows, first): the rows of the shape's box that `_sieve` keeps, in
-    lexicographic order, and the first split prime index of each."""
+def _kept_rows(fld, shape: CandidateShape, B) -> np.ndarray:
+    """The rows of the shape's box that `_sieve` keeps, in lexicographic
+    order."""
     mult, den = _shape_fractions(shape)
-    rows, first = [], []
+    rows = []
     for head, tail in _prefix_blocks(shape, B):
-        pre, col, fst = _sieve(fld, head * mult[:-1], tail * mult[-1], den)
+        pre, col = _sieve(fld, head * mult[:-1], tail * mult[-1], den)
         rows.append(np.hstack([head[pre], tail[col, None]]))
-        first.append(fst)
-    return np.concatenate(rows), np.concatenate(first)
+    return np.concatenate(rows)
 
 
 def _discriminant(num: np.ndarray, den: tuple) -> np.ndarray:
     """Exact discriminants, up to a nonzero factor, of the monic polynomials
     g = num / den: those of the integer monic G(X) = D^d g(X / D), D the
-    largest of den (a multiple of the others)."""
+    largest of den (a multiple of the others).  The factor D^(d(d-1)) is a
+    power of 2, so an odd prime divides disc(G) exactly when it divides
+    disc(g): exactly when g mod p has a repeated root."""
     top = max(den)
     return _disc_formula(num.astype(object)
                          * [top ** (k + 1) // v for k, v in enumerate(den)])
 
 
-def _late_split_index(fld, num: np.ndarray, den: tuple, disc: int):
-    """For one polynomial (num a 1-row array, disc its nonzero `_discriminant`)
-    that the sieve keeps without a split at any sieve prime: None if a later
-    split prime rejects it (no p | disc and fewer than d distinct roots),
-    else the index of the first split prime at which it has d distinct
-    roots."""
-    i = SIEVE_PRIMES
-    while True:
-        p, _ = split_prime(fld, i)
-        if _zeros_mod_p(_monic_mod(num, den, p), p).sum() == num.shape[1]:
-            return i
-        if disc % p:
-            return None
-        i += 1
+def _reconstruction_index(fld, disc: np.ndarray) -> np.ndarray:
+    """For each nonzero `_discriminant`, the index i of the first split
+    prime `split_prime(fld, i)` that does not divide it."""
+    at = np.full(len(disc), -1)
+    for i in itertools.count():
+        if (at >= 0).all():
+            return at
+        at[(at < 0) & (disc % split_prime(fld, i)[0] != 0)] = i
 
 
 def _assignments(d: int) -> np.ndarray:
@@ -860,50 +848,44 @@ def _assignments(d: int) -> np.ndarray:
         [r for r in range(d) for _ in range(4 // d)]))), dtype=np.int64)
 
 
-def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> np.ndarray:
-    """DENOMINATOR times the coordinates, as symmetric residues mod q, of
-    every assignment of the roots of each monic polynomial to the four maps
-    of the split prime (p, roots); shape (polynomials, assignments, 4).
-
-    c holds the coefficients mod q (as in `_zeros_mod_p`) of polynomials of
-    degree d with d distinct roots mod p.  Every x in the field whose
-    characteristic polynomial is g^(4/d) appears for g, provided
-    q > 2 * DENOMINATOR * max|coordinate of x|."""
-    p = prime[0]
-    roots = np.nonzero(_zeros_mod_p(c % p, p))[1].reshape(c.shape)
-    roots = _hensel(c, roots, p, q)
-    return _coordinates(fld, prime, q, roots[:, _assignments(c.shape[1])])
+def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> tuple:
+    """(split, coordinates) for monic polynomials g of degree d with
+    coefficients c mod q (as in `_zeros_mod_p`): split marks those with d
+    distinct roots mod p, and coordinates holds DENOMINATOR times the
+    coordinates, as symmetric residues mod q, of every assignment of their
+    roots to the four maps of the split prime (p, roots); shape (split
+    polynomials, assignments, 4).  Every x in the field whose characteristic
+    polynomial is such a g^(4/d) appears, provided q > 2 * DENOMINATOR *
+    max|coordinate of x|."""
+    p, d = prime[0], c.shape[1]
+    zeros = _zeros_mod_p(c % p, p)
+    split = zeros.sum(axis=1) == d
+    roots = _hensel(c[split], np.nonzero(zeros[split])[1].reshape(-1, d), p, q)
+    return split, _coordinates(fld, prime, q, roots[:, _assignments(d)])
 
 
 def _box_elements(fld, shape: CandidateShape, B) -> list:
     """(row, x) for every x in the field whose minimal polynomial is a row
     of the shape's box (see `_search_box`)."""
     mult, den = _shape_fractions(shape)
-    rows, first = _kept_rows(fld, shape, B)
-    groups = {int(i): [rows[first == i]] for i in np.unique(first) if i >= 0}
-    late = rows[first < 0]
-    for row, disc in zip(late, _discriminant(late * mult, den)):
-        if disc:                  # else it is no minimal polynomial
-            i = _late_split_index(fld, row[None] * mult, den, disc)
-            if i is not None:
-                groups.setdefault(i, []).append(row[None])
-    # Cauchy: every root of a row has |sigma(x)| <= 1 + max|coefficient|
+    rows = _kept_rows(fld, shape, B)
+    disc = _discriminant(rows * mult, den)
+    rows, disc = rows[disc != 0], disc[disc != 0]   # else no minimal polynomial
+    at = _reconstruction_index(fld, disc)
     top = max(Fraction(int(m) * r, v) for m, r, v in
               zip(mult, shape_ranges(shape, B), den))
-    bound = int(DENOMINATOR * (1 + top) * _dual_norm(fld))
+    bound = _coordinate_bound(fld, top)
     found = []
-    for i in sorted(groups):
-        group = np.concatenate(groups[i])
+    for i in np.unique(at):
         prime = split_prime(fld, i)
         q = _hensel_modulus(prime[0], bound)
-        nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
+        group = rows[at == i]
+        split, nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
+        group = group[split]        # squarefree mod p, so the others do not split
         for r, k in zip(*np.nonzero((np.abs(nums) <= bound).all(axis=2))):
             x = fld.element(*(Fraction(int(n), DENOMINATOR) for n in nums[r, k]))
-            poly = _row_poly(shape, group[r])
-            want = [Fraction(1)]
-            for _ in range(4 // len(mult)):
-                want = poly_mul(want, poly)
-            if _charpoly_fractions(x) == want:   # so poly is its minimal polynomial
+            want = reduce(poly_mul, [_row_poly(shape, group[r])] * (4 // len(mult)))
+            if _charpoly_fractions(x) == want:   # so the row is its minimal polynomial
                 found.append((group[r], x))
     return found
 
@@ -918,8 +900,8 @@ def _search_box(curve: CurveInstance, B) -> list:
     """The X-coordinates of the points of the curve whose minimal polynomial
     is a row of the box, for cap B, of a candidate shape of its degree:
     {x in K : minpoly(x) is such a row, and x lifts to a point}, as
-    (shape tag, row, x) by shape, then by the first split prime at which
-    the row splits, then by row: an order that does not depend on B.
+    (shape tag, row, x) by shape, then by the reconstruction prime of the
+    row, then by row: an order that does not depend on B.
 
     Sieve.  Each shape's box is walked in blocks of whole prefixes and
     tested at the first SIEVE_PRIMES split primes p (`split_prime`).  A
@@ -928,17 +910,20 @@ def _search_box(curve: CurveInstance, B) -> list:
     minimal polynomial g of any x in K: x lies in Z_(p)[alpha] (its
     coordinates are in (1/16)Z), whose reduction mod p is F_p^4 through the
     four maps alpha -> a_j, so g^(4/d), the characteristic polynomial of
-    x, is prod_j (X - x(a_j)) mod p.  Rows with d distinct roots at no
-    sieve prime go on to `_late_split_index`.
+    x, is prod_j (X - x(a_j)) mod p.  The sieve only filters: the same
+    test is made again where each row is rebuilt.
 
-    Reconstruction.  At a prime where g has d distinct roots mod p they
-    are Hensel-lifted to p^k > 2 * 16 * (a bound on the coordinates of any
-    root of a row: the Cauchy root bound times `_dual_norm`), every
+    Reconstruction.  A row with exact discriminant 0 is no minimal
+    polynomial; any other is rebuilt at its reconstruction prime, the first
+    split prime p that does not divide its discriminant, where g is
+    squarefree: a product of linear factors exactly when it has d distinct
+    roots mod p.  These are Hensel-lifted to p^k > 2 * 16 * (a bound on the
+    coordinates of any root of a row, `_coordinate_bound`), every
     assignment of them to the four maps is sent to 16 times coordinates by
     the inverse Vandermonde matrix mod p^k, and symmetric residues within
     the bound are kept when the characteristic polynomial of the element
-    is exactly g^(4/d), which makes g its minimal polynomial.  A row with
-    exact discriminant 0 is no minimal polynomial.  No float is used."""
+    is exactly g^(4/d), which makes g its minimal polynomial.  No float is
+    used."""
     return [(shape.tag, row, x) for shape in candidate_shapes(curve)
             for row, x in _box_elements(curve.field, shape, B)
             if lift_x_to_point(curve, x) is not None]

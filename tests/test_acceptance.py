@@ -561,12 +561,14 @@ def test_criterion_12_fact2_floors(e10_kernel):
 
 
 def test_criterion_12_oracle_equivalence_box_60():
-    from lucassq.elementary import square_criterion
+    """U_n is a square exactly when its polynomial in (P, Q) is, for
+    2 <= n <= 7 and every coprime pair with |P|, |Q| <= 60."""
+    from test_elementary import U_N_POLYNOMIALS
     for p in range(-60, 61):
         for q in range(-60, 61):
             if p == 0 or q == 0 or math.gcd(p, q) != 1:
                 continue
             params = LucasParams(p, q)
-            for n in range(2, 8):
-                assert (is_perfect_square(square_criterion(n, params))
+            for n, poly in U_N_POLYNOMIALS.items():
+                assert (is_perfect_square(poly(p, q))
                         == is_perfect_square(lucas_u(params, n))), (p, q, n)

@@ -1,13 +1,12 @@
-"""Square criteria for n = 2..7, the parameter families, and the rational
-curve behind the n = 7 classification."""
+"""U_n for n = 2..7 against its polynomials in (P, Q), the parameter
+families, and the rational curve behind the n = 7 classification."""
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from lucassq.elementary import (U7_GENERATOR, U7_INFINITY, family_generate,
-                                square_criterion, u7_add, u7_point_to_pq,
-                                u7_solutions)
+                                u7_add, u7_point_to_pq, u7_solutions)
 from lucassq.exact import is_perfect_square
 from lucassq.lucas import LucasParams, lucas_u
 
@@ -17,28 +16,36 @@ coprime_pairs = st.tuples(
 ).filter(lambda t: math.gcd(*t) == 1)
 
 
+# U_n as a polynomial in (P, Q) for 2 <= n <= 7, an oracle independent of
+# the recurrence in `lucas_u`
+U_N_POLYNOMIALS = {
+    2: lambda p, q: p,
+    3: lambda p, q: p * p - q,
+    4: lambda p, q: p * (p * p - 2 * q),
+    5: lambda p, q: p ** 4 - 3 * p * p * q + q * q,
+    6: lambda p, q: p * (p * p - q) * (p * p - 3 * q),
+    7: lambda p, q: p ** 6 - 5 * p ** 4 * q + 6 * p * p * q * q - q ** 3,
+}
+
+
 @given(coprime_pairs, st.integers(2, 7))
 @settings(max_examples=300)
 def test_criterion_equals_u_n(pq, n):
-    """For 2 <= n <= 7 the displayed criterion literally equals U_n, so
-    'criterion is a square' and 'U_n is a square' agree pairwise."""
-    params = LucasParams(*pq)
-    assert square_criterion(n, params) == lucas_u(params, n)
+    """For 2 <= n <= 7, U_n equals its polynomial in (P, Q)."""
+    assert U_N_POLYNOMIALS[n](*pq) == lucas_u(LucasParams(*pq), n)
 
 
 def test_criterion_oracle_equivalence_box():
-    """Exhaustive oracle sweep: squareness of the criterion matches
-    squareness of the directly computed Lucas term over the |P|,|Q| <= 60
-    box (the gating property-suite bound)."""
+    """Exhaustive oracle sweep: U_n equals its polynomial in (P, Q) for
+    2 <= n <= 7 on every coprime pair of the |P|, |Q| <= 60 box (the gating
+    property-suite bound), P = 0 and Q = 0 included."""
     for p in range(-60, 61):
         for q in range(-60, 61):
-            if p == 0 or q == 0 or math.gcd(p, q) != 1:
+            if math.gcd(p, q) != 1:
                 continue
             params = LucasParams(p, q)
-            for n in range(2, 8):
-                lhs = is_perfect_square(square_criterion(n, params))
-                rhs = is_perfect_square(lucas_u(params, n))
-                assert lhs == rhs, (p, q, n)
+            for n, poly in U_N_POLYNOMIALS.items():
+                assert poly(p, q) == lucas_u(params, n), (p, q, n)
 
 
 _FAMILIES = (

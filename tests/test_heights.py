@@ -502,25 +502,26 @@ def _linear_products(p: int, d: int) -> set:
 
 def _fibre_counts_at(polys, p):
     """`_fibre_counts` read at each monic polynomial (coefficient rows below
-    the leading 1, high to low, in [0, p)): (distinct roots, roots counted
-    with multiplicity)."""
-    distinct, total = _fibre_counts(polys[:, :-1], p)
-    at = np.arange(len(polys)), -polys[:, -1] % p
-    return distinct[at], total[at]
+    the leading 1, high to low, in [0, p)): its roots counted with
+    multiplicity."""
+    total = _fibre_counts(polys[:, :-1], p)
+    return total[np.arange(len(polys)), -polys[:, -1] % p]
 
 
 def test_fibre_counts_match_evaluation():
     """On every monic polynomial of degree 1, 2 and 4 mod 7 and mod 13, and
-    on 20,000 random quartics mod 41: the distinct roots are those found by
-    evaluation at every residue, and the roots counted with multiplicity
-    number d exactly on the products of d linear factors."""
+    on 20,000 random quartics mod 41: the roots counted with multiplicity
+    number d exactly on the products of d linear factors, and the distinct
+    roots that `_zeros_mod_p` finds, which decide splitting at the
+    reconstruction prime, are those found by evaluation at every residue."""
     rng = np.random.default_rng(0)
     cases = [(p, d, np.array(list(itertools.product(range(p), repeat=d)),
                              dtype=np.int64))
              for p in (7, 13) for d in (1, 2, 4)]
     cases.append((41, 4, rng.integers(0, 41, (20000, 4))))
     for p, d, polys in cases:
-        distinct, total = _fibre_counts_at(polys, p)
+        total = _fibre_counts_at(polys, p)
+        distinct = heights._zeros_mod_p(polys, p).sum(axis=1)
         r = np.arange(p)
         values = r ** d + sum(polys[:, k:k + 1] * r ** (d - 1 - k)
                               for k in range(d))
@@ -537,8 +538,8 @@ def test_fibre_counts_match_evaluation():
     # third derivatives
     c = np.array([[5, 2, 5, 1], [0, 4, 0, 4], [0, 0, 0, 6],
                   [2, 2, 0, 2], [2, 5, 4, 4]])
-    assert [list(v) for v in _fibre_counts_at(c, 7)] == [[1, 0, 2, 2, 1],
-                                                         [2, 0, 2, 4, 4]]
+    assert list(heights._zeros_mod_p(c, 7).sum(axis=1)) == [1, 0, 2, 2, 1]
+    assert list(_fibre_counts_at(c, 7)) == [2, 0, 2, 4, 4]
 
 
 def _root_multiplicities(c, p):
@@ -562,11 +563,13 @@ def _root_multiplicities(c, p):
 def test_sieve_matches_per_row_oracle():
     """On every shape of E1 and E9 at B = 2, the sieve keeps exactly the
     box rows that are products of linear factors at every sieve prime (the
-    multiplicities by synthetic division), in order, and `first` is the
-    first sieve prime at which the row has d distinct roots."""
+    multiplicities by synthetic division), in order.  Of those, the rows
+    with discriminant 0 are exactly the ones with d distinct roots at no
+    sieve prime, and every other row is rebuilt at the first sieve prime
+    where it has d distinct roots."""
     for curve in (E1, E9):
         for shape in candidate_shapes(curve):
-            rows, first = heights._kept_rows(curve.field, shape, 2.0)
+            rows = heights._kept_rows(curve.field, shape, 2.0)
             mult, den = heights._shape_fractions(shape)
             box = _box(shape, 2.0)
             keep = np.ones(len(box), dtype=bool)
@@ -581,7 +584,12 @@ def test_sieve_matches_per_row_oracle():
                     split = (m > 0).sum(axis=1) == box.shape[1]
                     want[chunk[split & (want[chunk] < 0)]] = i
             assert np.array_equal(rows, box[keep]), (curve.id, shape.tag)
-            assert np.array_equal(first, want[keep]), (curve.id, shape.tag)
+            disc = heights._discriminant(rows * mult, den)
+            first = want[keep]
+            assert np.array_equal(disc == 0, first < 0), (curve.id, shape.tag)
+            assert np.array_equal(
+                heights._reconstruction_index(curve.field, disc[disc != 0]),
+                first[first >= 0]), (curve.id, shape.tag)
 
 
 def test_discriminant_formula():
@@ -615,7 +623,7 @@ def test_sieve_keeps_and_reconstructs_minimal_polynomials(fld, cs):
 
 def test_sieve_late_split_path(monkeypatch):
     """A minimal polynomial whose discriminant every sieve prime divides
-    is placed at the first later split prime where it splits."""
+    is rebuilt at the first later split prime that does not divide it."""
     monkeypatch.setattr(heights, "SIEVE_PRIMES", 2)
     c = 41 * 113
     for x in (K1.element(0, c), K2.element(0, 0, c), K2.element(1, c, 0, c)):
@@ -625,26 +633,42 @@ def test_sieve_late_split_path(monkeypatch):
 def _check_keep_and_reconstruct(x, late=False):
     fld = x.field
     num, den = _as_num_den(_minimal_polynomial(x))
-    pre, col, first = heights._sieve(fld, num[:, :-1], num[:, -1], den)
+    pre, col = heights._sieve(fld, num[:, :-1], num[:, -1], den)
     assert list(pre) == [0] and list(col) == [0]
-    assert (first[0] < 0) == late
-    disc = heights._discriminant(num, den)[0]
-    assert disc != 0
+    disc = heights._discriminant(num, den)
+    assert disc[0] != 0
     for i in range(heights.SIEVE_PRIMES + 4):                   # later primes too
         p, _ = split_prime(fld, i)
         c = _monic_mod(num, den, p)
         count = heights._zeros_mod_p(c, p).sum()
-        assert count == num.shape[1] or disc % p == 0, p
-        assert _fibre_counts_at(c, p)[1][0] == num.shape[1], p
-    i = (int(first[0]) if first[0] >= 0
-         else heights._late_split_index(fld, num, den, disc))
+        assert count == num.shape[1] or disc[0] % p == 0, p
+        assert _fibre_counts_at(c, p)[0] == num.shape[1], p
+    i = heights._reconstruction_index(fld, disc)[0]
+    assert (i >= heights.SIEVE_PRIMES) == late
     prime = split_prime(fld, i)
     bound = DENOMINATOR * max(abs(c) for c in x.coords)
     q = heights._hensel_modulus(prime[0], bound)
-    nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
+    split, nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
+    assert list(split) == [True]
     got = {fld.element(*(Fraction(int(n), DENOMINATOR) for n in v))
            for v in nums[0] if (np.abs(v) <= bound).all()}
     assert x in got
+
+
+def test_sieve_is_only_a_filter(monkeypatch):
+    """The box search on E1 and E9 at B = 2 gives the same output, order
+    included, with 0, 1, 2 or 8 sieve primes: rows that reach their
+    reconstruction prime unsieved are dropped there by the split check."""
+    assert SIEVE_PRIMES == 8
+    for curve, size in ((E1, 1), (E9, 3)):
+        want = [(tag, tuple(row), x) for tag, row, x in
+                heights._search_box(curve, 2.0)]
+        assert len(want) == size
+        for sieve_primes in (0, 1, 2):
+            monkeypatch.setattr(heights, "SIEVE_PRIMES", sieve_primes)
+            assert [(tag, tuple(row), x) for tag, row, x in
+                    heights._search_box(curve, 2.0)] == want, sieve_primes
+        monkeypatch.setattr(heights, "SIEVE_PRIMES", SIEVE_PRIMES)
 
 
 @given(fields, rationals)
