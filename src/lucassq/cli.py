@@ -8,7 +8,7 @@ Exit codes: 0 success / complete certificate, 2 partial certificate,
 from __future__ import annotations
 
 import argparse
-import multiprocessing
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,6 +22,93 @@ from .exact import is_perfect_square, perfect_square_root
 from .jsonio import dump, dumps, encode_point, encode_rational
 from .lucas import (LucasParams, classify_degenerate, is_degenerate, lucas_u,
                     square_terms)
+
+
+# --- worker processes -------------------------------------------------------
+
+FORK_TASKS = 1024   # 4-byte task numbers: 4 KiB, which a pipe holds unread
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: the default number of workers."""
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], in input order, computed by this process and
+    workers - 1 forked copies of it.
+
+    The task numbers are written to one pipe before the first fork, and
+    every worker takes them one at a time, so a slow item holds up only its
+    own worker.  A task is one item, or a run of consecutive items when
+    there are more than FORK_TASKS.  A worker stops at its first exception.
+    Each child sends its (index, result, exception) triples back over its
+    own pipe with pickle and ends with os._exit, so it never returns into
+    the caller.  The first exception in input order is raised again with
+    its own type.  A child that exits without sending its triples raises
+    ChildProcessError: a dead worker never passes for a finished one.  With
+    one worker or one item, nothing is forked, piped or pickled.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import pickle
+    import traceback
+
+    tasks = min(len(items), FORK_TASKS)
+    bounds = [len(items) * t // tasks for t in range(tasks + 1)]
+    task_r, task_w = os.pipe()
+    os.write(task_w, b"".join(t.to_bytes(4, "little") for t in range(tasks)))
+    os.close(task_w)
+
+    def work() -> list:
+        out = []
+        while task := os.read(task_r, 4):
+            t = int.from_bytes(task, "little")
+            for i in range(bounds[t], bounds[t + 1]):
+                try:
+                    out.append((i, fn(items[i]), None))
+                except Exception as exc:
+                    out.append((i, None, exc))
+                    return out
+        return out
+
+    children, received, codes = [], [], []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:                                  # a worker
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        pickle.dump(work(), fh)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        outcomes = work()
+        received = [fh.read() for _, fh in children]
+    finally:
+        os.close(task_r)
+        for pid, fh in children:
+            fh.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), data, code in zip(children, received, codes):
+        if code or not data:
+            raise ChildProcessError(f"worker {pid} exited with status {code} "
+                                    "without sending its results")
+        outcomes += pickle.loads(data)
+    outcomes.sort(key=lambda o: o[0])
+    for _, _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for _, value, _ in outcomes]
 
 
 # --- square search ----------------------------------------------------------
@@ -48,10 +135,11 @@ def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
     0 < |Q| <= q_max for square terms U_n, 2 <= n <= n_max.
 
     The box is cut into blocks of whole P values of about
-    SEARCH_BLOCK_PAIRS pairs each, scanned by `square_terms`.  A block
-    returns only counts, examples and n = 8 pairs, so the memory of a scan
-    does not grow with the box.  The merge is order-independent, so the
-    report does not depend on the worker count.
+    SEARCH_BLOCK_PAIRS pairs each, scanned by `square_terms` in `workers`
+    processes (`fork_map`).  A block returns only counts, examples and
+    n = 8 pairs, so the memory of a scan does not grow with the box.  The
+    merge is order-independent, so the report does not depend on the
+    worker count.
     """
     if min(p_max, q_max, n_max, workers) < 1:
         raise ValueError("all bounds must be >= 1")
@@ -59,11 +147,7 @@ def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
     step = max(1, SEARCH_BLOCK_PAIRS // (2 * q_max))
     blocks = [(ps[i:i + step], q_max, n_max) for i in range(0, len(ps), step)]
     t0 = time.monotonic()
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_search_block, blocks)
-    else:
-        results = [_search_block(b) for b in blocks]
+    results = fork_map(_search_block, blocks, workers)
     counts: dict = {}
     examples: dict = {}
     n8 = set()
@@ -150,28 +234,33 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
     """Run every driver, push survivors through the descent maps, and emit
     the certificate.  Returns (certificate, exit_code).
 
-    Only a `PrecisionError` (a coset the truncation cannot decide) makes
-    the certificate partial; any other exception is a fault and propagates.
+    The curves are independent, so each one's driver and descent run as
+    one job of `fork_map`, on as many workers as this process has CPUs;
+    the certificate does not depend on that number.  Only a
+    `PrecisionError` (a coset the truncation cannot decide) makes the
+    certificate partial; any other exception is a fault and propagates.
     """
     from . import padic
 
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    drivers, descents, failing = [], [], []
-    pairs = set()
-    for curve in sorted(CURVES, key=lambda c: c.rank):
-        run = padic.rank2_driver if curve.rank == 2 else padic.rank1_driver
+
+    def run(curve) -> tuple:
+        """(driver record, descent records, None), or (None, [], failing
+        entry) for a coset the precision cannot decide."""
+        driver = padic.rank2_driver if curve.rank == 2 else padic.rank1_driver
         try:
-            result = run(curve, k=precision)
+            result = driver(curve, k=precision)
         except padic.PrecisionError as exc:           # inconclusive coset
-            failing.append({"curve": curve.id, "error": str(exc)})
-            continue
-        drivers.append(_driver_record(curve, result))
-        for pt in result.survivors:
-            rec = _descent_record(curve, pt)
-            descents.append(rec)
-            if rec["accepted"]:
-                pairs.add(tuple(rec["pair"]))
+            return None, [], {"curve": curve.id, "error": str(exc)}
+        return (_driver_record(curve, result),
+                [_descent_record(curve, pt) for pt in result.survivors], None)
+
+    jobs = fork_map(run, sorted(CURVES, key=lambda c: c.rank), cpu_count())
+    drivers = [rec for rec, _, _ in jobs if rec is not None]
+    descents = [rec for _, recs, _ in jobs for rec in recs]
+    failing = [entry for _, _, entry in jobs if entry is not None]
+    pairs = {tuple(rec["pair"]) for rec in descents if rec["accepted"]}
     cert = TheoremCertificate(
         version=__version__, precision=precision,
         driver_records=drivers, descent_records=descents,
@@ -259,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-max", type=int, default=200)
     s.add_argument("--q-max", type=int, default=200)
     s.add_argument("--n-max", type=int, default=50)
-    s.add_argument("--workers", type=int,
-                   default=max(1, multiprocessing.cpu_count()))
+    s.add_argument("--workers", type=int, default=cpu_count(),
+                   help="worker processes (default: the CPUs this process "
+                        "may use)")
 
     v = sub.add_parser("verify-theorem",
                        help="run the full n = 8 certification pipeline")

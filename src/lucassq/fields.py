@@ -28,9 +28,11 @@ def _frac_rows(rows) -> tuple:
     return tuple(tuple(Fraction(c) for c in row) for row in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDescriptor:
-    """Immutable description of one of the two quartic fields."""
+    """Immutable description of one of the two quartic fields.  Fields
+    compare and hash by identity: K1 and K2 are module singletons, and the
+    caches keyed on a field hash it on every call."""
 
     id: str
     defining_poly: tuple  # coefficients low..high, monic degree 4

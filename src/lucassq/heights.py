@@ -864,6 +864,18 @@ def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> tuple:
     return split, _coordinates(fld, prime, q, roots[:, _assignments(d)])
 
 
+def _vanishes_mod(prime: tuple, c: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    """Mask of the rows r with g_r(x_r) = 0 mod p at all four maps of the
+    split prime (p, roots), for the monic g_r with coefficient rows c mod p
+    (as in `_zeros_mod_p`) and x_r with DENOMINATOR times coordinates
+    nums[r].  It holds when g_r is the minimal polynomial of x_r: p is odd,
+    so x_r is integral at p."""
+    p, maps = prime
+    powers = np.array([[a ** i % p for a in maps] for i in range(4)], dtype=np.int64)
+    images = (nums % p).astype(np.int64) @ powers * pow(DENOMINATOR, -1, p) % p
+    return (_values_mod(_monic_rows(c), images, p) == 0).all(axis=1)
+
+
 def _box_elements(fld, shape: CandidateShape, B) -> list:
     """(row, x) for every x in the field whose minimal polynomial is a row
     of the shape's box (see `_search_box`)."""
@@ -882,7 +894,10 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
         group = rows[at == i]
         split, nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
         group = group[split]        # squarefree mod p, so the others do not split
-        for r, k in zip(*np.nonzero((np.abs(nums) <= bound).all(axis=2))):
+        r, k = np.nonzero((np.abs(nums) <= bound).all(axis=2))
+        check = split_prime(fld, i + 1)
+        ok = _vanishes_mod(check, _monic_mod(group[r] * mult, den, check[0]), nums[r, k])
+        for r, k in zip(r[ok], k[ok]):
             x = fld.element(*(Fraction(int(n), DENOMINATOR) for n in nums[r, k]))
             want = reduce(poly_mul, [_row_poly(shape, group[r])] * (4 // len(mult)))
             if _charpoly_fractions(x) == want:   # so the row is its minimal polynomial
@@ -922,8 +937,10 @@ def _search_box(curve: CurveInstance, B) -> list:
     assignment of them to the four maps is sent to 16 times coordinates by
     the inverse Vandermonde matrix mod p^k, and symmetric residues within
     the bound are kept when the characteristic polynomial of the element
-    is exactly g^(4/d), which makes g its minimal polynomial.  No float is
-    used."""
+    is exactly g^(4/d), which makes g its minimal polynomial.  Before that
+    Fraction check, a residue vector is dropped unless g(x) = 0 at the four
+    maps of the next split prime (`_vanishes_mod`), which holds when g is
+    the minimal polynomial of x.  No float is used."""
     return [(shape.tag, row, x) for shape in candidate_shapes(curve)
             for row, x in _box_elements(curve.field, shape, B)
             if lift_x_to_point(curve, x) is not None]

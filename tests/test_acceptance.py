@@ -7,7 +7,6 @@ point of difference, and its docstring states the facts behind them.
 
 import itertools
 import math
-import multiprocessing
 import random
 import time
 import zlib
@@ -39,9 +38,9 @@ def test_criterion_1_theorem_values():
 # --- 2. search reproduction ---------------------------------------------------
 
 def test_criterion_2_search_box():
-    from lucassq.cli import cmd_search
+    from lucassq.cli import cmd_search, cpu_count
     t0 = time.monotonic()
-    rep = cmd_search(200, 200, 50, workers=multiprocessing.cpu_count())
+    rep = cmd_search(200, 200, 50, workers=cpu_count())
     assert time.monotonic() - t0 < 300
     assert set(rep["indices"]) == {2, 3, 4, 5, 6, 7, 8, 12}
     assert rep["n8_pairs"] == [(1, -4), (4, -17)]

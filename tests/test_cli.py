@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import time
 from unittest import mock
 
 import pytest
@@ -108,13 +110,71 @@ def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
 
 
 def test_search_workers():
-    """Two pool workers that build their own two-word mask tables give the
-    scalar scan's report on a box cut into several blocks."""
-    square_mask_table.cache_clear()
-    with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
-        rep = cmd_search(6, 5, 70, workers=2)
-    for key, value in _report_fields(_scalar_census(6, 5, 70)).items():
-        assert rep[key] == value
+    """One worker, and two or three forked workers that build their own
+    two-word mask tables, give the scalar scan's report on a box cut into
+    six blocks."""
+    want = _report_fields(_scalar_census(6, 5, 70))
+    for workers in (1, 2, 3):
+        square_mask_table.cache_clear()
+        with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
+            rep = cmd_search(6, 5, 70, workers=workers)
+        for key, value in want.items():
+            assert rep[key] == value
+
+
+def test_fork_map_keeps_input_order():
+    """Results come back in input order for any worker count, also when
+    the items outnumber the tasks and a task is a run of items."""
+    items = list(range(40))
+    want = [x * x for x in items]
+    for workers in (1, 2, 3):
+        assert cli.fork_map(lambda x: x * x, items, workers) == want
+    with mock.patch.object(cli, "FORK_TASKS", 3):
+        assert cli.fork_map(lambda x: x * x, items, 3) == want
+    assert cli.fork_map(lambda x: x * x, [], 3) == []
+
+
+def _in_child(parent: int, marker, child_job):
+    """A job that runs child_job in a forked worker; in the calling
+    process it waits until a worker has created the marker file, so that
+    a worker is sure to take an item."""
+    def job(x):
+        if os.getpid() != parent:
+            marker.touch()
+            return child_job(x)
+        for _ in range(2000):
+            if marker.exists():
+                break
+            time.sleep(0.005)
+    return job
+
+
+def test_fork_map_worker_death_raises(tmp_path):
+    """A worker that dies inside a job raises in the caller; its items
+    never pass for finished ones."""
+    job = _in_child(os.getpid(), tmp_path / "taken", lambda x: os._exit(1))
+    with pytest.raises(ChildProcessError):
+        cli.fork_map(job, [0, 1], 2)
+
+
+def test_fork_map_reraises_with_own_type(tmp_path):
+    """An exception in a forked job comes back with its own type, and the
+    first one in input order wins, as in the plain loop."""
+    def child_job(x):
+        raise KeyError(x)
+    job = _in_child(os.getpid(), tmp_path / "taken", child_job)
+    with pytest.raises(KeyError):
+        cli.fork_map(job, [0, 1], 2)
+
+    def failing(x):
+        if x == 1:
+            raise TypeError("first")
+        if x == 4:
+            raise ValueError("later")
+        return x
+    for workers in (1, 2, 3):
+        with pytest.raises(TypeError):
+            cli.fork_map(failing, range(6), workers)
 
 
 def test_search_rejects_bad_bounds():
@@ -290,3 +350,26 @@ def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         LOW_PRECISION_SHA256[k])
+
+
+@pytest.mark.parametrize("k", [5, 1])
+def test_verify_theorem_certificate_on_any_cpu_count(k, tmp_path, monkeypatch,
+                                                     capsys):
+    """With 1, 2 or 3 CPUs, so with the drivers in one process or spread
+    over forked workers, the certificate is byte for byte the same, the
+    partial one at k = 1 included, with its exit code and failing order."""
+    code = 2 if k == 1 else 0
+    digest = CERTIFICATE_SHA256 if k == 5 else LOW_PRECISION_SHA256[k]
+    failing = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cert{cpus}.json"
+        assert main(["verify-theorem", "--precision", str(k),
+                     "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        failing.append([f["curve"] for f in
+                        json.loads(out.read_text())["failing_cosets"]])
+    capsys.readouterr()
+    assert failing[0] == failing[1] == failing[2]
+    assert bool(failing[0]) == (code == 2)

@@ -17,9 +17,10 @@ import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             add_torsion, scalar_mul)
-from lucassq.exact import (poly_add, poly_diff, poly_mul, poly_scale,
-                           resultant)
-from lucassq.fields import K1, K2, PI, split_prime, two_adic_valuation
+from lucassq.exact import (poly_add, poly_diff, poly_eval, poly_mul,
+                           poly_scale, resultant)
+from lucassq.fields import (K1, K2, PI, residue, split_prime,
+                            two_adic_valuation)
 from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
                              _charpoly_fractions, _fibre_counts, _monic_mod,
                              candidate_shapes, canonical_height,
@@ -650,8 +651,11 @@ def _check_keep_and_reconstruct(x, late=False):
     q = heights._hensel_modulus(prime[0], bound)
     split, nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
     assert list(split) == [True]
+    check = split_prime(fld, i + 1)
+    vanishes = heights._vanishes_mod(
+        check, _monic_mod(num, den, check[0]).repeat(len(nums[0]), axis=0), nums[0])
     got = {fld.element(*(Fraction(int(n), DENOMINATOR) for n in v))
-           for v in nums[0] if (np.abs(v) <= bound).all()}
+           for v, ok in zip(nums[0], vanishes) if ok and (np.abs(v) <= bound).all()}
     assert x in got
 
 
@@ -669,6 +673,24 @@ def test_sieve_is_only_a_filter(monkeypatch):
             assert [(tag, tuple(row), x) for tag, row, x in
                     heights._search_box(curve, 2.0)] == want, sieve_primes
         monkeypatch.setattr(heights, "SIEVE_PRIMES", SIEVE_PRIMES)
+
+
+@given(fields, sixteenths, st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_vanishes_mod_matches_residues(fld, cs, i):
+    """`_vanishes_mod` says whether g(x) = 0 mod p at the four maps of a
+    split prime, as `residue` evaluates it: always for g the minimal
+    polynomial of x, and for that of x + 1 exactly when every image of x
+    is a root of it mod p."""
+    x = fld.element(*cs)
+    p, maps = prime = split_prime(fld, i)
+    nums = np.array([[int(c * DENOMINATOR) for c in x.coords]], dtype=np.int64)
+    for y in (x, x + 1):
+        g = _minimal_polynomial(y)
+        num, den = _as_num_den(g)
+        want = all(poly_eval(g, residue(x, p, a)).numerator % p == 0 for a in maps)
+        assert want or y != x
+        assert list(heights._vanishes_mod(prime, _monic_mod(num, den, p), nums)) == [want]
 
 
 @given(fields, rationals)
