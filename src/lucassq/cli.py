@@ -114,7 +114,9 @@ def fork_map(fn, items, workers: int) -> list:
 # --- square search ----------------------------------------------------------
 
 # (P, Q) pairs per sieve block, which sets the memory of a scan.  Larger
-# blocks run no faster: a census takes the same time at 2,500 to 100,000.
+# blocks run no faster: the 200/200/50 census takes the same time at 5,000
+# to 100,000, and about a quarter longer at 2,500, where the per-block numpy
+# calls add up.  Its peak RSS grows by 3.4 MiB from 10,000 to 100,000.
 SEARCH_BLOCK_PAIRS = 10_000
 SEARCH_EXAMPLES = 4           # smallest (p, q, r) reported per index
 

@@ -888,7 +888,7 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
               zip(mult, shape_ranges(shape, B), den))
     bound = _coordinate_bound(fld, top)
     found = []
-    for i in np.unique(at):
+    for i in sorted(set(at.tolist())):
         prime = split_prime(fld, i)
         q = _hensel_modulus(prime[0], bound)
         group = rows[at == i]

@@ -87,8 +87,8 @@ def square_term_indices(params: LucasParams, n_max: int,
     """All (n, r) with 2 <= n <= n_max and U_n = r^2 a perfect square
     (r >= 0), by the recurrence and one exact square root per term.
     Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
-    pair.  With `indices`, only those n are checked: `square_terms` passes
-    the indices its residue sieve did not rule out."""
+    pair.  With `indices`, only those n are checked.  This is the unsieved
+    scan of one pair; `square_terms` scans a box with a residue sieve."""
     if indices is None:
         indices = range(2, n_max + 1)
     wanted = {n for n in indices if 2 <= n <= n_max}
@@ -153,17 +153,34 @@ def square_terms(ps, q_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
     pair.
 
-    Terms that every SIEVE_FACTORS mask table keeps are rechecked exactly."""
+    Each pair starts with every index live and keeps those that every
+    SIEVE_FACTORS mask table keeps.  After each factor the pairs with no
+    live index left are dropped, so the later tables are read for fewer
+    pairs.  Then one recurrence per surviving pair is advanced to each of
+    its live indices in turn, and `isqrt` rechecks that term exactly.
+    `_coprime_nondegenerate_pairs` has already made every pair coprime."""
     import numpy as np
+    if n_max < 2:
+        return []
     P, Q = _coprime_nondegenerate_pairs(ps, q_max)
-    kept = functools.reduce(np.bitwise_and, (
-        square_mask_table(m, n_max)[P % m * m + Q % m] for m in SIEVE_FACTORS))
-    rows = np.flatnonzero(kept.any(axis=1)).tolist()
-    bits = np.unpackbits(kept[rows].astype("<u8").view(np.uint8), axis=1,
-                         bitorder="little")
+    width = 8 * ((n_max + 62) // 64)                # bytes of mask per pair
+    every = (1 << (n_max - 1)) - 1                  # bit n - 2 for each n
+    kept = np.broadcast_to(np.frombuffer(every.to_bytes(width, "little"),
+                                         dtype="<u8"), (P.size, width // 8))
+    for m in SIEVE_FACTORS:
+        kept = kept & square_mask_table(m, n_max)[P % m * m + Q % m]
+        live = np.flatnonzero(kept.any(axis=1))
+        P, Q, kept = P[live], Q[live], kept[live]
+    masks = kept.astype("<u8", copy=False).tobytes()
     hits = []
-    for i, row in zip(rows, bits):
-        p, q = int(P[i]), int(Q[i])
-        hits += [(p, q, n, r) for n, r in square_term_indices(
-            LucasParams(p, q), n_max, (np.flatnonzero(row) + 2).tolist())]
+    for at, p, q in zip(range(0, len(masks), width), P.tolist(), Q.tolist()):
+        bits = int.from_bytes(masks[at:at + width], "little")
+        a, b, n = 0, 1, 1                           # U_{n-1}, U_n
+        while bits:
+            k = (bits & -bits).bit_length() + 1     # the lowest live index
+            bits &= bits - 1
+            while n < k:
+                a, b, n = b, p * b - q * a, n + 1
+            if b >= 0 and (r := math.isqrt(b)) * r == b:
+                hits.append((p, q, n, r))
     return sorted(hits)

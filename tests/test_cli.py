@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lucassq import cli, padic
+from lucassq import cli, lucas, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
 from lucassq.curves import CURVE_BY_ID
@@ -107,6 +107,19 @@ def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
         rep = cmd_search(p_max, q_max, n_max, workers=1)
     for key, value in _report_fields(hits).items():
         assert rep[key] == value
+
+
+@pytest.mark.parametrize("factors", [(), (64,), (47,), lucas.SIEVE_FACTORS])
+@pytest.mark.parametrize("box", [(3, 4, 66), (2, 3, 130)])
+def test_sieve_only_filters(factors, box):
+    """The census equals the scalar scan with no sieve factor (every index
+    live), with one factor, and with all of them, on boxes whose indices
+    run past the 64- and 128-index word boundaries of the mask tables: the
+    sieve drops only terms that are not squares."""
+    p_max, q_max, n_max = box
+    ps = [p for p in range(-p_max, p_max + 1) if p]
+    with mock.patch.object(lucas, "SIEVE_FACTORS", factors):
+        assert square_terms(ps, q_max, n_max) == _scalar_census(*box)
 
 
 def test_search_workers():

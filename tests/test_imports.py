@@ -8,11 +8,19 @@ imports and star imports bind no checked name.  A top-level function,
 class or constant of the package, and a public method or property of a
 top-level class, must be read, as a name or an attribute, somewhere in
 `src/`, `tests/` or `scripts/` outside its own definition; dataclass
-fields are records, not helpers, and are not checked."""
+fields are records, not helpers, and are not checked.
+
+The work of a census and of a generator certification imports no module
+that costs time on its first use in a process (`numpy.ma`)."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import lucassq
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "scripts")
@@ -192,3 +200,24 @@ def test_no_dead_definitions():
                       p.read_text(encoding="utf-8") for p in files})
     assert not unread, "unread definitions:\n" + "\n".join(
         f"{path}:{line}: {name}" for path, line, name in unread)
+
+
+def test_work_imports_no_numpy_ma():
+    """`numpy.ma` takes 17-21 ms to import, which a fresh process would pay
+    inside the work; `np.unique` is one call that imports it."""
+    code = """if True:
+        import sys
+        import lucassq.cli as cli, lucassq.heights as heights, lucassq.padic
+        from lucassq.curves import CURVE_BY_ID, catalog
+        catalog()
+        cli.cmd_search(5, 5, 20, 1)
+        heights.certify_generators(CURVE_BY_ID["E10"])
+        print("numpy.ma" in sys.modules)
+    """
+    src = str(Path(lucassq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
