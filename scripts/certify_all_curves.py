@@ -14,11 +14,13 @@ ranges of each cap and the survivor names in order.  A sieve that dropped
 a true point would still certify, and a change to the box search could
 reorder its survivors.  Each line gives the time of
 the bound C (`height_diff_bound`, about 0.02 s) apart from the rest of the
-certification.  The sweep takes about 5 s (4.8-6.0 s in seven runs, against
-5.3-7.9 s for the root finding by mpmath's polyroots that the epsilons used
-before) on one core of a shared 2-core VM with Python 3.11.  Exits with
-status 1 if any curve's certification FAILED or a pinned field differs
-from the table, after printing the first such field.
+certification, and a last line gives the total time and its split into
+drivers, C and heights.  The sweep takes about 3 s wall at a 41 MiB peak
+(2.5-3.5 s in four runs, alternating with 4.5-5.0 s at 52 MiB for the box
+sieve at eight primes without the Euler pre-check) on one core of a shared
+2-core VM with Python 3.11.  Exits with status 1 if any curve's
+certification FAILED or a pinned field differs from the table, after
+printing the first such field.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """
@@ -112,19 +114,23 @@ def run_one(curve):
           f"C in {t_bound:5.2f}s  "
           f"heights: {verdict} in {t_cert:6.1f}s  {depth}  "
           f"box classes: {names}")
+    times = (t_driver, t_bound, t_cert)
     if verdict.startswith("FAILED"):
-        return False
+        return False, times
     want = CERTIFICATES[curve.id]
     for k in FIELDS:
         if got.get(k) != want.get(k):
             print(f"{curve.id}: {k} is {got.get(k)}, pinned {want.get(k)}")
-            return False
-    return True
+            return False, times
+    return True, times
 
 
 def main(argv) -> int:
     ids = argv or [c.id for c in CURVES]
-    ok = [run_one(CURVE_BY_ID[cid]) for cid in ids]
+    ok, times = zip(*(run_one(CURVE_BY_ID[cid]) for cid in ids))
+    driver, bound, cert = map(sum, zip(*times))
+    print(f"total {driver + bound + cert:.1f}s over {len(ids)} curves: "
+          f"drivers {driver:.1f}s, C {bound:.2f}s, heights {cert:.1f}s")
     return 0 if all(ok) else 1
 
 

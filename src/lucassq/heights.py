@@ -23,8 +23,8 @@ of each kept row of nonzero discriminant by Hensel lifting from the first
 such prime that does not divide it.  `roots_in_field`, behind point
 lifting, square roots and halving, finds the roots in the field of any
 polynomial over it through the same maps to F_p and the same lifting, so
-no floating point enters the box search, lifting or halving; `field_sqrt`
-first rejects most non-squares by Euler's criterion at those maps.
+no floating point enters the box search, lifting or halving.  Euler's
+criterion at those maps rejects most non-squares first (`_nonsquares`).
 
 `certify_generators` checks E(K) = <gens> + {O, T} on one path for every
 rank: no nonzero class of <gens, T> mod 2 halves, which rules out an even
@@ -260,19 +260,13 @@ def naive_height(x: FieldElement, digits: int = 40) -> mp.mpf:
     """(1/4) log Mahler measure of the primitive integer characteristic
     polynomial of x."""
     cp = _charpoly_fractions(x)
-    den = 1
-    for c in cp:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in cp))
     ints = [int(c * den) for c in cp]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
     # the charpoly roots are exactly the embeddings of x (with multiplicity
     # if x lies in a subfield), so evaluate those instead of root-finding a
     # quartic whose integer coefficients may be astronomically large
     with mp.workdps(digits):
-        total = mp.log(abs(mp.mpf(ints[-1])))
+        total = mp.log(abs(mp.mpf(ints[-1] // gcd(*ints))))
         for root in x.field.roots(digits):
             total += mp.log(max(1, abs(_embed(x, root))))
         return total / 4
@@ -331,14 +325,12 @@ def _doublings(curve: CurveInstance, pt: CurvePoint):
     doubling.
     """
     fld = pt.x.field
-    s = curve.a._d * curve.b._d // gcd(curve.a._d, curve.b._d)
-    a = curve.a * s
-    b = curve.b * s
+    s = lcm(curve.a._d, curve.b._d)
+    a, b = curve.a * s, curve.b * s
     u, w = fld.integral(pt.x._n), pt.x._d
     while True:
         yield u, w
-        u2 = u * u
-        w2 = w * w
+        u2, w2 = u * u, w * w
         num = u2 * s - b * w2
         num = num * num
         den = u * (u2 * s + a * u * w + b * w2)
@@ -347,9 +339,7 @@ def _doublings(curve: CurveInstance, pt: CurvePoint):
         r, norm = adjugate(fld, den._n)
         ucoords = (num * fld.integral(r))._n
         w = norm * 4 * s * w
-        g = _content((w,) + ucoords)
-        if w < 0:
-            g = -g
+        g = _content((w,) + ucoords) * (-1 if w < 0 else 1)
         u = fld.integral(c // g for c in ucoords)
         w //= g
 
@@ -442,7 +432,12 @@ def shape_ranges(shape: CandidateShape, B) -> list:
 
 # --- split primes: exact arithmetic mod p ----------------------------------------------
 
-SIEVE_PRIMES = 8          # split primes of the box sieve
+# Split primes of the box sieve.  Of the 441,665 rows of E10's box at cap
+# 2.4987 the first eight keep 20,719, 2,171, 1,321, 1,239, then 1,235: the
+# last five spend 58% of the prefix-residue evaluations (E12: 6.59M of
+# 15.18M) on 86 rows (E12: 1,576) that reconstruction drops anyway.
+SIEVE_PRIMES = 3
+EULER_PRIMES = 8          # split primes of the Euler test (see `field_sqrt`)
 
 # Every root x of a box row has 4x integral (4^d g(X/4) has integer
 # coefficients when g is monic with coefficients in (1/4)Z), and the maximal
@@ -684,18 +679,26 @@ def roots_in_field(fld, coeffs) -> list:
     return [x for x in xs if not poly_eval(cs, x)]
 
 
+@lru_cache(maxsize=None)
+def _nonsquares(p: int) -> np.ndarray:
+    """Euler's criterion as a table: r is a nonzero non-square mod p."""
+    return np.array([pow(r, (p - 1) // 2, p) == p - 1 for r in range(p)])
+
+
 def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
     """Exact square root of w in the field, if one exists.
 
     Euler's criterion first: if w = y^2 and w is integral at a map
     alpha -> a of a split prime p, then so is y, and residue(y)^2 =
     residue(w).  So w is no square when, at some map of the first
-    SIEVE_PRIMES split primes, its residue is a nonzero non-residue mod p;
-    `roots_in_field` decides the rest."""
+    EULER_PRIMES split primes, its residue is a nonzero non-square mod p
+    (`_nonsquares`); `roots_in_field` decides the rest.  With three primes
+    in place of eight, non-squares reach it in seven of the twelve
+    certifications."""
     if not w:
         return fld.zero()
-    for p, maps in (split_prime(fld, i) for i in range(SIEVE_PRIMES)):
-        if any(r and pow(r, (p - 1) // 2, p) == p - 1
+    for p, maps in (split_prime(fld, i) for i in range(EULER_PRIMES)):
+        if any(r is not None and _nonsquares(p)[r]
                for r in (residue(w, p, a) for a in maps)):
             return None
     roots = roots_in_field(fld, [-w, 0, 1])
@@ -703,11 +706,8 @@ def field_sqrt(fld, w: FieldElement) -> Optional[FieldElement]:
 
 
 def lift_x_to_point(curve: CurveInstance, x: FieldElement) -> Optional[CurvePoint]:
-    w = x * (x * x + curve.a * x + curve.b)
-    y = field_sqrt(curve.field, w)
-    if y is None:
-        return None
-    return CurvePoint(x, y)
+    y = field_sqrt(curve.field, x * (x * x + curve.a * x + curve.b))
+    return None if y is None else CurvePoint(x, y)
 
 
 def _duplication_quartic(curve: CurveInstance, xp: FieldElement) -> list:
@@ -755,6 +755,7 @@ class HeightCertificate:
 # --- the box sieve -------------------------------------------------------------------
 
 BOX_BLOCK_ROWS = 1 << 16  # box rows per block of whole prefixes
+REBUILD_ROWS = 256        # kept rows rebuilt at once: bounds `_reconstruct`'s arrays
 
 
 def _prefix_blocks(shape: CandidateShape, B):
@@ -796,7 +797,8 @@ def _sieve(fld, head: np.ndarray, tail: np.ndarray, den: tuple) -> tuple:
     (head[j], tail[k]) / den below the leading 1 (as in `_monic_mod`).  At
     each p, g is kept when its roots in F_p, the r with h(r) = -e, number d
     with multiplicity (`_fibre_counts`): g is a product of linear factors.
-    Only the prefixes with a row still kept are counted."""
+    Only the prefixes with a row still kept are counted.  Rows with roots
+    in the Galois closure split at every split prime: see SIEVE_PRIMES."""
     d = head.shape[1] + 1
     keep = np.ones((len(head), len(tail)), dtype=bool)
     for i in range(SIEVE_PRIMES):
@@ -864,22 +866,26 @@ def _reconstruct(fld, prime: tuple, q: int, c: np.ndarray) -> tuple:
     return split, _coordinates(fld, prime, q, roots[:, _assignments(d)])
 
 
-def _vanishes_mod(prime: tuple, c: np.ndarray, nums: np.ndarray) -> np.ndarray:
-    """Mask of the rows r with g_r(x_r) = 0 mod p at all four maps of the
-    split prime (p, roots), for the monic g_r with coefficient rows c mod p
-    (as in `_zeros_mod_p`) and x_r with DENOMINATOR times coordinates
-    nums[r].  It holds when g_r is the minimal polynomial of x_r: p is odd,
-    so x_r is integral at p."""
-    p, maps = prime
-    powers = np.array([[a ** i % p for a in maps] for i in range(4)], dtype=np.int64)
-    images = (nums % p).astype(np.int64) @ powers * pow(DENOMINATOR, -1, p) % p
-    return (_values_mod(_monic_rows(c), images, p) == 0).all(axis=1)
+def _may_lift(curve: CurveInstance, nums: np.ndarray) -> np.ndarray:
+    """Mask of the rows r for which w = x(x^2 + Ax + B), x with DENOMINATOR
+    times coordinates nums[r], passes `field_sqrt`'s Euler test at each of
+    its maps where A and B are integral: the others lift to no point."""
+    keep = np.ones(len(nums), dtype=bool)
+    for i in range(EULER_PRIMES):
+        p, maps = split_prime(curve.field, i)
+        powers = np.array([[a ** k % p for a in maps] for k in range(4)])
+        images = (nums % p).astype(np.int64) @ powers * pow(DENOMINATOR, -1, p) % p
+        for x, a in zip(images.T, maps):
+            A, B = residue(curve.a, p, a), residue(curve.b, p, a)
+            if A is not None and B is not None:
+                keep &= ~_nonsquares(p)[x * ((x + A) * x + B) % p]
+    return keep
 
 
-def _box_elements(fld, shape: CandidateShape, B) -> list:
+def _box_elements(curve: CurveInstance, shape: CandidateShape, B) -> list:
     """(row, x) for every x in the field whose minimal polynomial is a row
-    of the shape's box (see `_search_box`)."""
-    mult, den = _shape_fractions(shape)
+    of the shape's box and that `_may_lift` keeps (see `_search_box`)."""
+    fld, (mult, den) = curve.field, _shape_fractions(shape)
     rows = _kept_rows(fld, shape, B)
     disc = _discriminant(rows * mult, den)
     rows, disc = rows[disc != 0], disc[disc != 0]   # else no minimal polynomial
@@ -891,17 +897,16 @@ def _box_elements(fld, shape: CandidateShape, B) -> list:
     for i in sorted(set(at.tolist())):
         prime = split_prime(fld, i)
         q = _hensel_modulus(prime[0], bound)
-        group = rows[at == i]
-        split, nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
-        group = group[split]        # squarefree mod p, so the others do not split
-        r, k = np.nonzero((np.abs(nums) <= bound).all(axis=2))
-        check = split_prime(fld, i + 1)
-        ok = _vanishes_mod(check, _monic_mod(group[r] * mult, den, check[0]), nums[r, k])
-        for r, k in zip(r[ok], k[ok]):
-            x = fld.element(*(Fraction(int(n), DENOMINATOR) for n in nums[r, k]))
-            want = reduce(poly_mul, [_row_poly(shape, group[r])] * (4 // len(mult)))
-            if _charpoly_fractions(x) == want:   # so the row is its minimal polynomial
-                found.append((group[r], x))
+        for group in np.array_split(rows[at == i], (at == i).sum() // REBUILD_ROWS + 1):
+            split, nums = _reconstruct(fld, prime, q, _monic_mod(group * mult, den, q))
+            group = group[split]        # squarefree mod p, so the others do not split
+            r, k = np.nonzero((np.abs(nums) <= bound).all(axis=2))
+            ok = _may_lift(curve, nums[r, k])
+            for r, k in zip(r[ok], k[ok]):
+                x = fld.element(*(Fraction(int(n), DENOMINATOR) for n in nums[r, k]))
+                want = reduce(poly_mul, [_row_poly(shape, group[r])] * (4 // len(mult)))
+                if _charpoly_fractions(x) == want:   # so the row is its minimal polynomial
+                    found.append((group[r], x))
     return found
 
 
@@ -932,17 +937,13 @@ def _search_box(curve: CurveInstance, B) -> list:
     polynomial; any other is rebuilt at its reconstruction prime, the first
     split prime p that does not divide its discriminant, where g is
     squarefree: a product of linear factors exactly when it has d distinct
-    roots mod p.  These are Hensel-lifted to p^k > 2 * 16 * (a bound on the
-    coordinates of any root of a row, `_coordinate_bound`), every
-    assignment of them to the four maps is sent to 16 times coordinates by
-    the inverse Vandermonde matrix mod p^k, and symmetric residues within
-    the bound are kept when the characteristic polynomial of the element
-    is exactly g^(4/d), which makes g its minimal polynomial.  Before that
-    Fraction check, a residue vector is dropped unless g(x) = 0 at the four
-    maps of the next split prime (`_vanishes_mod`), which holds when g is
-    the minimal polynomial of x.  No float is used."""
+    roots mod p (`_reconstruct`).  The elements so rebuilt within the bound
+    of `_coordinate_bound` are kept when their characteristic polynomial
+    is exactly g^(4/d), which makes g their minimal polynomial.  Before that
+    Fraction check, `_may_lift` drops by Euler's criterion the residue
+    vectors of the x that lift to no point.  No float is used."""
     return [(shape.tag, row, x) for shape in candidate_shapes(curve)
-            for row, x in _box_elements(curve.field, shape, B)
+            for row, x in _box_elements(curve, shape, B)
             if lift_x_to_point(curve, x) is not None]
 
 
@@ -1052,8 +1053,7 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
     at the larger cap serves both."""
     with mp.workdps(DIGITS + 15):
         C, eps = height_diff_bound(curve.id)
-        eps_dict = {"inf1": float(eps[0]), "inf2": float(eps[1]),
-                    "inf3": float(eps[2])}
+        eps_dict = {f"inf{k}": float(e) for k, e in enumerate(eps, 1)}
         if curve.field.id == "K2":
             eps_dict["pi"] = float(epsilon_nonarchimedean(curve))
         classes = _odd_classes(curve)

@@ -17,14 +17,15 @@ import lucassq.heights as heights
 from lucassq import curves
 from lucassq.curves import (CURVE_BY_ID, CURVES, CurvePoint, add_points,
                             add_torsion, scalar_mul)
-from lucassq.exact import (poly_add, poly_diff, poly_eval, poly_mul,
+from lucassq.exact import (poly_add, poly_diff, poly_mul,
                            poly_scale, resultant)
 from lucassq.fields import (K1, K2, PI, residue, split_prime,
                             two_adic_valuation)
-from lucassq.heights import (DENOMINATOR, MAX_DOUBLINGS, SIEVE_PRIMES,
-                             _charpoly_fractions, _fibre_counts, _monic_mod,
-                             candidate_shapes, canonical_height,
-                             certify_generators, epsilon_nonarchimedean,
+from lucassq.heights import (DENOMINATOR, EULER_PRIMES, MAX_DOUBLINGS,
+                             SIEVE_PRIMES, _charpoly_fractions,
+                             _fibre_counts, _monic_mod, candidate_shapes,
+                             canonical_height, certify_generators,
+                             epsilon_nonarchimedean,
                              field_sqrt, halving_candidates, height_diff_bound,
                              height_intervals, height_upper_bound,
                              lift_x_to_point, naive_height, roots_in_field,
@@ -478,7 +479,7 @@ def _as_num_den(poly):
 
 def test_split_primes():
     for fld in (K1, K2):
-        primes = [split_prime(fld, i) for i in range(SIEVE_PRIMES)]
+        primes = [split_prime(fld, i) for i in range(EULER_PRIMES)]
         assert [p for p, _ in primes] == [41, 113, 137, 257, 313, 337, 353, 409]
         for p, roots in primes:
             assert len(set(roots)) == 4
@@ -651,46 +652,99 @@ def _check_keep_and_reconstruct(x, late=False):
     q = heights._hensel_modulus(prime[0], bound)
     split, nums = heights._reconstruct(fld, prime, q, _monic_mod(num, den, q))
     assert list(split) == [True]
-    check = split_prime(fld, i + 1)
-    vanishes = heights._vanishes_mod(
-        check, _monic_mod(num, den, check[0]).repeat(len(nums[0]), axis=0), nums[0])
     got = {fld.element(*(Fraction(int(n), DENOMINATOR) for n in v))
-           for v, ok in zip(nums[0], vanishes) if ok and (np.abs(v) <= bound).all()}
+           for v in nums[0] if (np.abs(v) <= bound).all()}
     assert x in got
+
+
+def _box_at(monkeypatch, curve, cap, sieve_primes):
+    """`_search_box(curve, cap)` with the given number of sieve primes, rows
+    as tuples."""
+    monkeypatch.setattr(heights, "SIEVE_PRIMES", sieve_primes)
+    return [(tag, tuple(row), x) for tag, row, x in heights._search_box(curve, cap)]
 
 
 def test_sieve_is_only_a_filter(monkeypatch):
     """The box search on E1 and E9 at B = 2 gives the same output, order
-    included, with 0, 1, 2 or 8 sieve primes: rows that reach their
+    included, with 0, 1, 2, 3 or 8 sieve primes: rows that reach their
     reconstruction prime unsieved are dropped there by the split check."""
-    assert SIEVE_PRIMES == 8
+    assert SIEVE_PRIMES == 3
     for curve, size in ((E1, 1), (E9, 3)):
-        want = [(tag, tuple(row), x) for tag, row, x in
-                heights._search_box(curve, 2.0)]
+        want = _box_at(monkeypatch, curve, 2.0, SIEVE_PRIMES)
         assert len(want) == size
-        for sieve_primes in (0, 1, 2):
-            monkeypatch.setattr(heights, "SIEVE_PRIMES", sieve_primes)
-            assert [(tag, tuple(row), x) for tag, row, x in
-                    heights._search_box(curve, 2.0)] == want, sieve_primes
-        monkeypatch.setattr(heights, "SIEVE_PRIMES", SIEVE_PRIMES)
+        for sieve_primes in (0, 1, 2, 8):
+            assert _box_at(monkeypatch, curve, 2.0, sieve_primes) == want, sieve_primes
 
 
-@given(fields, sixteenths, st.integers(0, 6))
+def test_e10_box_same_at_three_and_eight_sieve_primes(monkeypatch):
+    """E10's box at B = 2.5, with 1,333 rows kept at three sieve primes and
+    1,245 at eight, gives the same output, order included."""
+    want = _box_at(monkeypatch, E10, 2.5, SIEVE_PRIMES)
+    assert len(want) == 11
+    assert _box_at(monkeypatch, E10, 2.5, 8) == want
+
+
+def _crt_nums(x, primes):
+    """Integers n with n = DENOMINATOR * coordinates of x mod each prime,
+    which `_may_lift` reads only mod those primes, or None when one of
+    them divides the denominator of x."""
+    m = math.prod(primes)
+    if math.gcd(x._d, m) != 1:
+        return None
+    return [DENOMINATOR * c * pow(x._d, -1, m) % m for c in x._n]
+
+
+@given(st.sampled_from(["E1", "E5", "E9", "E10"]), st.integers(-4, 4),
+       st.integers(-4, 4), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_vanishes_mod_matches_residues(fld, cs, i):
-    """`_vanishes_mod` says whether g(x) = 0 mod p at the four maps of a
-    split prime, as `residue` evaluates it: always for g the minimal
-    polynomial of x, and for that of x + 1 exactly when every image of x
-    is a root of it mod p."""
-    x = fld.element(*cs)
-    p, maps = prime = split_prime(fld, i)
+def test_lift_precheck_keeps_points(cid, m1, m2, torsion):
+    """The Euler pre-check of the box never rejects the x of a point
+    m1 G (+T), or m1 P1 + m2 P2 (+T) on E10."""
+    curve = CURVE_BY_ID[cid]
+    pt = scalar_mul(curve, m1, curve.gens[0])
+    if curve.rank == 2:
+        pt = add_points(curve, pt, scalar_mul(curve, m2, curve.gens[1]))
+    if torsion:
+        pt = add_torsion(curve, pt)
+    if pt.at_infinity:
+        return
+    nums = _crt_nums(pt.x, [split_prime(curve.field, i)[0]
+                            for i in range(EULER_PRIMES)])
+    if nums is not None:
+        assert list(heights._may_lift(curve, np.array([nums]))) == [True]
+
+
+def test_lift_precheck_on_e10_box(monkeypatch):
+    """On E10's box at B = 2.5, built without the pre-check (315 elements),
+    the pre-check keeps exactly the x that `lift_x_to_point` lifts (11)."""
+    monkeypatch.setattr(heights, "_may_lift",
+                        lambda curve, nums: np.ones(len(nums), dtype=bool))
+    xs = [x for shape in candidate_shapes(E10)
+          for _, x in heights._box_elements(E10, shape, 2.5)]
+    monkeypatch.undo()
+    assert len(xs) == 315
+    nums = np.array([[int(c * DENOMINATOR) for c in x.coords] for x in xs])
+    kept = heights._may_lift(E10, nums)
+    assert list(kept) == [lift_x_to_point(E10, x) is not None for x in xs]
+    assert kept.sum() == 11
+
+
+@given(st.sampled_from(CURVES), sixteenths)
+@settings(max_examples=60, deadline=None)
+@example(E1, (0, 0, 0, 0))                      # x(T): w = 0
+@example(E10, (0, 0, 0, 0))
+def test_may_lift_matches_residues(curve, cs):
+    """`_may_lift` rejects x exactly when w = x(x^2 + Ax + B) has, at some
+    map of the first EULER_PRIMES split primes, a residue (by `residue`)
+    that Euler's criterion calls a nonzero non-square."""
+    x = curve.field.element(*cs)
+    w = x * (x * x + curve.a * x + curve.b)
+    want = not any(
+        r is not None and pow(r, (p - 1) // 2, p) == p - 1
+        for p, maps in (split_prime(curve.field, i) for i in range(EULER_PRIMES))
+        for r in (residue(w, p, a) for a in maps))
     nums = np.array([[int(c * DENOMINATOR) for c in x.coords]], dtype=np.int64)
-    for y in (x, x + 1):
-        g = _minimal_polynomial(y)
-        num, den = _as_num_den(g)
-        want = all(poly_eval(g, residue(x, p, a)).numerator % p == 0 for a in maps)
-        assert want or y != x
-        assert list(heights._vanishes_mod(prime, _monic_mod(num, den, p), nums)) == [want]
+    assert list(heights._may_lift(curve, nums)) == [want]
 
 
 @given(fields, rationals)
@@ -703,7 +757,7 @@ def test_field_sqrt_recovers_squares(fld, cs):
 
 
 @given(fields, rationals, st.sampled_from(["square", "any", "split"]),
-       st.integers(0, SIEVE_PRIMES + 1))
+       st.integers(0, EULER_PRIMES + 1))
 @settings(max_examples=120, deadline=None)
 @example(K2, (1, 0, 1, 0), "any", 0)            # 1 + phi^2, no square
 @example(K1, (3, 0, 0, 0), "split", 0)
