@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-import mpmath
-
 from .exact import poly_eval
 
 
@@ -73,7 +71,9 @@ class FieldDescriptor:
     def roots(self, digits: int = 30) -> list:
         """The four roots of the defining polynomial, ordered to match the
         place labels: real root, its negative, then the conjugate imaginary
-        pair."""
+        pair.  mpmath is imported here, so that importing `fields` (and the
+        command line) does not load it."""
+        import mpmath
         with mpmath.workdps(digits):
             if self.id == "K1":
                 t = mpmath.sqrt(mpmath.sqrt(2) - 1)

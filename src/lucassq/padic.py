@@ -2,28 +2,26 @@
 bounds, and the Skolem-style solver.
 
 The prime 3 is inert in both quartic fields, so Z_3[alpha]/3^k is the right
-finite model.  Everything is computed with exact rational arithmetic and
-reduced mod 3^k only at the end; truncation orders are certified by the
-valuation floor v(coeff of total degree d) >= floor(d/2)+1.  One-variable
-series (the formal-group u, 1/u, log and exp, and the z-expansions of
-beta X + gamma) are dense coefficient lists indexed by degree, worked with
-the `exact.poly_*` helpers; the multivariate `Poly` holds z(sum n_i Q_i),
-the theta components and the Skolem systems.
+finite model.  The formal-group series are exact, the multiples of the
+generators are walked in Z[alpha]/3^(k+4) (`reduction_order`), and the
+theta components are reduced mod 3^k; truncation orders are certified by
+the valuation floor v(coeff of total degree d) >= floor(d/2)+1.  Series in
+one variable (u, 1/u, log, exp, the z-expansions of beta X + gamma) are
+coefficient lists indexed by degree (`exact.poly_*`); the multivariate
+`Poly` holds z(sum n_i Q_i), the theta components and the Skolem systems.
 
 One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
-Diophantine Equations*).  Its kernel basis comes from the generators: the
-last one, G, has reduction order N; every earlier P_i becomes P_i + b_i G
-with the b_i in [0, N) that puts it in the kernel of reduction; the last
-basis element is N G.  The cosets are c G (+T) for c in [0, N); one is
-excluded mod 3 when the condition value at its base has a nonrational
-3-unit component, and only the rest get a base point and theta expansion.
-Rank 1 lists every coset and bounds each one left by Strassman in one
-variable, against the hits of a scan of +-m G (+T), m <= 2N, that is
-decided at split primes first and builds exact points only for what they
-do not reject.  Rank 2 lists c in [0, N/2] and solves each one left by
-Skolem at the zero found by Hensel lifting.  The fold is sound because
-T = -T: the coset of (N - c) G (+T) is the negative of that of c G (+T),
-and P and -P share X, hence the condition value.
+Diophantine Equations*).  The last generator G has reduction order N; each
+earlier P_i becomes P_i + b_i G, b_i in [0, N), in the kernel of reduction,
+and N G completes the kernel basis.  The cosets are c G (+T), c in [0, N);
+one is excluded mod 3 when the condition value at its base has a
+nonrational 3-unit component, and only the rest get a theta expansion.
+Rank 1 bounds each coset left by Strassman in one variable, against a scan
+of +-m G (+T), m <= 2N, decided at split primes first, with exact points
+only for what they do not reject.  Rank 2 lists c in [0, N/2] and solves
+each one left by Skolem at the zero found by Hensel lifting.  The fold is
+sound because T = -T: the coset of (N - c) G (+T) is the negative of that
+of c G (+T), and P and -P share X, hence the condition value.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .curves import (CurveInstance, CurvePoint, INFINITY, add_points,
+from .curves import (CurveInstance, CurvePoint, add_points,
                      add_points_mod, add_torsion, condition_value,
                      good_reduction, scalar_mul, x_condition_value)
 from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
@@ -112,16 +110,10 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
     return FormalSeriesPack(curve, order, u, u_inv, log, exp)
 
 
-def z_of_point(pt: CurvePoint) -> FieldElement:
-    """Exact z = -X/Y for a point in the kernel of reduction at 3."""
-    if not _in_kernel(pt.x):
-        raise ValueError("finite point in the kernel of reduction required")
-    return -pt.x / pt.y
-
-
 def padic_log(pack: FormalSeriesPack, z: FieldElement, k: int) -> FieldElement:
-    """Exact truncated log evaluated at an exact z with v(z) >= 1, returned
-    as a small representative mod 3^k."""
+    """Truncated log at z with v(z) >= 1, as a small representative mod
+    3^k.  It depends only on z mod 3^k: the z^d coefficient is c_d/d with
+    c_d 3-integral, and d - 1 >= v_3(d)."""
     if (three_adic_valuation(z) or 0) < 1:
         raise ValueError("v(z) >= 1 required")
     return reduce_element(poly_eval(pack.log, z), k)
@@ -141,11 +133,9 @@ def fact2_floor(d: int) -> int:
 
 
 def max_useful_degree(k: int) -> int:
-    """Largest total degree whose coefficients can be nonzero mod 3^k."""
-    d = 1
-    while fact2_floor(d + 1) < k:
-        d += 1
-    return d
+    """Largest total degree whose coefficients can be nonzero mod 3^k: the
+    largest d >= 1 with fact2_floor(d) < k, or 1."""
+    return max(1, 2 * k - 3)
 
 
 def z_linear_combo(pack: FormalSeriesPack, logs: list, k: int) -> Poly:
@@ -198,13 +188,11 @@ def beta_x_series(curve: CurveInstance, x0, y0, order: int = 4,
     chord formula with x(R), y(R) Laurent series:
       X(P+R) = lambda^2 - A - X0 - x,  lambda = (Y0 - y)/(X0 - x).
     """
-    if pack is None:
-        pack = derive_formal_series(curve, order + 3)
-    one = curve.field.one()
     n = order
     N = n + 2  # internal order: the output sees z^(d+2) of the Laurent part
-    if pack.order < N:
-        pack = derive_formal_series(curve, N)
+    if pack is None or pack.order < N:
+        pack = derive_formal_series(curve, N + 1)
+    one = curve.field.one()
     s = [0, 0] + pack.u[:N - 1]                 # z^2 u
     t = [0, 0, 0] + pack.u[:N - 2]              # z^3 u
     # (X0 - x)^(-1) = -z^2 u * sum_m (X0 z^2 u)^m
@@ -367,23 +355,14 @@ def divide_out_3(polys: list, k: int) -> tuple:
 # --- assumption gates ---------------------------------------------------------
 
 def defining_poly_irreducible_mod3(fld: FieldDescriptor) -> bool:
-    """No roots in F_3 and no monic quadratic factor over F_3."""
-    f = [int(c) % P3 for c in fld.defining_poly]
-    for x in range(P3):
-        if poly_eval(f, x) % P3 == 0:
+    """No root in F_9 = F_3[i], i^2 = -1: a factor of degree 1 or 2 over
+    F_3 would have its roots there."""
+    for r, t in itertools.product(range(P3), repeat=2):
+        u, v = 0, 0
+        for c in reversed(fld.defining_poly):        # Horner at r + t i
+            u, v = u * r - v * t + int(c), u * t + v * r
+        if u % P3 == 0 and v % P3 == 0:
             return False
-    for b in range(P3):
-        for c in range(P3):
-            # divide f by x^2 + b x + c over F_3
-            rem = list(f)
-            for i in range(len(rem) - 1, 1, -1):
-                q = rem[i] % P3
-                if q:
-                    rem[i] = 0
-                    rem[i - 1] = (rem[i - 1] - q * b) % P3
-                    rem[i - 2] = (rem[i - 2] - q * c) % P3
-            if rem[0] % P3 == 0 and rem[1] % P3 == 0:
-                return False
     return True
 
 
@@ -505,21 +484,43 @@ def _skolem_coset(components: list, roots: list, k: int) -> tuple:
     raise PrecisionError(f"no Skolem pair at {root} ({last})")
 
 
-def _in_kernel(x: Optional[FieldElement]) -> bool:
-    """Whether the point with X-coordinate x (None at O) is a finite point
-    in the kernel of reduction at 3, v(X) <= -2."""
-    return x is not None and (three_adic_valuation(x) or 0) <= -2
+def reduction_order(curve: CurveInstance, G: CurvePoint, j: int,
+                    P: Optional[CurvePoint] = None, limit: int = 100) -> list:
+    """[P, P + G, P + 2G, ...] (P = G if None) as projective triples
+    (X, Y, Z) over Z[alpha]/3^j, through the first in the kernel of
+    reduction at 3, in at most `limit` points: from G its length is N, the
+    order of G mod 3, at most #E~(F_81) <= 100 with good reduction at 3.
+    2G is the tangent step and each later point adds G by the chord, both
+    division-free (P + cG != +-G: the generators are independent, of
+    infinite order).
 
-
-def reduction_order(curve: CurveInstance, G: CurvePoint) -> tuple:
-    """(N, [0*G, 1*G, ..., N*G]): N, the order of G in the reduction mod 3,
-    is the smallest N with N*G in the kernel (v(X) <= -2), and the list
-    holds the multiples walked to find it.  E(K)/E_1(K) is finite, so the
-    walk ends."""
-    mults = [INFINITY, G]
-    while not _in_kernel(mults[-1].x):
-        mults.append(add_points(curve, mults[-1], G))
-    return len(mults) - 1, mults
+    Reduction Z_(3)[alpha] -> Z[alpha]/3^j is a ring map (3 is inert and
+    prime to every denominator) and the formulas are polynomial, so each
+    triple is the image of the exact one.  While Z is a 3-unit it is
+    primitive, the point affine and outside the kernel; at the first
+    Z = 0 mod 3, Y must be a 3-unit, so it is primitive and reduces to O."""
+    def red(x):
+        return reduce_element(x, j)
+    a, b, x, y = (red(v) for v in (curve.a, curve.b, G.x, G.y))
+    walk = [(red((P or G).x), red((P or G).y), curve.field.one())]
+    while three_adic_valuation(walk[-1][2]) == 0:
+        if len(walk) == limit:
+            raise ValueError(f"{curve.id}: no kernel point in {limit} steps")
+        X, Y, Z = walk[-1]
+        if len(walk) == 1 and P is None:        # slope w/s at G
+            s, w = 2 * y, 3 * x * x + 2 * a * x + b
+            h = w * w - (a + 2 * x) * s * s
+            step = (s * h, w * (x * s * s - h) - y * s ** 3, s ** 3)
+        else:                                   # slope u/v to G
+            u, v = red(y * Z - Y), red(x * Z - X)
+            vv = red(v * v)
+            vvv, vvx = red(vv * v), red(vv * X)
+            A = red((u * u - a * vv) * Z - 2 * vvx - vvv)
+            step = (v * A, u * (vvx - A) - vvv * Y, vvv * Z)
+        walk.append(tuple(map(red, step)))
+    if three_adic_valuation(walk[-1][1]) != 0:
+        raise ArithmeticError(f"{curve.id}: kernel point lost mod 3^{j}")
+    return walk
 
 
 def _rejected_at(curve: CurveInstance, prime: tuple, span: int) -> set:
@@ -553,34 +554,28 @@ def _rejected_at(curve: CurveInstance, prime: tuple, span: int) -> set:
     return rejected
 
 
-def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
+def _scan_condition_points(curve: CurveInstance, N: int) -> dict:
     """Exact scan of the multiples m in [-2N, 2N] of the generator G
-    (+ eps*T), given mults = [0*G, 1*G, ..., N*G].  Returns
-    {(m, eps): point} for those whose condition value is rational.
+    (+ eps*T), N its reduction order.  Returns {(m, eps): point} for those
+    whose condition value is rational.
 
     Each m >= 1 is first decided at split primes p, taken in order
-    (`fields.split_prime`).  A prime is used only if the curve has good
-    reduction at its four maps alpha -> a (`curves.good_reduction`) and
-    beta, gamma and G are p-integral there.  Reduction at such a map is a
-    group homomorphism E(K) -> E(F_p) (Silverman, *The Arithmetic of
-    Elliptic Curves*, VII.2), so mG + eps*T reduces to m G~ + eps (0, 0),
-    walked with `curves.add_points_mod`.  That reduction is affine exactly
-    when X(mG + eps*T) is integral at the map, and then x~ is X mod the
-    prime.  A rational c = beta X + gamma integral at the four maps has
-    the same residue at each, so (m, eps) is rejected when all four
-    reductions are affine and beta~ x~ + gamma~ differ; a point that
-    reduces to O at some map is never rejected at that prime.  This is
-    the Mordell-Weil sieve (Bruin-Stoll, LMS J. Comput. Math. 13, 2010).
-    The sieve stops at the first prime that rejects nothing still open; a
-    prime that is not good rejects nothing, so it stops the sieve too.
+    (`fields.split_prime`), by `_rejected_at`.  Reduction at a map
+    alpha -> a of a good prime is a group homomorphism E(K) -> E(F_p)
+    (Silverman, *The Arithmetic of Elliptic Curves*, VII.2), so mG + eps*T
+    reduces to m G~ + eps (0, 0), walked with `curves.add_points_mod`; it
+    is affine exactly when X(mG + eps*T) is integral at the map, and then
+    x~ is X mod the prime.  A rational c = beta X + gamma integral at the
+    four maps has the same residue at each; a point that reduces to O at
+    some map is never rejected at that prime.  This is the Mordell-Weil
+    sieve (Bruin-Stoll, LMS J. Comput. Math. 13, 2010).  It stops at the
+    first prime that rejects nothing still open, one not good included.
 
-    Only the (m, eps) no prime rejects get the exact test: mG is mults[m]
-    for m <= N and mults[m - N] + N*G above, and mG + T is tested from
-    X = B/X(mG) alone, its point built with `add_torsion` on a hit.  A hit
-    at m is recorded at -m as its negative, since X(-P) = X(P) and
-    -(P + T) = -P + T.  The keys come in the order (0, 1), then (m, 0),
-    (m, 1), (-m, 0), (-m, 1)."""
-    N = len(mults) - 1
+    Only the (m, eps) no prime rejects get the exact test, on mG from
+    `scalar_mul`; mG + T is tested from X = B/X(mG) alone, its point built
+    with `add_torsion` on a hit.  A hit at m is recorded at -m as its
+    negative, since X(-P) = X(P) and -(P + T) = -P + T.  The keys come in
+    the order (0, 1), then (m, 0), (m, 1), (-m, 0), (-m, 1)."""
     span = 2 * N
     open_keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
     for i in itertools.count():
@@ -593,7 +588,7 @@ def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
     if condition_value(curve, curve.torsion) is not None:
         found[(0, 1)] = curve.torsion
     for m in sorted({m for m, _ in open_keys}):
-        p = mults[m] if m <= N else add_points(curve, mults[m - N], mults[N])
+        p = scalar_mul(curve, m, curve.gens[0])
         hits = []
         if (m, 0) in open_keys and condition_value(curve, p) is not None:
             hits.append((0, p))
@@ -605,24 +600,34 @@ def _scan_condition_points(curve: CurveInstance, mults: list) -> dict:
     return found
 
 
-def kernel_basis(curve: CurveInstance) -> tuple:
-    """(mults, basis): mults = [0*G, ..., N*G] from `reduction_order` of
-    the last generator G, and the basis of the kernel of reduction of
-    <gens> is P_i + b_i G for each earlier generator, with the b_i in
-    [0, N) that put it in the kernel, followed by N*G."""
+def kernel_basis(curve: CurveInstance, j: int) -> tuple:
+    """(walk, b, z) mod 3^j: walk = [G, ..., N*G] of `reduction_order` for
+    the last generator G; the kernel of reduction of <gens> has the basis
+    P_i + b_i G, b_i in [0, N), for each earlier generator, then N*G; and
+    z = [z(Q) = -X/Y] on that basis (Y is a 3-unit there)."""
     *others, G = curve.gens
-    N, mults = reduction_order(curve, G)
-    basis = []
-    for P in others:
-        Q = P
-        for _ in range(N):
-            if _in_kernel(Q.x):
-                break
-            Q = add_points(curve, Q, G)
-        else:
-            raise ValueError(f"{curve.id}: a generator reduces outside <G>")
-        basis.append(Q)
-    return mults, basis + [mults[-1]]
+    walk = reduction_order(curve, G, j)
+    walks = [reduction_order(curve, G, j, P, len(walk)) for P in others]
+    return walk, [len(w) - 1 for w in walks], [
+        reduce_element(-X * Y.inv(), j)
+        for X, Y, _ in (w[-1] for w in walks + [walk])]
+
+
+def _coset_base(curve: CurveInstance, walk: list, c: int, eps: int,
+                j: int) -> CurvePoint:
+    """c G (+T) mod 3^j, c in [0, N), not O, from walk[c - 1] through
+    denominators prime to 3.  X(c G) = 0 mod 3 puts c G + T in the kernel
+    when B is a 3-unit (so on every catalog curve): left undecided."""
+    if not c:
+        return curve.torsion
+    X, Y, Z = walk[c - 1]
+    z_inv = Z.inv()
+    pt = CurvePoint(X * z_inv, Y * z_inv)
+    if eps:
+        if three_adic_valuation(pt.x) != 0:
+            raise PrecisionError("coset base in kernel of reduction")
+        pt = add_torsion(curve, pt)
+    return CurvePoint(reduce_element(pt.x, j), reduce_element(pt.y, j))
 
 
 def rank1_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
@@ -655,8 +660,8 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     value.
 
     With the basis Q_i of `kernel_basis`, the kernel points are
-    sum n_i Q_i and the cosets are c G (+T), c in [0, N).
-    On rank 2 only c in [0, N/2] are listed: T = -T, so the coset of
+    sum n_i Q_i and the cosets are c G (+T), c in [0, N); their bases and
+    z(Q_i) come from the walk mod 3^(k+4).  On rank 2 only c in [0, N/2] are listed: T = -T, so the coset of
     (N - c) G (+T) is the negative of that of c G (+T), and X, hence the
     condition value, is the same at P and -P; each survivor is recorded
     with its negative.
@@ -670,36 +675,27 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
-    mults, basis = kernel_basis(curve)
-    N = len(mults) - 1
-    if rank == 1:
-        known = _scan_condition_points(curve, mults)
-        survivors = list(known.values())
-    else:
-        survivors = []
+    walk, b, zs = kernel_basis(curve, k + 4)
+    N = len(walk)
+    known = _scan_condition_points(curve, N) if rank == 1 else {}
+    survivors = list(known.values())
     pack = derive_formal_series(curve, k + 5)
-    logs = [padic_log(pack, z_of_point(Q), k + 4) for Q in basis]
+    logs = [padic_log(pack, z, k + 4) for z in zs]
     zpoly = z_linear_combo(pack, logs, k)
     reports = []
     for eps, c in itertools.product((0, 1), range(N if rank == 1
                                                   else N // 2 + 1)):
         identity = c == 0 and eps == 0
-        # X of the base: X(c G + T) = B / X(c G), X(T) = 0, and None at O
-        x = ((curve.b * mults[c].x.inv() if c else curve.field.zero())
-             if eps else mults[c].x)
         try:
             if identity:
                 series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
-            elif _in_kernel(x):
-                raise PrecisionError("coset base in kernel of reduction")
-            elif _excluded_mod_3(curve, x):
-                reports.append(CosetReport(c, eps, "excluded mod 3"))
-                continue
             else:
-                base = add_torsion(curve, mults[c]) if eps else mults[c]
-                series = beta_x_series(curve, reduce_element(base.x, k + 4),
-                                       reduce_element(base.y, k + 4),
-                                       order=k - 1, pack=pack)
+                base = _coset_base(curve, walk, c, eps, k + 4)
+                if _excluded_mod_3(curve, base.x):
+                    reports.append(CosetReport(c, eps, "excluded mod 3"))
+                    continue
+                series = beta_x_series(curve, base.x, base.y, order=k - 1,
+                                       pack=pack)
             comps = theta_components(series, zpoly, k)[1:]
             if not identity:
                 level, lifted = lift_roots(comps, k, 2 if rank == 1 else k)
@@ -724,9 +720,13 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
                                        detail=kind))
             if identity:
                 continue
-            pt = base
-            for n, Q in zip(root, basis):
-                pt = add_points(curve, pt, scalar_mul(curve, n, Q))
+            # c G (+T) + sum n_i (P_i + b_i G) + n N G, built exactly
+            *ns, n = root
+            pt = scalar_mul(curve, c + n * N + sum(x * y for x, y in zip(ns, b)),
+                            curve.gens[-1])
+            for n, P in zip(ns, curve.gens):
+                pt = add_points(curve, pt, scalar_mul(curve, n, P))
+            pt = add_torsion(curve, pt) if eps else pt
             if condition_value(curve, pt) is None:
                 raise PrecisionError(f"root {root} fails the exact check")
             survivors += [pt, -pt]

@@ -82,17 +82,12 @@ def test_criterion_5_generators_and_descent_pairs():
 # --- 6. 3-adic golden values ----------------------------------------------------
 
 def test_criterion_6_padic_golden(e10_kernel):
-    from lucassq.padic import (poly_components_mod, reduce_element,
-                               z_of_point)
-    E10 = CURVE_BY_ID["E10"]
-    P1, P2 = E10.gens
+    from lucassq.padic import poly_components_mod, reduce_element
     kern = e10_kernel                    # derived by the rank-2 driver
-    assert kern.N == 24
-    assert kern.Q1 == add_points(E10, P1, scalar_mul(E10, 8, P2))
-    assert kern.Q2 == scalar_mul(E10, 24, P2)
-    assert reduce_element(z_of_point(kern.Q1), 5).coords == (33, 240, 33, 93)
-    assert (reduce_element(z_of_point(kern.Q2), 5).coords
-            == (213, 234, 105, 144))
+    # the kernel basis Q1 = P1 + 8 P2, Q2 = 24 P2
+    assert (kern.N, kern.b) == (24, [8])
+    assert reduce_element(kern.z1, 5).coords == (33, 240, 33, 93)
+    assert reduce_element(kern.z2, 5).coords == (213, 234, 105, 144)
     assert reduce_element(kern.L1, 5).coords == (3 * 32, 3 * 35, 3 * 50, 3 * 61)
     assert reduce_element(kern.L2, 5).coords == (3 * 47, 9 * 8, 3 * 38, 9 * 7)
     comp0 = poly_components_mod(kern.zpoly, 5)[0]
@@ -106,9 +101,8 @@ def test_criterion_6_padic_golden(e10_kernel):
 def test_criterion_7_series_golden(e10_kernel):
     from lucassq.exact import Poly
     from lucassq.padic import (beta_x_series, inverse_beta_x_series,
-                               padic_exp, padic_log, reduce_element,
-                               z_of_point)
-    E10, Q1, pack = CURVE_BY_ID["E10"], e10_kernel.Q1, e10_kernel.pack
+                               padic_exp, padic_log, reduce_element)
+    E10, pack = CURVE_BY_ID["E10"], e10_kernel.pack
 
     def el(c1, c3):
         return K2.element(0, c1, 0, c3)
@@ -132,7 +126,7 @@ def test_criterion_7_series_golden(e10_kernel):
     assert pack.exp[3].coords == (Fraction(1, 3), 0, Fraction(1, 6), 0)
 
     # exp o log = id through t^6 (i.e. exactly mod 3^5 on a kernel point)
-    z = z_of_point(Q1)
+    z = e10_kernel.z1
     back = padic_exp(pack, padic_log(pack, z, 8), 8)
     assert reduce_element(back - z, 5).coords == (0, 0, 0, 0)
 
@@ -517,20 +511,18 @@ def test_criterion_12_group_law_associativity(curve):
 
 
 def test_criterion_12_exp_log_round_trip():
-    from lucassq.padic import (derive_formal_series, padic_exp, padic_log,
-                               reduce_element, reduction_order, z_of_point)
+    from lucassq.padic import (derive_formal_series, kernel_basis, padic_exp,
+                               padic_log, reduce_element)
     for cid in ("E1", "E5", "E10"):
         curve = CURVE_BY_ID[cid]
-        G = curve.gens[0]
-        Q = scalar_mul(curve, reduction_order(curve, G)[0], G)
+        z = kernel_basis(curve, 8)[2][0]      # z(Q_1) mod 3^8
         pack = derive_formal_series(curve, 10)
-        z = z_of_point(Q)
         back = padic_exp(pack, padic_log(pack, z, 8), 8)
         assert reduce_element(back - z, 5).coords == (0, 0, 0, 0), cid
 
 
 def test_criterion_12_z_combo_matches_group_law(e10_kernel):
-    from lucassq.padic import poly_components_mod, reduce_element, z_of_point
+    from lucassq.padic import poly_components_mod, reduce_element
     E10 = CURVE_BY_ID["E10"]
     comps = poly_components_mod(e10_kernel.zpoly, 5)
     for n1 in range(-2, 3):
@@ -538,7 +530,7 @@ def test_criterion_12_z_combo_matches_group_law(e10_kernel):
             pt = add_points(E10, scalar_mul(E10, n1, e10_kernel.Q1),
                             scalar_mul(E10, n2, e10_kernel.Q2))
             want = ((0, 0, 0, 0) if pt.at_infinity
-                    else reduce_element(z_of_point(pt), 5).coords)
+                    else reduce_element(-pt.x / pt.y, 5).coords)
             got = tuple(c.evaluate([n1, n2]) % 3 ** 5 for c in comps)
             assert got == want, (n1, n2)
 

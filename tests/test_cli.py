@@ -4,7 +4,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -365,14 +368,46 @@ def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
         LOW_PRECISION_SHA256[k])
 
 
-@pytest.mark.parametrize("k", [5, 1])
+# sha256 of the complete certificates at --precision 4, 6 and 7, as written
+# at commit ab79d08, before the drivers walked the multiples of G mod
+# 3^(k+4): the walk must leave the proof alone at every precision.
+HIGHER_PRECISION_SHA256 = {
+    4: "e7e0ff6f14458db58477a4c2b7437440f3ef6fdbef7e4cf43fb9fe285cf8f5b7",
+    6: "72df893b80b0048cf49a3993788eec6eeb0ccefe234244a2c03098aa8edec543",
+    7: "470f40cc84ca9292eb3f390acca6fd700f1c5b986cfc2390cb70bd12418f8b00",
+}
+
+
+@pytest.mark.parametrize("k", sorted(HIGHER_PRECISION_SHA256))
+def test_verify_theorem_higher_precision_digests(k, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["verify-theorem", "--precision", str(k),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        HIGHER_PRECISION_SHA256[k])
+
+
+def test_cli_import_leaves_mpmath_out():
+    """`lucassq verify-theorem` and `search` do not pay for mpmath: only
+    `fields.FieldDescriptor.roots` and `heights` use it, and the command
+    line imports neither at start-up."""
+    code = "import sys, lucassq.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("k", [5, 1, 7])
 def test_verify_theorem_certificate_on_any_cpu_count(k, tmp_path, monkeypatch,
                                                      capsys):
     """With 1, 2 or 3 CPUs, so with the drivers in one process or spread
     over forked workers, the certificate is byte for byte the same, the
     partial one at k = 1 included, with its exit code and failing order."""
     code = 2 if k == 1 else 0
-    digest = CERTIFICATE_SHA256 if k == 5 else LOW_PRECISION_SHA256[k]
+    digest = {5: CERTIFICATE_SHA256, **LOW_PRECISION_SHA256,
+              **HIGHER_PRECISION_SHA256}[k]
     failing = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",

@@ -61,12 +61,16 @@ def test_group_law_associativity(curve):
 def test_add_torsion_matches_group_law(curve):
     """The closed-form translate (x, y) + T = (B/x, -B y/x^2) equals the
     chord law at O, T, +-kG and +-kG + T for |k| <= 7 and each generator,
-    and at the kernel-of-reduction basis (N G on rank 1)."""
+    and at the kernel-of-reduction basis (N G on rank 1), built here from
+    the N and b_i of the walk mod 3."""
     from lucassq.padic import kernel_basis
     T = curve.torsion
     assert add_torsion(curve, INFINITY) == T
     assert add_torsion(curve, T) == INFINITY
-    pts = list(kernel_basis(curve)[1])
+    *others, G = curve.gens
+    walk, b, _ = kernel_basis(curve, 1)
+    pts = [add_points(curve, P, scalar_mul(curve, n, G))
+           for P, n in zip(others, b)] + [scalar_mul(curve, len(walk), G)]
     for g in curve.gens:
         for k in range(1, 8):
             kg = scalar_mul(curve, k, g)

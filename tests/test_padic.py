@@ -12,18 +12,18 @@ from lucassq.curves import (CURVE_BY_ID, CURVES, INFINITY, CurvePoint,
                             add_points, add_points_mod, add_torsion,
                             condition_value, good_reduction, scalar_mul)
 from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
-from lucassq.fields import K2, residue, split_prime
-from lucassq.padic import (PrecisionError, _excluded_mod_3, _in_kernel,
-                           _known_count_strassman, _rejected_at,
-                           _scan_condition_points, _skolem_coset,
-                           beta_x_series, build_skolem_system,
+from lucassq.fields import K2, residue, split_prime, three_adic_valuation
+from lucassq.padic import (PrecisionError, _coset_base, _cosets_once,
+                           _excluded_mod_3, _known_count_strassman,
+                           _rejected_at, _scan_condition_points,
+                           _skolem_coset, beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
-                           padic_exp, padic_log, poly_components_mod,
-                           poly_mod, poly_shift, rank1_driver, rank2_driver,
-                           reduce_element, reduction_order, skolem_check,
-                           strassman_bound, theta_components, z_linear_combo,
-                           z_of_point)
+                           max_useful_degree, padic_exp, padic_log,
+                           poly_components_mod, poly_mod, poly_shift,
+                           rank1_driver, rank2_driver, reduce_element,
+                           reduction_order, skolem_check, strassman_bound,
+                           theta_components, z_linear_combo)
 
 E10 = CURVE_BY_ID["E10"]
 K = 5
@@ -34,15 +34,104 @@ M = 3 ** K
 
 def test_rank1_reduction_orders():
     """The reduction order N of each rank-1 generator, recorded as m0 in the
-    certificate; the kernel basis is N G."""
+    certificate: the length of the walk mod 3, and of the kernel basis's
+    walk mod 3^(K+4), whose basis is N G alone (see the exact-walk oracle
+    below for the points)."""
     want = {"E1": 6, "E2": 12, "E3": 17, "E4": 17, "E5": 17, "E6": 4,
             "E7": 34, "E8": 12, "E9": 34, "E11": 17, "E12": 12}
     for cid, n in want.items():
         curve = CURVE_BY_ID[cid]
-        assert reduction_order(curve, curve.gens[0])[0] == n, cid
-        mults, basis = kernel_basis(curve)
-        assert len(mults) - 1 == n, cid
-        assert basis == [mults[n]] == [scalar_mul(curve, n, curve.gens[0])]
+        assert len(reduction_order(curve, curve.gens[0], 1)) == n, cid
+        walk, b, zs = kernel_basis(curve, K + 4)
+        assert (len(walk), b, len(zs)) == (n, [], 1), cid
+    E1, E10 = CURVE_BY_ID["E1"], CURVE_BY_ID["E10"]
+    with pytest.raises(ValueError, match="no kernel point in 5 steps"):
+        reduction_order(E1, E1.gens[0], 1, limit=5)     # N = 6
+    P1, P2 = E10.gens                                   # P1 + 8 P2: 9 points
+    assert len(reduction_order(E10, P2, 1, P1, limit=9)) == 9
+    with pytest.raises(ValueError):
+        reduction_order(E10, P2, 1, P1, limit=8)
+
+
+def _in_kernel(pt):
+    """Whether pt is a finite point in the kernel of reduction at 3."""
+    return not pt.at_infinity and (three_adic_valuation(pt.x) or 0) <= -2
+
+
+def _exact_walk(curve, P, G):
+    """[P, P + G, P + 2G, ...] by the chord law, through the first point in
+    the kernel of reduction."""
+    pts = [P]
+    while not _in_kernel(pts[-1]):
+        pts.append(add_points(curve, pts[-1], G))
+    return pts
+
+
+@pytest.fixture(scope="module")
+def exact_walks():
+    """curve id -> ([G, ..., N G], [the exact walk from each earlier
+    generator P_i to P_i + b_i G]), over the twelve curves."""
+    out = {}
+    for curve in CURVES:
+        *others, G = curve.gens
+        out[curve.id] = (_exact_walk(curve, G, G),
+                         [_exact_walk(curve, P, G) for P in others])
+    return out
+
+
+def _reduced(pt, j):
+    return CurvePoint(reduce_element(pt.x, j), reduce_element(pt.y, j))
+
+
+def _spy(monkeypatch, name, calls):
+    """Record (args, result) of each call of padic.<name>."""
+    real = getattr(padic, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(padic, name, spy)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_residue_walk_matches_exact_walk(k, exact_walks, monkeypatch):
+    """At 3^k on all twelve curves, what the driver reads from the walk mod
+    3^(k+4) is the exact walk reduced: N, the b_i, z(Q_i) = -X/Y on the
+    kernel basis and its logs, and every coset base c G and c G + T,
+    c in [0, N), mod 3^(k+4).  The driver's calls are recorded, so the
+    modulus it walks in is checked too."""
+    j = k + 4
+    for curve in CURVES:
+        mults, others = exact_walks[curve.id]
+        N = len(mults)
+        calls = {name: [] for name in ("kernel_basis", "_coset_base",
+                                       "padic_log")}
+        for name, log in calls.items():
+            _spy(monkeypatch, name, log)
+        try:
+            _cosets_once(curve, k)
+        except PrecisionError:
+            pass                        # k = 1, 2: the driver escalates
+        monkeypatch.undo()
+        [((_, j_walk), (walk, b, zs))] = calls["kernel_basis"]
+        assert (j_walk, len(walk)) == (j, N), curve.id
+        assert b == [len(w) - 1 for w in others], curve.id
+        exact_z = [-Q.x / Q.y for Q in [w[-1] for w in others] + [mults[-1]]]
+        assert zs == [reduce_element(z, j) for z in exact_z], curve.id
+        pack = derive_formal_series(curve, k + 5)
+        assert [out for _, out in calls["padic_log"]] == [
+            padic_log(pack, z, j) for z in exact_z], curve.id
+        assert all(args[4] == j for args, _ in calls["_coset_base"])
+        driver = {(args[2], args[3]): base for args, base in
+                  calls["_coset_base"]}
+        for c, eps in itertools.product(range(N), (0, 1)):
+            if c or eps:
+                exact = mults[c - 1] if c else curve.torsion
+                want = _reduced(add_torsion(curve, exact) if eps and c
+                                else exact, j)
+                assert _coset_base(curve, walk, c, eps, j) == want
+                assert driver.get((c, eps), want) == want
 
 
 def test_driver_rank_guard():
@@ -68,13 +157,17 @@ def _brute_scan(curve, span):
             q = add_points(curve, p, T) if eps else p
             if not q.at_infinity and condition_value(curve, q) is not None:
                 found[(m, eps)] = q
-    return found, mults
+    return found
+
+
+def _order(curve):
+    """The reduction order N of the generator, by the walk mod 3."""
+    return len(reduction_order(curve, curve.gens[0], 1))
 
 
 def _scan(curve):
-    """The scan over [-2N, 2N], on the multiples of G that
-    `kernel_basis` walks to N."""
-    return _scan_condition_points(curve, kernel_basis(curve)[0])
+    """The scan over [-2N, 2N]."""
+    return _scan_condition_points(curve, _order(curve))
 
 
 RANK1 = [c.id for c in CURVES if c.rank == 1]
@@ -90,12 +183,9 @@ def test_scan_matches_group_law_oracle(cid):
     """On every rank-1 curve with N <= 17 the scan over [-2N, 2N] finds the
     same points, in the same key order, as the generic-law scan."""
     curve = CURVE_BY_ID[cid]
-    mults, _ = kernel_basis(curve)
-    N = len(mults) - 1
-    found = _scan_condition_points(curve, mults)
-    want, want_mults = _brute_scan(curve, 2 * N)
-    assert list(found.items()) == list(want.items())
-    assert mults == want_mults[:N + 1]
+    N = _order(curve)
+    found = _scan_condition_points(curve, N)
+    assert list(found.items()) == list(_brute_scan(curve, 2 * N).items())
 
 
 def test_scan_keys_e7_e9():
@@ -120,7 +210,7 @@ def test_scan_hits_on_translates():
                         (through_7g, [(7, 0), (-7, 0)])):
         found = _scan(curve)
         assert list(found) == keys
-        assert list(found.items()) == list(_brute_scan(curve, 12)[0].items())
+        assert list(found.items()) == list(_brute_scan(curve, 12).items())
 
 
 @pytest.mark.parametrize("cid", ["E1", "E6", "E12"])
@@ -130,9 +220,8 @@ def test_scan_without_good_primes(cid, monkeypatch):
     curve = CURVE_BY_ID[cid]
     monkeypatch.setattr(padic, "good_reduction", lambda *args: None)
     assert _rejected_at(curve, split_prime(curve.field, 0), 4) == set()
-    N = len(kernel_basis(curve)[0]) - 1
     assert list(_scan(curve).items()) == list(
-        _brute_scan(curve, 2 * N)[0].items())
+        _brute_scan(curve, 2 * _order(curve)).items())
 
 
 @pytest.mark.parametrize("cid", RANK1)
@@ -140,7 +229,7 @@ def test_sieve_keeps_survivors(cid):
     """No good split prime rejects a survivor, and the first six leave
     exactly the survivors open."""
     curve = CURVE_BY_ID[cid]
-    span = 2 * (len(kernel_basis(curve)[0]) - 1)
+    span = 2 * _order(curve)
     survivors = SURVIVORS.get(cid, set())
     keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
     rejected = [_rejected_at(curve, split_prime(curve.field, i), span)
@@ -181,19 +270,18 @@ def test_early_mod3_verdict_matches_full_theta(k):
     total = excluded = 0
     for curve in CURVES:
         cid, rank = curve.id, curve.rank
-        mults, basis = kernel_basis(curve)
-        N = len(mults) - 1
+        walk, _, zs = kernel_basis(curve, k + 4)
+        N = len(walk)
         pack = derive_formal_series(curve, k + 5)
-        zpoly = z_linear_combo(pack, [padic_log(pack, z_of_point(Q), k + 4)
-                                      for Q in basis], k)
+        zpoly = z_linear_combo(pack, [padic_log(pack, z, k + 4) for z in zs],
+                               k)
         for eps in (0, 1):
             for c in range(N if rank == 1 else N // 2 + 1):
-                base = add_torsion(curve, mults[c]) if eps else mults[c]
-                if base.at_infinity or _in_kernel(base.x):
+                if not (c or eps):
                     continue
-                series = beta_x_series(curve, reduce_element(base.x, k + 4),
-                                       reduce_element(base.y, k + 4),
-                                       order=k - 1, pack=pack)
+                base = _coset_base(curve, walk, c, eps, k + 4)
+                series = beta_x_series(curve, base.x, base.y, order=k - 1,
+                                       pack=pack)
                 comps = theta_components(series, zpoly, k)[1:]
                 full = lift_roots(comps, k, 2 if rank == 1 else k)
                 early = _excluded_mod_3(curve, base.x)
@@ -209,22 +297,20 @@ def _series_cosets(curve, k):
     """(c, eps, nonrational theta components mod 3^k) for every coset on
     which the driver at 3^k expands theta, in its order: the identity, and
     each coset that the mod-3 test keeps, by the steps of `_cosets_once`."""
-    mults, basis = kernel_basis(curve)
-    N = len(mults) - 1
+    walk, _, zs = kernel_basis(curve, k + 4)
+    N = len(walk)
     pack = derive_formal_series(curve, k + 5)
-    zpoly = z_linear_combo(pack, [padic_log(pack, z_of_point(Q), k + 4)
-                                  for Q in basis], k)
+    zpoly = z_linear_combo(pack, [padic_log(pack, z, k + 4) for z in zs], k)
     for eps, c in itertools.product(
             (0, 1), range(N if curve.rank == 1 else N // 2 + 1)):
-        base = add_torsion(curve, mults[c]) if eps else mults[c]
-        if base.at_infinity:
+        base = _coset_base(curve, walk, c, eps, k + 4) if c or eps else None
+        if base is None:
             series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
         elif _excluded_mod_3(curve, base.x):
             continue
         else:
-            series = beta_x_series(curve, reduce_element(base.x, k + 4),
-                                   reduce_element(base.y, k + 4),
-                                   order=k - 1, pack=pack)
+            series = beta_x_series(curve, base.x, base.y, order=k - 1,
+                                   pack=pack)
         yield c, eps, theta_components(series, zpoly, k)[1:]
 
 
@@ -259,9 +345,8 @@ def test_theta_truncation_orders(monkeypatch):
 # --- golden 3-adic coordinates ----------------------------------------------
 
 def test_z_coordinates_golden(e10_kernel):
-    z1, z2 = (z_of_point(Q) for Q in (e10_kernel.Q1, e10_kernel.Q2))
-    assert reduce_element(z1, K).coords == (33, 240, 33, 93)
-    assert reduce_element(z2, K).coords == (213, 234, 105, 144)
+    assert reduce_element(e10_kernel.z1, K).coords == (33, 240, 33, 93)
+    assert reduce_element(e10_kernel.z2, K).coords == (213, 234, 105, 144)
 
 
 def test_log_golden(e10_kernel):
@@ -289,7 +374,7 @@ def test_z_linear_combo_matches_group_law(e10_kernel):
             if pt.at_infinity:
                 want = (0, 0, 0, 0)
             else:
-                want = reduce_element(z_of_point(pt), K).coords
+                want = reduce_element(-pt.x / pt.y, K).coords
             got = tuple(c.evaluate([n1, n2]) % M for c in comps)
             assert got == want, (n1, n2)
 
@@ -355,14 +440,12 @@ def test_formal_series_identities(cid):
 
 
 def test_exp_log_round_trip():
-    """exp(log(z)) = z mod 3^k for kernel points on both fields' curves."""
+    """exp(log(z)) = z mod 3^k at the kernel basis of curves of both
+    fields, z known mod 3^(K+2) from the walk."""
     for cid in ("E10", "E5", "E1"):
         curve = CURVE_BY_ID[cid]
-        G = curve.gens[0]
-        m0, _ = reduction_order(curve, G)
-        Q = scalar_mul(curve, m0, G)
+        z = kernel_basis(curve, K + 2)[2][0]
         pack = derive_formal_series(curve, K + 5)
-        z = z_of_point(Q)
         t = padic_log(pack, z, K + 2)
         back = padic_exp(pack, t, K + 2)
         assert reduce_element(back - z, K).coords == (0, 0, 0, 0), cid
@@ -373,6 +456,14 @@ def test_exp_log_round_trip():
 def test_fact2_floor_values():
     assert fact2_floor(0) == 0
     assert [fact2_floor(d) for d in range(1, 8)] == [1, 2, 2, 3, 3, 4, 4]
+
+
+def test_max_useful_degree_is_last_degree_below_k():
+    """max_useful_degree(k) is the largest d >= 1 with fact2_floor(d) < k,
+    or 1 when there is none."""
+    for k in range(1, 30):
+        below = [d for d in range(1, 4 * k) if fact2_floor(d) < k]
+        assert max_useful_degree(k) == max(below, default=1), k
 
 
 def test_theta_series_respect_fact2_floor(e10_kernel):
@@ -538,6 +629,23 @@ def test_three_is_inert():
     from lucassq.fields import K1
     assert defining_poly_irreducible_mod3(K1)
     assert defining_poly_irreducible_mod3(K2)
+
+
+def test_irreducible_mod3_matches_factor_products():
+    """On all 81 monic quartics over F_3, the F_9-root test says reducible
+    exactly for the products of two monic factors of degrees 1 and 3 or
+    2 and 2."""
+    from types import SimpleNamespace
+    from lucassq.padic import defining_poly_irreducible_mod3
+
+    def monic(d):
+        return [list(cs) + [1] for cs in itertools.product(range(3), repeat=d)]
+    reducible = {tuple(c % 3 for c in poly_mul(f, g))
+                 for d in (1, 2) for f in monic(d) for g in monic(4 - d)}
+    for quartic in monic(4):
+        fld = SimpleNamespace(defining_poly=tuple(quartic))
+        assert defining_poly_irreducible_mod3(fld) == (
+            tuple(quartic) not in reducible), quartic
 
 
 # --- Hensel lifting of the candidate roots ----------------------------------
