@@ -19,7 +19,7 @@ from .curves import (CURVE_BY_ID, CURVES, ab_to_pq, catalog,
                      condition_value, recover_ab)
 from .elementary import u7_solutions
 from .exact import is_perfect_square, perfect_square_root
-from .jsonio import dump, dumps, encode_point, encode_rational
+from .jsonio import dump, encode_point, encode_rational
 from .lucas import (LucasParams, classify_degenerate, is_degenerate, lucas_u,
                     square_terms)
 
@@ -271,7 +271,8 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
         if not is_perfect_square(lucas_u(LucasParams(p, q), 8)):
             raise ArithmeticError(f"final pair ({p}, {q}): U_8 is not a square")
     if out:
-        dump(cert.to_json(), out)
+        with open(out, "w", encoding="utf-8") as fh:
+            dump(cert.to_json(), fh)
     return cert, (2 if cert.partial else 0)
 
 
@@ -375,32 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command == "search":
-            print(dumps(cmd_search(args.p_max, args.q_max,
-                                   args.n_max, args.workers)))
-            return 0
-        if args.command == "verify-theorem":
+            obj = cmd_search(args.p_max, args.q_max, args.n_max, args.workers)
+        elif args.command == "verify-theorem":
             cert, code = cmd_verify_theorem(args.precision, args.out)
             if args.out:
                 print(f"final_pairs {cert.final_pairs} partial "
                       f"{str(cert.partial).lower()} certificate {args.out}")
-            else:
-                print(dumps(cert.to_json()))
-            return code
-        if args.command == "classify":
-            print(dumps(cmd_classify(args.n, args.P, args.Q)))
-            return 0
-        if args.command == "heights":
-            print(dumps(cmd_heights(args.curve)))
-            return 0
-        if args.command == "catalog":
-            print(dumps(cmd_catalog()))
-            return 0
+                return code
+            obj = cert.to_json()
+        elif args.command == "classify":
+            obj = cmd_classify(args.n, args.P, args.Q)
+        elif args.command == "heights":
+            obj = cmd_heights(args.curve)
+        else:
+            obj = cmd_catalog()
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 3
+    dump(obj, sys.stdout)
+    print()
+    return code
 
 
 if __name__ == "__main__":

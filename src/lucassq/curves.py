@@ -14,7 +14,7 @@ from typing import Optional
 
 from .exact import perfect_square_root
 from .fields import (EPS1, EPS2, ETA1, ETA2, FieldDescriptor, FieldElement,
-                     K1, K2, ONE_PLUS_THETA, residue)
+                     K1, K2, ONE_PLUS_THETA)
 from .lucas import LucasParams
 
 
@@ -84,38 +84,6 @@ def add_points(curve: CurveInstance, p: CurvePoint, q: CurvePoint) -> CurvePoint
     x3 = lam * lam - curve.a - p.x - q.x
     y3 = lam * (p.x - x3) - p.y
     return CurvePoint(x3, y3)
-
-
-def good_reduction(curve: CurveInstance, p: int, a: int) -> Optional[tuple]:
-    """(A, B) mod p under alpha -> a, a root of the defining polynomial mod
-    the odd prime p (see `fields.residue`), when the curve has good
-    reduction there: A and B are p-integral and the discriminant
-    16 B^2 (A^2 - 4B) is nonzero mod p.  None otherwise."""
-    A, B = residue(curve.a, p, a), residue(curve.b, p, a)
-    if A is None or B is None or not B * B * (A * A - 4 * B) % p:
-        return None
-    return A, B
-
-
-def add_points_mod(ab: tuple, p: int, P: Optional[tuple],
-                   Q: Optional[tuple]) -> Optional[tuple]:
-    """P + Q on the reduction Y^2 = X(X^2 + A X + B) over F_p, with
-    (A, B) = ab from `good_reduction`: the law of `add_points` on points
-    (x, y) of residues mod p, and None for O."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    (x1, y1), (x2, y2) = P, Q
-    A, B = ab
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + 2 * A * x1 + B) * pow(2 * y1, -1, p)
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p)
-    x3 = (lam * lam - A - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def add_torsion(curve: CurveInstance, p: CurvePoint) -> CurvePoint:

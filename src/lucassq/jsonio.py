@@ -43,10 +43,7 @@ def decode_point(d):
     return CurvePoint(decode_field_element(d["x"]), decode_field_element(d["y"]))
 
 
-def dump(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=1)
+def dump(obj, fh) -> None:
+    """Write obj to the text stream fh as JSON with indent 1, chunk by
+    chunk, never as one string."""
+    json.dump(obj, fh, indent=1)

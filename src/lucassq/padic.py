@@ -16,12 +16,12 @@ earlier P_i becomes P_i + b_i G, b_i in [0, N), in the kernel of reduction,
 and N G completes the kernel basis.  The cosets are c G (+T), c in [0, N);
 one is excluded mod 3 when the condition value at its base has a
 nonrational 3-unit component, and only the rest get a theta expansion.
-Rank 1 bounds each coset left by Strassman in one variable, against a scan
-of +-m G (+T), m <= 2N, decided at split primes first, with exact points
-only for what they do not reject.  Rank 2 lists c in [0, N/2] and solves
-each one left by Skolem at the zero found by Hensel lifting.  The fold is
-sound because T = -T: the coset of (N - c) G (+T) is the negative of that
-of c G (+T), and P and -P share X, hence the condition value.
+Rank 1 bounds each coset left by Strassman in one variable, against its
+points m G (+T), |m| <= 2N, that pass the exact test, tried only where
+its theta components vanish mod 3^k.  Rank 2 lists c in [0, N/2] and
+solves each one left by Skolem at the zero found by Hensel lifting.  The
+fold is sound because T = -T: the coset of (N - c) G (+T) is the negative
+of that of c G (+T), and P and -P share X, hence the condition value.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .curves import (CurveInstance, CurvePoint, add_points,
-                     add_points_mod, add_torsion, condition_value,
-                     good_reduction, scalar_mul, x_condition_value)
+from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
+                     condition_value, scalar_mul)
 from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
                     poly_scale, resultant)
-from .fields import (FieldDescriptor, FieldElement, _ord3, residue,
-                     split_prime, three_adic_valuation)
+from .fields import (FieldDescriptor, FieldElement, _ord3,
+                     three_adic_valuation)
 
 P3 = 3
 
@@ -523,80 +522,28 @@ def reduction_order(curve: CurveInstance, G: CurvePoint, j: int,
     return walk
 
 
-def _rejected_at(curve: CurveInstance, prime: tuple, span: int) -> set:
-    """The (m, eps), m in [1, span], whose condition value the split prime
-    (p, maps) proves nonrational (see `_scan_condition_points`): those
-    where all four reductions of mG + eps*T are affine and give unequal
-    values of beta x + gamma.  Empty when the prime is not good: the curve
-    must have good reduction at all four maps, and beta, gamma and G must
-    be p-integral."""
-    p, maps = prime
-    G = curve.gens[0]
-    values = []
-    for a in maps:
-        ab = good_reduction(curve, p, a)
-        res = [residue(x, p, a) for x in (curve.beta, curve.gamma, G.x, G.y)]
-        if ab is None or None in res:
-            return set()
-        beta, gamma, gx, gy = res
-        at_map, q = {}, None
-        for m in range(1, span + 1):
-            q = add_points_mod(ab, p, q, (gx, gy))
-            for eps, r in ((0, q), (1, add_points_mod(ab, p, q, (0, 0)))):
-                at_map[(m, eps)] = (None if r is None
-                                    else (beta * r[0] + gamma) % p)
-        values.append(at_map)
-    rejected = set()
-    for key in values[0]:
-        vs = {v[key] for v in values}
-        if None not in vs and len(vs) > 1:
-            rejected.add(key)
-    return rejected
+def _scan_condition_points(curve: CurveInstance, comps: list, c: int,
+                           eps: int, N: int, k: int) -> list:
+    """The points m G (+T) of the coset c G (+T), m = c + n N, |m| <= 2N,
+    whose condition value is rational, as [(m, point)] ordered by |m|,
+    then m < 0 (G the generator, N its reduction order, m = 0 skipped on
+    the identity coset, where it is O).
 
-
-def _scan_condition_points(curve: CurveInstance, N: int) -> dict:
-    """Exact scan of the multiples m in [-2N, 2N] of the generator G
-    (+ eps*T), N its reduction order.  Returns {(m, eps): point} for those
-    whose condition value is rational.
-
-    Each m >= 1 is first decided at split primes p, taken in order
-    (`fields.split_prime`), by `_rejected_at`.  Reduction at a map
-    alpha -> a of a good prime is a group homomorphism E(K) -> E(F_p)
-    (Silverman, *The Arithmetic of Elliptic Curves*, VII.2), so mG + eps*T
-    reduces to m G~ + eps (0, 0), walked with `curves.add_points_mod`; it
-    is affine exactly when X(mG + eps*T) is integral at the map, and then
-    x~ is X mod the prime.  A rational c = beta X + gamma integral at the
-    four maps has the same residue at each; a point that reduces to O at
-    some map is never rejected at that prime.  This is the Mordell-Weil
-    sieve (Bruin-Stoll, LMS J. Comput. Math. 13, 2010).  It stops at the
-    first prime that rejects nothing still open, one not good included.
-
-    Only the (m, eps) no prime rejects get the exact test, on mG from
-    `scalar_mul`; mG + T is tested from X = B/X(mG) alone, its point built
-    with `add_torsion` on a hit.  A hit at m is recorded at -m as its
-    negative, since X(-P) = X(P) and -(P + T) = -P + T.  The keys come in
-    the order (0, 1), then (m, 0), (m, 1), (-m, 0), (-m, 1)."""
-    span = 2 * N
-    open_keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
-    for i in itertools.count():
-        rejected = open_keys & _rejected_at(
-            curve, split_prime(curve.field, i), span)
-        if not rejected:
-            break
-        open_keys -= rejected
-    found = {}
-    if condition_value(curve, curve.torsion) is not None:
-        found[(0, 1)] = curve.torsion
-    for m in sorted({m for m, _ in open_keys}):
-        p = scalar_mul(curve, m, curve.gens[0])
-        hits = []
-        if (m, 0) in open_keys and condition_value(curve, p) is not None:
-            hits.append((0, p))
-        if ((m, 1) in open_keys
-                and x_condition_value(curve, curve.b * p.x.inv()) is not None):
-            hits.append((1, add_torsion(curve, p)))
-        found.update(((m, eps), q) for eps, q in hits)
-        found.update(((-m, eps), -q) for eps, q in hits)
+    Only an n at which every nonrational theta component in `comps`
+    vanishes mod 3^k gets the exact test, on the point built by
+    `scalar_mul` (and `add_torsion`).  The filter is sound: at a point with
+    rational condition value the exact components vanish, and their
+    truncation mod 3^k drops only terms of valuation >= k at every
+    n in Z_3, so the points found are all those of the coset."""
+    found = []
+    for m in sorted(range(c - 2 * N, 2 * N + 1, N),
+                    key=lambda m: (abs(m), m < 0)):
+        n = (m - c) // N
+        if (m or eps) and not any(p.evaluate((n,)) % P3 ** k for p in comps):
+            pt = scalar_mul(curve, m, curve.gens[0])
+            pt = add_torsion(curve, pt) if eps else pt
+            if condition_value(curve, pt) is not None:
+                found.append((m, pt))
     return found
 
 
@@ -661,24 +608,26 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
 
     With the basis Q_i of `kernel_basis`, the kernel points are
     sum n_i Q_i and the cosets are c G (+T), c in [0, N); their bases and
-    z(Q_i) come from the walk mod 3^(k+4).  On rank 2 only c in [0, N/2] are listed: T = -T, so the coset of
-    (N - c) G (+T) is the negative of that of c G (+T), and X, hence the
-    condition value, is the same at P and -P; each survivor is recorded
-    with its negative.
+    z(Q_i) come from the walk mod 3^(k+4).  On rank 2 only c in [0, N/2]
+    are listed: T = -T, so the coset of (N - c) G (+T) is the negative of
+    that of c G (+T), and X, hence the condition value, is the same at P
+    and -P; each survivor is recorded with its negative.
 
     A coset without a common zero of the nonrational theta components mod 3
     or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the
     condition value at the base alone (`_excluded_mod_3`).  Otherwise rank
-    1 bounds the zeros by Strassman against the multiples that the exact
-    scan found, and rank 2 proves by Skolem that the one zero lifted mod
-    3^(k-j) is the only one.  The identity coset holds O, at n = 0."""
+    1 bounds the zeros by Strassman against the points of the coset that
+    `_scan_condition_points` finds from its theta components, and rank 2
+    proves by Skolem that the one zero lifted mod 3^(k-j) is the only one.
+    The identity coset holds O, at n = 0.  Rank-1 survivors are listed by
+    (|m|, m < 0, eps) over all cosets, which puts T first when it
+    qualifies."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
     walk, b, zs = kernel_basis(curve, k + 4)
     N = len(walk)
-    known = _scan_condition_points(curve, N) if rank == 1 else {}
-    survivors = list(known.values())
+    known, survivors = {}, []     # known: (|m|, m < 0, eps) -> m G (+T)
     pack = derive_formal_series(curve, k + 5)
     logs = [padic_log(pack, z, k + 4) for z in zs]
     zpoly = z_linear_combo(pack, logs, k)
@@ -704,8 +653,9 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
                                                f"excluded mod {P3 ** level}"))
                     continue
             if rank == 1:
-                roots = tuple((m - c) // N for (m, e) in known
-                              if e == eps and (m - c) % N == 0)
+                found = _scan_condition_points(curve, comps, c, eps, N, k)
+                known.update(((abs(m), m < 0, eps), pt) for m, pt in found)
+                roots = tuple((m - c) // N for m, _ in found)
                 # the identity coset's series is even in n: in m = n^2 the
                 # pairs +-n collapse, and n = 0 (O itself) is always a root
                 count = len(roots) // 2 + 1 if identity else len(roots)
@@ -732,5 +682,6 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
             survivors += [pt, -pt]
         except PrecisionError as exc:
             raise PrecisionError(f"{curve.id} coset {c},{eps}: {exc}") from None
-    return DriverResult(curve.id, k, N if rank == 1 else None,
-                        tuple(reports), tuple(survivors))
+    return DriverResult(curve.id, k, N if rank == 1 else None, tuple(reports),
+                        tuple(pt for _, pt in sorted(known.items()))
+                        + tuple(survivors))

@@ -9,14 +9,14 @@ import pytest
 
 from lucassq import padic
 from lucassq.curves import (CURVE_BY_ID, CURVES, INFINITY, CurvePoint,
-                            add_points, add_points_mod, add_torsion,
-                            condition_value, good_reduction, scalar_mul)
+                            add_points, add_torsion, condition_value,
+                            scalar_mul)
 from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
-from lucassq.fields import K2, residue, split_prime, three_adic_valuation
+from lucassq.fields import K2, three_adic_valuation
 from lucassq.padic import (PrecisionError, _coset_base, _cosets_once,
                            _excluded_mod_3, _known_count_strassman,
-                           _rejected_at, _scan_condition_points,
-                           _skolem_coset, beta_x_series, build_skolem_system,
+                           _scan_condition_points, _skolem_coset,
+                           beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
                            max_useful_degree, padic_exp, padic_log,
@@ -32,14 +32,17 @@ M = 3 ** K
 
 # --- kernel of reduction -----------------------------------------------------
 
+# The reduction order N of each rank-1 generator, recorded as m0 in the
+# certificate.
+REDUCTION_ORDERS = {"E1": 6, "E2": 12, "E3": 17, "E4": 17, "E5": 17, "E6": 4,
+                    "E7": 34, "E8": 12, "E9": 34, "E11": 17, "E12": 12}
+
+
 def test_rank1_reduction_orders():
-    """The reduction order N of each rank-1 generator, recorded as m0 in the
-    certificate: the length of the walk mod 3, and of the kernel basis's
-    walk mod 3^(K+4), whose basis is N G alone (see the exact-walk oracle
-    below for the points)."""
-    want = {"E1": 6, "E2": 12, "E3": 17, "E4": 17, "E5": 17, "E6": 4,
-            "E7": 34, "E8": 12, "E9": 34, "E11": 17, "E12": 12}
-    for cid, n in want.items():
+    """N is the length of the walk mod 3, and of the kernel basis's walk
+    mod 3^(K+4), whose basis is N G alone (see the exact-walk oracle below
+    for the points)."""
+    for cid, n in REDUCTION_ORDERS.items():
         curve = CURVE_BY_ID[cid]
         assert len(reduction_order(curve, curve.gens[0], 1)) == n, cid
         walk, b, zs = kernel_basis(curve, K + 4)
@@ -160,14 +163,19 @@ def _brute_scan(curve, span):
     return found
 
 
-def _order(curve):
-    """The reduction order N of the generator, by the walk mod 3."""
-    return len(reduction_order(curve, curve.gens[0], 1))
+def _roots(result):
+    """{(c, eps): roots} of a rank-1 driver's cosets with known points."""
+    return {(r.coset, r.eps): r.roots for r in result.reports if r.roots}
 
 
-def _scan(curve):
-    """The scan over [-2N, 2N]."""
-    return _scan_condition_points(curve, _order(curve))
+def _keyed_roots(found, N):
+    """{(c, eps): roots} that the oracle's keys put on each coset, as n
+    with m = c + n N, in the oracle's order."""
+    out = {}
+    for m, eps in found:
+        c = m % N
+        out[(c, eps)] = out.get((c, eps), ()) + ((m - c) // N,)
+    return out
 
 
 RANK1 = [c.id for c in CURVES if c.rank == 1]
@@ -179,85 +187,103 @@ SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
 
 @pytest.mark.parametrize("cid", ["E1", "E2", "E3", "E4", "E5", "E6", "E8",
                                  "E11", "E12"])
-def test_scan_matches_group_law_oracle(cid):
-    """On every rank-1 curve with N <= 17 the scan over [-2N, 2N] finds the
-    same points, in the same key order, as the generic-law scan."""
-    curve = CURVE_BY_ID[cid]
-    N = _order(curve)
-    found = _scan_condition_points(curve, N)
-    assert list(found.items()) == list(_brute_scan(curve, 2 * N).items())
+def test_scan_matches_group_law_oracle(cid, rank1_results):
+    """On every rank-1 curve with N <= 17, the driver's survivors and the
+    roots of its cosets are the points of the generic-law scan over
+    [-2N, 2N], in its key order.  N is taken from `REDUCTION_ORDERS`, so a
+    wrong walk cannot lengthen the oracle's span."""
+    curve, N = CURVE_BY_ID[cid], REDUCTION_ORDERS[cid]
+    found = _brute_scan(curve, 2 * N)
+    result = rank1_results[cid]
+    assert list(result.survivors) == list(found.values())
+    assert _roots(result) == _keyed_roots(found, N)
 
 
-def test_scan_keys_e7_e9():
-    """E7 and E9 (N = 34): the found keys, asserted directly."""
-    assert list(_scan(CURVE_BY_ID["E7"])) == [(2, 0), (-2, 0)]
-    assert _scan(CURVE_BY_ID["E9"]) == {}
+def test_scan_keys_e7_e9(rank1_results):
+    """E7 and E9 (N = 34): the known points, asserted directly."""
+    E7 = rank1_results["E7"]
+    assert _roots(E7) == {(2, 0): (0,), (32, 0): (-1,)}
+    G = CURVE_BY_ID["E7"].gens[0]
+    two_g = scalar_mul(CURVE_BY_ID["E7"], 2, G)
+    assert E7.survivors == (two_g, -two_g)
+    assert _roots(rank1_results["E9"]) == {}
+    assert rank1_results["E9"].survivors == ()
 
 
 def test_scan_hits_on_translates():
-    """Conditions moved so that G + T, T itself, and 7G meet them: the scan
-    decides mG + T from X = B/X(mG) and builds the point only on a hit,
-    and builds 7G above N = 6 as 1G + 6G, in the oracle's key order."""
+    """Conditions moved so that G + T, T itself, 7G, and both G + T and
+    3G meet them: the scan decides mG + T as well as mG, finds 7G and -7G
+    at n = 1 and n = -2 of their cosets, and 3G and -3G at n = 0 and -1 of
+    one coset, in the oracle's key order over all cosets.  Moved through
+    T, gamma = 0 is not a 3-unit, so the driver refuses that curve, and
+    `_scan_condition_points` is run on T's coset alone."""
     E1 = CURVE_BY_ID["E1"]
     G, T = E1.gens[0], E1.torsion
-    through_g_t = dataclasses.replace(
-        E1, gamma=-E1.beta * add_points(E1, G, T).x)
-    through_t = dataclasses.replace(E1, gamma=E1.field.zero())
+    g_t, g3 = add_points(E1, G, T), scalar_mul(E1, 3, G)
+    through_g_t = dataclasses.replace(E1, gamma=-E1.beta * g_t.x)
     through_7g = dataclasses.replace(
         E1, gamma=-E1.beta * scalar_mul(E1, 7, G).x)
-    for curve, keys in ((through_g_t, [(1, 1), (-1, 1)]),
-                        (through_t, [(0, 1)]),
-                        (through_7g, [(7, 0), (-7, 0)])):
-        found = _scan(curve)
-        assert list(found) == keys
-        assert list(found.items()) == list(_brute_scan(curve, 12).items())
-
-
-@pytest.mark.parametrize("cid", ["E1", "E6", "E12"])
-def test_scan_without_good_primes(cid, monkeypatch):
-    """With every prime refused, every (m, eps) takes the exact test, and
-    the scan still equals the oracle."""
-    curve = CURVE_BY_ID[cid]
-    monkeypatch.setattr(padic, "good_reduction", lambda *args: None)
-    assert _rejected_at(curve, split_prime(curve.field, 0), 4) == set()
-    assert list(_scan(curve).items()) == list(
-        _brute_scan(curve, 2 * _order(curve)).items())
+    beta = (g_t.x - g3.x).inv()
+    through_g_t_3g = dataclasses.replace(E1, beta=beta, gamma=-beta * g_t.x)
+    for curve, roots in ((through_g_t, {(1, 1): (0,), (5, 1): (-1,)}),
+                         (through_7g, {(1, 0): (1,), (5, 0): (-2,)}),
+                         (through_g_t_3g, {(1, 1): (0,), (5, 1): (-1,),
+                                           (3, 0): (0, -1)})):
+        result = rank1_driver(curve)
+        found = _brute_scan(curve, 12)
+        assert _roots(result) == _keyed_roots(found, 6) == roots
+        assert list(result.survivors) == list(found.values())
+    through_t = dataclasses.replace(E1, gamma=E1.field.zero())
+    assert not padic.curve_satisfies_assumption1(through_t)
+    [comps] = [comps for c, eps, comps in _series_cosets(through_t, K)
+               if (c, eps) == (0, 1)]
+    assert _scan_condition_points(through_t, comps, 0, 1, 6, K) == [(0, T)]
+    assert list(_brute_scan(through_t, 12)) == [(0, 1)]
 
 
 @pytest.mark.parametrize("cid", RANK1)
-def test_sieve_keeps_survivors(cid):
-    """No good split prime rejects a survivor, and the first six leave
-    exactly the survivors open."""
+def test_sieve_keeps_survivors(cid, monkeypatch):
+    """The theta filter in front of the exact test keeps every survivor,
+    and at k = 5 nothing else: the driver tests exactly the (m, eps) of
+    SURVIVORS and their negatives, each once."""
     curve = CURVE_BY_ID[cid]
-    span = 2 * _order(curve)
-    survivors = SURVIVORS.get(cid, set())
-    keys = {(m, eps) for m in range(1, span + 1) for eps in (0, 1)}
-    rejected = [_rejected_at(curve, split_prime(curve.field, i), span)
-                for i in range(6)]
-    assert all(rej and not rej & survivors for rej in rejected)
-    assert keys.difference(*rejected) == survivors
+    calls = []
+    _spy(monkeypatch, "condition_value", calls)
+    result = _cosets_once(curve, K)
+    assert all(value is not None for _, value in calls)
+    assert list(result.survivors) == [
+        scalar_mul(curve, s * m, curve.gens[0])         # every eps is 0
+        for m, _ in sorted(SURVIVORS.get(cid, ())) for s in (1, -1)]
+    assert len(calls) == len(result.survivors)
 
 
-def test_sieve_never_rejects_at_o():
-    """E1 at 41: G reduces to points of orders 24, 20, 22 and 6 at the four
-    maps, so 6G reduces to O at the last map alone.  The values of
-    beta x + gamma at the other three differ, yet (6, 0) is not
-    rejected."""
-    E1 = CURVE_BY_ID["E1"]
-    p, maps = prime = split_prime(E1.field, 0)
-    G = E1.gens[0]
-    values = []
-    for a in maps:
-        ab = good_reduction(E1, p, a)
-        beta, gamma, *g = (residue(x, p, a)
-                           for x in (E1.beta, E1.gamma, G.x, G.y))
-        q = None
-        for _ in range(6):
-            q = add_points_mod(ab, p, q, tuple(g))
-        values.append(None if q is None else (beta * q[0] + gamma) % p)
-    assert values[3] is None
-    assert None not in values[:3] and len(set(values[:3])) > 1
-    assert (6, 0) not in _rejected_at(E1, prime, 6)
+def _outcome(curve, k):
+    """The rank-1 driver's result at 3^k, or its PrecisionError message."""
+    try:
+        return rank1_driver(curve, k)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cid", RANK1)
+def test_scan_filter_only_filters(cid, monkeypatch):
+    """With the theta filter off, every candidate of a coset goes to the
+    exact test, and nothing changes: the driver at k = 1 (which escalates
+    to 3) and at k = 5 ends the same, and at k = 1 each coset's scan finds
+    the same points.  N is checked first, since a wrong walk would send
+    multiples far beyond 2N to the exact test."""
+    curve, N = CURVE_BY_ID[cid], REDUCTION_ORDERS[cid]
+    assert [len(kernel_basis(curve, k + 4)[0]) for k in (1, 3, 5)] == [N] * 3
+    outcomes = [_outcome(curve, k) for k in (1, 5)]
+    scans = [(c, eps, _scan_condition_points(curve, comps, c, eps, N, 1))
+             for c, eps, comps in _series_cosets(curve, 1)]
+    real = padic._scan_condition_points
+    monkeypatch.setattr(padic, "_scan_condition_points",
+                        lambda curve, comps, *rest: real(curve, [], *rest))
+    assert [_outcome(curve, k) for k in (1, 5)] == outcomes
+    assert isinstance(outcomes[1], padic.DriverResult)
+    assert [(c, eps, real(curve, [], c, eps, N, 1))
+            for c, eps, _ in _series_cosets(curve, 1)] == scans
 
 
 # --- the mod-3 verdict from the coset base ----------------------------------
