@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
-"""Certification sweep over all twelve descent curves.
+"""Generator certification sweep over all twelve descent curves.
 
-Runs the 3-adic coset driver on every curve (Strassman on the rank-1
-curves, Skolem on the rank-2 curve), then the full height/box
-certification on each, and prints a one-line verdict per curve with the
-number m of doublings after which its box ranges were decided ("undecided"
-if they were taken at the upper endpoints after MAX_DOUBLINGS), the bound
-C' with 2 hhat - h <= C', and its box classes.  The tier-1 acceptance
+Runs the full height/box certification on each curve and prints a
+one-line verdict per curve with the number m of doublings after which its
+box ranges were decided ("undecided" if they were taken at the upper
+endpoints after MAX_DOUBLINGS), the bound C' with 2 hhat - h <= C', and
+its box classes.  The 3-adic drivers are not run here: `verify-theorem`
+runs them, and its certificate is pinned by digest.  The tier-1 acceptance
 suite checks the survivors of E1, E8 and E10 against an exact oracle; this
 script certifies all twelve and compares each certificate with
 CERTIFICATES: the doublings, whether the ranges were decided, the box
 ranges of each cap and the survivor names in order.  A sieve that dropped
 a true point would still certify, and a change to the box search could
-reorder its survivors.  Each line gives the time of
-the bound C (`height_diff_bound`, about 0.02 s) apart from the rest of the
-certification, and a last line gives the total time and its split into
-drivers, C and heights.  The sweep takes about 3 s wall at a 41 MiB peak
-(2.5-3.5 s in four runs, alternating with 4.5-5.0 s at 52 MiB for the box
-sieve at eight primes without the Euler pre-check) on one core of a shared
-2-core VM with Python 3.11.  Exits with status 1 if any curve's
-certification FAILED or a pinned field differs from the table, after
-printing the first such field.
+reorder its survivors.  Each line gives the time of the bound C
+(`height_diff_bound`, about 0.02 s) apart from the rest of the
+certification, and a last line gives the total time and its split into C
+and heights.  The sweep takes about 2 s wall at a 41 MiB peak (1.9-2.3 s
+in three runs) on a shared 2-core VM with Python 3.11.  Exits with status
+1 if any curve's certification FAILED or a pinned field differs from the
+table, after printing the first such field.
 
 Usage:  python3 scripts/certify_all_curves.py [curve_id ...]
 """
@@ -30,7 +28,6 @@ import time
 
 from lucassq.curves import CURVES, CURVE_BY_ID
 from lucassq.heights import certify_generators, height_diff_bound
-from lucassq.padic import rank1_driver, rank2_driver
 
 # Each curve's certificate, pinned: the doublings m after which its box
 # ranges were decided, whether they were, the ranges of each shape, and the
@@ -87,11 +84,6 @@ FIELDS = ("doublings", "ranges_decided", "shapes", "shapes2",
 
 def run_one(curve):
     t0 = time.monotonic()
-    driver = rank2_driver if curve.rank == 2 else rank1_driver
-    result = driver(curve)
-    t_driver = time.monotonic() - t0
-
-    t0 = time.monotonic()
     height_diff_bound(curve.id)            # cached for certify_generators
     t_bound = time.monotonic() - t0
 
@@ -110,11 +102,10 @@ def run_one(curve):
     t_cert = time.monotonic() - t0
 
     print(f"{curve.id:4s} rank {curve.rank}  "
-          f"driver: {len(result.survivors):2d} survivors in {t_driver:6.1f}s  "
           f"C in {t_bound:5.2f}s  "
           f"heights: {verdict} in {t_cert:6.1f}s  {depth}  "
           f"box classes: {names}")
-    times = (t_driver, t_bound, t_cert)
+    times = (t_bound, t_cert)
     if verdict.startswith("FAILED"):
         return False, times
     want = CERTIFICATES[curve.id]
@@ -128,9 +119,9 @@ def run_one(curve):
 def main(argv) -> int:
     ids = argv or [c.id for c in CURVES]
     ok, times = zip(*(run_one(CURVE_BY_ID[cid]) for cid in ids))
-    driver, bound, cert = map(sum, zip(*times))
-    print(f"total {driver + bound + cert:.1f}s over {len(ids)} curves: "
-          f"drivers {driver:.1f}s, C {bound:.2f}s, heights {cert:.1f}s")
+    bound, cert = map(sum, zip(*times))
+    print(f"total {bound + cert:.1f}s over {len(ids)} curves: "
+          f"C {bound:.2f}s, heights {cert:.1f}s")
     return 0 if all(ok) else 1
 
 

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -170,40 +170,13 @@ def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
 
 # --- theorem pipeline -------------------------------------------------------
 
-@dataclass
-class TheoremCertificate:
-    version: str
-    precision: int
-    driver_records: list
-    descent_records: list
-    final_pairs: list
-    partial: bool = False
-    failing: list = field(default_factory=list)
-    search_summary: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "tool": {"name": "lucassq", "version": self.version},
-            "precision": {"padic_k": self.precision},
-            "drivers": self.driver_records,
-            "descents": self.descent_records,
-            "final_pairs": [[p, q] for p, q in self.final_pairs],
-            "partial": self.partial,
-            "failing_cosets": self.failing,
-            "search": self.search_summary,
-        }
-
-
 def _driver_record(curve, result) -> dict:
     return {
         "curve": curve.id,
         "rank": curve.rank,
         "precision": result.precision,
         "m0": result.m0,
-        "cosets": [{"coset": r.coset, "eps": r.eps, "verdict": r.verdict,
-                    "roots": r.roots, "component": r.component,
-                    "bound": r.bound, "detail": r.detail}
-                   for r in result.reports],
+        "cosets": [asdict(r) for r in result.reports],
         "survivors": [encode_point(pt) for pt in result.survivors],
     }
 
@@ -234,7 +207,8 @@ def _descent_record(curve, pt) -> dict:
 
 def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
     """Run every driver, push survivors through the descent maps, and emit
-    the certificate.  Returns (certificate, exit_code).
+    the certificate.  Returns (certificate, exit_code); the certificate is
+    the dict that `--out` writes, its keys in the order written.
 
     The curves are independent, so each one's driver and descent run as
     one job of `fork_map`, on as many workers as this process has CPUs;
@@ -262,18 +236,24 @@ def cmd_verify_theorem(precision: int = 5, out: str = None) -> tuple:
     drivers = [rec for rec, _, _ in jobs if rec is not None]
     descents = [rec for _, recs, _ in jobs for rec in recs]
     failing = [entry for _, _, entry in jobs if entry is not None]
-    pairs = {tuple(rec["pair"]) for rec in descents if rec["accepted"]}
-    cert = TheoremCertificate(
-        version=__version__, precision=precision,
-        driver_records=drivers, descent_records=descents,
-        final_pairs=sorted(pairs), partial=bool(failing), failing=failing)
-    for p, q in cert.final_pairs:
+    pairs = sorted({tuple(rec["pair"]) for rec in descents if rec["accepted"]})
+    for p, q in pairs:
         if not is_perfect_square(lucas_u(LucasParams(p, q), 8)):
             raise ArithmeticError(f"final pair ({p}, {q}): U_8 is not a square")
+    cert = {
+        "tool": {"name": "lucassq", "version": __version__},
+        "precision": {"padic_k": precision},
+        "drivers": drivers,
+        "descents": descents,
+        "final_pairs": [[p, q] for p, q in pairs],
+        "partial": bool(failing),
+        "failing_cosets": failing,
+        "search": {},            # unfilled; kept so the digests hold
+    }
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            dump(cert.to_json(), fh)
-    return cert, (2 if cert.partial else 0)
+            dump(cert, fh)
+    return cert, (2 if failing else 0)
 
 
 # --- reports ----------------------------------------------------------------
@@ -324,15 +304,11 @@ def cmd_heights(curve_id: str) -> dict:
     epi = epsilon_nonarchimedean(curve)
     return {
         "curve": curve_id,
-        "epsilon_real": [mp_str(eps[0]), mp_str(eps[1])],
-        "epsilon_complex": mp_str(eps[2]),
-        "epsilon_finite": mp_str(epi),
-        "height_diff_bound": mp_str(c),
+        "epsilon_real": [repr(float(eps[0])), repr(float(eps[1]))],
+        "epsilon_complex": repr(float(eps[2])),
+        "epsilon_finite": repr(float(epi)),
+        "height_diff_bound": repr(float(c)),
     }
-
-
-def mp_str(v) -> str:
-    return repr(float(v)) if not isinstance(v, str) else v
 
 
 def cmd_catalog() -> list:
@@ -381,12 +357,12 @@ def main(argv=None) -> int:
         if args.command == "search":
             obj = cmd_search(args.p_max, args.q_max, args.n_max, args.workers)
         elif args.command == "verify-theorem":
-            cert, code = cmd_verify_theorem(args.precision, args.out)
+            obj, code = cmd_verify_theorem(args.precision, args.out)
             if args.out:
-                print(f"final_pairs {cert.final_pairs} partial "
-                      f"{str(cert.partial).lower()} certificate {args.out}")
+                pairs = [tuple(pair) for pair in obj["final_pairs"]]
+                print(f"final_pairs {pairs} partial "
+                      f"{str(obj['partial']).lower()} certificate {args.out}")
                 return code
-            obj = cert.to_json()
         elif args.command == "classify":
             obj = cmd_classify(args.n, args.P, args.Q)
         elif args.command == "heights":

@@ -49,8 +49,11 @@ class CurveInstance:
     delta: FieldElement       # twist unit
     delta_name: str
     equation: str             # eq1..eq4
-    rank: int
     gens: tuple = ()          # generator CurvePoints (empty for rank 0)
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
 
     @property
     def torsion(self) -> CurvePoint:
@@ -216,41 +219,41 @@ _EQUATIONS = {
 }
 
 
-def _curve(cid, equation, delta, delta_name, rank, gens=()):
+def _curve(cid, equation, delta, delta_name, gens=()):
     a0, b0, beta0, gamma0 = _EQUATIONS[equation]
     return CurveInstance(cid, delta.field, a0 * delta, b0 * delta * delta,
                          beta0 / delta, gamma0, delta, delta_name, equation,
-                         rank, gens)
+                         gens)
 
 
 _H = Fraction(1, 2)
 _Q = Fraction(1, 4)
 
-E1 = _curve("E1", "eq1", K1.one(), "1", 1,
+E1 = _curve("E1", "eq1", K1.one(), "1",
             (_pt(K1, (Fraction(3, 2), 2, _H, 0),
                  (-2, -3, -_H, Fraction(-5, 2))),))
-E2 = _curve("E2", "eq1", ETA2, "eta2", 1,
+E2 = _curve("E2", "eq1", ETA2, "eta2",
             (_pt(K1, (_H, 0, -_H, 0), (_H, -_H, 0, 0)),))
-E3 = _curve("E3", "eq2", ETA1, "eta1", 1,
+E3 = _curve("E3", "eq2", ETA1, "eta1",
             (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, _H)),))
-E4 = _curve("E4", "eq2", ETA1 * ETA2, "eta1*eta2", 1,
+E4 = _curve("E4", "eq2", ETA1 * ETA2, "eta1*eta2",
             (_pt(K1, (_H, 0, -_H, 0), (0, 0, _H, -_H)),))
-E5 = _curve("E5", "eq3", K2.one(), "1", 1,
+E5 = _curve("E5", "eq3", K2.one(), "1",
             (_pt(K2, (2, -2, _H, -_H), (5, -5, 1, -1)),))
-E6 = _curve("E6", "eq3", EPS1, "eps1", 1,
+E6 = _curve("E6", "eq3", EPS1, "eps1",
             (_pt(K2, (1, 0, -_H, 0), (1, 0, -_H, 0)),))
-E7 = _curve("E7", "eq3", EPS2, "eps2", 1,
+E7 = _curve("E7", "eq3", EPS2, "eps2",
             (_pt(K2, (1, _H, 0, _Q), (-3, -3, -_H, -_H)),))
-E8 = _curve("E8", "eq3", EPS1 * EPS2, "eps1*eps2", 1,
+E8 = _curve("E8", "eq3", EPS1 * EPS2, "eps1*eps2",
             (_pt(K2, (1, _H, 0, _Q), (-2, -2, 0, -_H)),))
-E9 = _curve("E9", "eq4", K2.one(), "1", 1,
+E9 = _curve("E9", "eq4", K2.one(), "1",
             (_pt(K2, (1, _H, 0, _Q), (0, -1, 0, 0)),))
-E10 = _curve("E10", "eq4", EPS1, "eps1", 2,
+E10 = _curve("E10", "eq4", EPS1, "eps1",
              (_pt(K2, (1, 0, 0, 0), (0, 0, _H, 0)),
               _pt(K2, (0, _H, _H, -_Q), (1, 0, Fraction(-3, 2), 0))))
-E11 = _curve("E11", "eq4", EPS2, "eps2", 1,
+E11 = _curve("E11", "eq4", EPS2, "eps2",
              (_pt(K2, (2, 2, _H, _H), (-2, -2, -_H, -_H)),))
-E12 = _curve("E12", "eq4", EPS1 * EPS2, "eps1*eps2", 1,
+E12 = _curve("E12", "eq4", EPS1 * EPS2, "eps1*eps2",
              (_pt(K2, (1, _H, 0, _Q), (-1, -1, -_H, -_H)),))
 
 CURVES = (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12)
@@ -258,10 +261,10 @@ CURVES = (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12)
 # The remaining twist units give curves of rank 0: no rational-condition
 # points of infinite order can arise, so no driver runs on them.
 RANK0_STUBS = (
-    _curve("R1", "eq1", ETA1, "eta1", 0),
-    _curve("R2", "eq1", ETA1 * ETA2, "eta1*eta2", 0),
-    _curve("R3", "eq2", K1.one(), "1", 0),
-    _curve("R4", "eq2", ETA2, "eta2", 0),
+    _curve("R1", "eq1", ETA1, "eta1"),
+    _curve("R2", "eq1", ETA1 * ETA2, "eta1*eta2"),
+    _curve("R3", "eq2", K1.one(), "1"),
+    _curve("R4", "eq2", ETA2, "eta2"),
 )
 
 CURVE_BY_ID = {c.id: c for c in CURVES + RANK0_STUBS}

@@ -263,8 +263,8 @@ def test_criterion_9_pipeline_conclusion():
     t0 = time.monotonic()
     cert, code = cmd_verify_theorem()
     assert time.monotonic() - t0 < 120
-    assert code == 0 and not cert.partial
-    assert cert.final_pairs == [(1, -4), (4, -17)]
+    assert code == 0 and not cert["partial"]
+    assert cert["final_pairs"] == [[1, -4], [4, -17]]
 
 
 # --- 10. heights -------------------------------------------------------------------

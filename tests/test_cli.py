@@ -253,6 +253,18 @@ def test_catalog_shape():
     json.dumps(cat)
 
 
+# sha256 of `lucassq catalog` stdout, as printed at commit e57597d, while
+# each catalog entry still stored its rank beside its generators.
+CATALOG_SHA256 = (
+    "98723ec8b462b81d724fa3317a02687e71cebda350f5a2666814449ae8d76d8b")
+
+
+def test_catalog_digest(capsys):
+    assert main(["catalog"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CATALOG_SHA256
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["search"])
     assert args.p_max == 200 and args.q_max == 200 and args.n_max == 50
@@ -296,9 +308,9 @@ def test_verify_theorem_precision_error_is_partial(monkeypatch):
     monkeypatch.setattr(padic, "rank2_driver",
                         _driver_raising(padic.PrecisionError("too coarse")))
     cert, code = cmd_verify_theorem()
-    assert code == 2 and cert.partial and cert.final_pairs == []
-    assert [f["curve"] for f in cert.failing][:2] == ["E1", "E2"]
-    assert len(cert.failing) == 12
+    assert code == 2 and cert["partial"] and cert["final_pairs"] == []
+    assert [f["curve"] for f in cert["failing_cosets"]][:2] == ["E1", "E2"]
+    assert len(cert["failing_cosets"]) == 12
 
 
 def test_verify_theorem_rejects_precision_below_one(capsys):
@@ -346,6 +358,15 @@ def test_verify_theorem_certificate_digest(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(
         "final_pairs [(1, -4), (4, -17)] partial false")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_SHA256
+
+
+def test_verify_theorem_stdout_is_the_certificate(tmp_path, capsys):
+    """Without --out, stdout is the bytes that --out writes, and a newline."""
+    out = tmp_path / "cert.json"
+    assert main(["verify-theorem", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify-theorem"]) == 0
+    assert capsys.readouterr().out == out.read_text() + "\n"
 
 
 # sha256 of the certificates at --precision 1 and 2 (partial) and 3, as
