@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -176,7 +175,7 @@ def _driver_record(curve, result) -> dict:
         "rank": curve.rank,
         "precision": result.precision,
         "m0": result.m0,
-        "cosets": [asdict(r) for r in result.reports],
+        "cosets": [vars(r) for r in result.reports],
         "survivors": [encode_point(pt) for pt in result.survivors],
     }
 

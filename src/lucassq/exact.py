@@ -63,6 +63,14 @@ def poly_mul(a: list, b: list, order: Optional[int] = None) -> list:
     return out
 
 
+def _poly_coeff(a: list, b: list, d: int, lo: int = 0):
+    """The x^d coefficient of a * b over the a_i with lo <= i < len(a),
+    so that a may be a series still being built; zero coefficients of
+    either factor are skipped."""
+    return sum((a[i] * b[d - i] for i in range(lo, min(d + 1, len(a)))
+                if a[i] and b[d - i]), 0)
+
+
 def poly_diff(a: list) -> list:
     """The derivative a'."""
     return [i * a[i] for i in range(1, len(a))]
@@ -177,15 +185,14 @@ class Poly:
     def mul_truncated(self, other: "Poly", d: int) -> "Poly":
         """Product with all terms of total degree > d dropped."""
         other = self._coerce(other)
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         out: dict = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
-            if d1 > d:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > d:
+            for e2, d2, c2 in right:
+                if d1 + d2 > d:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple([a + b for a, b in zip(e1, e2)])
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -222,6 +229,33 @@ class Poly:
             mono = "*".join(f"x{i}^{k}" for i, k in enumerate(e) if k)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def poly_shift(poly: Poly, shifts: tuple) -> Poly:
+    """Substitute x_i -> x_i + shifts[i]."""
+    if not any(shifts):
+        return poly
+    n = poly.nvars
+    powers = []       # powers[i][p] = (x_i + shifts[i])^p, built once
+    for i in range(n):
+        step = Poly.variable(i, n) + Poly.constant(n, shifts[i])
+        powers.append([Poly.constant(n, 1)])
+        for _ in range(max((e[i] for e in poly.terms), default=0)):
+            powers[i].append(powers[i][-1] * step)
+    out = Poly(n)
+    for e, c in poly.terms.items():
+        term = Poly.constant(n, c)
+        for i, p in enumerate(e):
+            if p:
+                term = term * powers[i][p]
+        out = out + term
+    return out
+
+
+def poly_mod(poly: Poly, modulus: int) -> Poly:
+    """poly with its integer coefficients reduced mod modulus."""
+    return Poly(poly.nvars, {e: c % modulus for e, c in poly.terms.items()
+                             if c % modulus})
 
 
 def _det_fractions(m: list) -> Fraction:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .exact import poly_eval
+from .exact import Poly, poly_eval
 
 
 def _frac_rows(rows) -> tuple:
@@ -138,6 +138,96 @@ def _mul_int(fld: FieldDescriptor, a: tuple, b: tuple) -> tuple:
         p4 -= c2 * p6
         p2 -= c0 * p6
     return (p0 - c0 * p4, p1 - c0 * p5, p2 - c2 * p4, p3 - c2 * p5)
+
+
+def _residues(x: "FieldElement", m: int) -> tuple:
+    """The integer coordinates of x mod m, through one inverse of the
+    common denominator (ValueError unless it is prime to m)."""
+    dinv = pow(x._d, -1, m)
+    return tuple([c * dinv % m for c in x._n])
+
+
+class _Residue:
+    """An element of Z[alpha]/m as its four integer coordinates in [0, m),
+    multiplied by `_mul_int`.  Reduction Z_(p)[alpha] -> Z[alpha]/p^j is a
+    ring map for a prime p that divides no denominator, so an expression
+    in residues is the residue of the exact one.  There is no __bool__: as
+    coefficients of an `exact.Poly`, zero residues are kept, so the terms
+    of sums and products come in the order of the exact ones."""
+
+    __slots__ = ("field", "n", "m")
+
+    def __init__(self, fld: FieldDescriptor, n, m: int):
+        n0, n1, n2, n3 = n
+        self.field, self.n, self.m = fld, (n0 % m, n1 % m, n2 % m, n3 % m), m
+
+    @classmethod
+    def of(cls, x: "FieldElement", m: int) -> "_Residue":
+        return cls(x.field, _residues(x, m), m)
+
+    def __add__(self, other) -> "_Residue":
+        a0, a1, a2, a3 = self.n
+        if isinstance(other, int):
+            return _Residue(self.field, (a0 + other, a1, a2, a3), self.m)
+        b0, b1, b2, b3 = other.n
+        return _Residue(self.field, (a0 + b0, a1 + b1, a2 + b2, a3 + b3),
+                        self.m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Residue(self.field, [-c for c in self.n], self.m)
+
+    def __sub__(self, other: "_Residue") -> "_Residue":
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        return _Residue(self.field, (a0 - b0, a1 - b1, a2 - b2, a3 - b3),
+                        self.m)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Residue(self.field, [c * other for c in self.n], self.m)
+        return _Residue(self.field, _mul_int(self.field, self.n, other.n),
+                        self.m)
+
+    __rmul__ = __mul__
+
+    def unit_mod(self, p: int) -> bool:
+        """Whether the element is a unit mod p, for p prime and inert."""
+        return any(c % p for c in self.n)
+
+    def inv(self) -> "_Residue":
+        """The inverse of a unit, x r = N with (r, N) the adjugate."""
+        r, norm = adjugate(self.field, self.n)
+        return _Residue(self.field, r, self.m) * pow(norm, -1, self.m)
+
+    def element(self) -> "FieldElement":
+        """The element with these integer coordinates."""
+        return _raw(self.field, self.n, 1)
+
+
+def _residue_powers(poly: Poly, m: int, dmax: int, count: int) -> list:
+    """[P^0, ..., P^count] mod m for a Poly P with FieldElement
+    coefficients, as Polys over `_Residue` with the terms of total degree
+    > dmax dropped."""
+    p = poly.map_coeffs(lambda c: _Residue.of(c, m))
+    powers = [Poly.constant(poly.nvars, 1)]
+    for _ in range(count):
+        powers.append(powers[-1].mul_truncated(p, dmax))
+    return powers
+
+
+def _residue_components(coeffs: list, polys: list, m: int) -> list:
+    """The four coordinate Polys of sum_j c_j P_j mod m, for FieldElement
+    (or zero) c_j and the P_j of `_residue_powers`."""
+    terms = {}
+    for c, poly in zip(coeffs, polys):
+        if c:
+            s = _Residue.of(c, m)
+            for e, q in poly.terms.items():
+                terms[e] = terms.get(e, 0) + s * q
+    return [Poly(polys[0].nvars, {e: v.n[i] for e, v in terms.items()})
+            for i in range(4)]
 
 
 def _subfield_norm(fld: FieldDescriptor, n: tuple) -> tuple:

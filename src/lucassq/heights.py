@@ -143,7 +143,7 @@ def _complex_infimum(curve: CurveInstance):
     This is not the infimum the bound needs: the pieces are square roots
     of |f^s f^s'(z)| and |g^s g^s'(z)|, products with real coefficients,
     which equal |f^s(z)| and |g^s(z)| only for real z, and the value is
-    wrong on nine of the twelve curves (ROADMAP, Direction 1).  It is kept
+    wrong on nine of the twelve curves (ROADMAP, Direction 3).  It is kept
     unchanged here, since every downstream constant and golden value is
     built on it."""
     f2, g = _complex_fg(curve)

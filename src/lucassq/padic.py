@@ -2,26 +2,29 @@
 bounds, and the Skolem-style solver.
 
 The prime 3 is inert in both quartic fields, so Z_3[alpha]/3^k is the right
-finite model.  The formal-group series are exact, the multiples of the
+finite model.  The formal-group series are exact; the multiples of the
 generators are walked in Z[alpha]/3^(k+4) (`reduction_order`), and the
-theta components are reduced mod 3^k; truncation orders are certified by
-the valuation floor v(coeff of total degree d) >= floor(d/2)+1.  Series in
-one variable (u, 1/u, log, exp, the z-expansions of beta X + gamma) are
-coefficient lists indexed by degree (`exact.poly_*`); the multivariate
-`Poly` holds z(sum n_i Q_i), the theta components and the Skolem systems.
+theta components sum the exact series coefficients times the powers of
+z(sum n_i Q_i) mod 3^k, built once per curve (`_z_powers`), all on
+`fields._Residue`.  Truncation orders are certified by the valuation
+floor v(coeff of total degree d) >= floor(d/2)+1.  Series in one variable
+(u, 1/u, log, exp, the z-expansions of beta X + gamma) are coefficient
+lists indexed by degree (`exact.poly_*`); the multivariate `Poly` holds
+z(sum n_i Q_i), the theta components and the Skolem systems.
 
 One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
 Diophantine Equations*).  The last generator G has reduction order N; each
 earlier P_i becomes P_i + b_i G, b_i in [0, N), in the kernel of reduction,
 and N G completes the kernel basis.  The cosets are c G (+T), c in [0, N);
-one is excluded mod 3 when the condition value at its base has a
-nonrational 3-unit component, and only the rest get a theta expansion.
-Rank 1 bounds each coset left by Strassman in one variable, against its
-points m G (+T), |m| <= 2N, that pass the exact test, tried only where
-its theta components vanish mod 3^k.  Rank 2 lists c in [0, N/2] and
-solves each one left by Skolem at the zero found by Hensel lifting.  The
-fold is sound because T = -T: the coset of (N - c) G (+T) is the negative
-of that of c G (+T), and P and -P share X, hence the condition value.
+one is excluded mod 3 when the condition value at its base, read from the
+walk triple of c G, has a nonrational 3-unit component; only the rest get
+a base mod 3^(k+4) and a theta expansion.  Rank 1 bounds each coset left
+by Strassman in one variable, against its points m G (+T), |m| <= 2N, that
+pass the exact test, tried only where its theta components vanish mod 3^k.
+Rank 2 lists c in [0, N/2] and solves each one left by Skolem at the zero
+found by Hensel lifting.  The fold is sound because T = -T: the coset of
+(N - c) G (+T) is the negative of that of c G (+T), and P and -P share X,
+hence the condition value.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from typing import Callable, Optional
 
 from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
                      condition_value, scalar_mul)
-from .exact import (Poly, poly_add, poly_diff, poly_eval, poly_mul,
-                    poly_scale, resultant)
+from .exact import (Poly, _poly_coeff, poly_add, poly_diff, poly_eval,
+                    poly_mod, poly_mul, poly_scale, poly_shift, resultant)
 from .fields import (FieldDescriptor, FieldElement, _ord3,
-                     three_adic_valuation)
+                     _residue_components, _residue_powers, _residues,
+                     _Residue, three_adic_valuation)
 
 P3 = 3
 
@@ -46,15 +50,6 @@ class PrecisionError(ArithmeticError):
 
 
 # --- reduction helpers ------------------------------------------------------
-
-def _residues(x: FieldElement, modulus: int) -> tuple:
-    """The integer coordinates of x modulo a power of 3, through one
-    inverse of the common denominator."""
-    if x._d % P3 == 0:
-        raise ValueError("denominator not coprime to 3")
-    dinv = pow(x._d, -1, modulus)
-    return tuple(c * dinv % modulus for c in x._n)
-
 
 def reduce_element(x: FieldElement, k: int) -> FieldElement:
     """Small exact representative of x mod 3^k (integer coordinates)."""
@@ -82,15 +77,16 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
     of A z^2 u + B z^4 u^2 needs only lower coefficients of u.  Those of
     u * u_inv and of log(exp t) are the new coefficient of u_inv or exp
     plus terms in lower ones (u starts 1, log starts t), and must vanish
-    for d >= 1 and d >= 2."""
+    for d >= 1 and d >= 2; powers[j][d] = [t^d] exp^j needs exp only below
+    degree d for j >= 2, as exp^(j-1) starts at t^(j-1)."""
     one = curve.field.one()
     A, B = curve.a, curve.b
     u, u_inv = [one], [one]
     for d in range(1, order + 1):
         u.append((A * u[d - 2] if d >= 2 else 0)
-                 + (B * poly_mul(u, u, d - 4)[d - 4] if d >= 4 else 0))
+                 + (B * _poly_coeff(u, u, d - 4) if d >= 4 else 0))
     for d in range(1, order + 1):
-        u_inv.append(-poly_mul(u, u_inv, d)[d])
+        u_inv.append(-_poly_coeff(u, u_inv, d, 1))
     # log'(z) = 1 + z u'(z) / (2 u(z)); integrate, keeping Fraction and
     # FieldElement coefficients (0 / (d + 1) would be a float).
     zdu = [0] + poly_diff(u)
@@ -98,14 +94,12 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
                                       Fraction(1, 2)))
     log = [0] + [c / (d + 1) if c else 0 for d, c in enumerate(logp)]
     exp = [0, one]
+    powers = [None, exp] + [[0] * (order + 1) for _ in range(2, order + 1)]
     for d in range(2, order + 1):
-        exp.append(0)
-        comp, power = 0, [one]
-        for c in log[1:d + 1]:
-            power = poly_mul(power, exp, d)
-            if c:
-                comp = comp + c * power[d]
-        exp[d] = -comp
+        for j in range(2, d + 1):
+            powers[j][d] = _poly_coeff(exp, powers[j - 1], d, 1)
+        exp.append(-sum((log[j] * powers[j][d] for j in range(2, d + 1)
+                         if log[j]), 0))
     return FormalSeriesPack(curve, order, u, u_inv, log, exp)
 
 
@@ -167,13 +161,9 @@ def _substitute(series: list, poly: Poly, dmax: int) -> Poly:
 def poly_components_mod(poly: Poly, k: int) -> list:
     """Split a Poly with FieldElement coefficients into 4 integer-coefficient
     Polys (power-basis components) reduced mod 3^k."""
-    m = P3 ** k
-    comps = [dict() for _ in range(4)]
-    for e, c in poly.terms.items():
-        for i, v in enumerate(_residues(c, m)):
-            if v:
-                comps[i][e] = v
-    return [Poly(poly.nvars, d) for d in comps]
+    terms = {e: _residues(c, P3 ** k) for e, c in poly.terms.items()}
+    return [Poly(poly.nvars, {e: v[i] for e, v in terms.items()})
+            for i in range(4)]
 
 
 # --- beta*X(P+R)+gamma and 1/(beta*X(R)+gamma) as series in z -----------------
@@ -231,11 +221,21 @@ def inverse_beta_x_series(curve: CurveInstance, order: int = 6,
     return poly_mul(poly_scale(s, curve.beta.inv()), geo, n)
 
 
-def theta_components(series_coeffs: list, z_poly: Poly, k: int) -> list:
-    """Substitute the z polynomial into a z-series and split into the four
-    power-basis component polynomials mod 3^k."""
-    return poly_components_mod(
-        _substitute(series_coeffs, z_poly, max_useful_degree(k)), k)
+def _z_powers(z_poly: Poly, k: int) -> list:
+    """[Z^0, ..., Z^(k+1)] for Z = z_poly mod 3^k, truncated at degree
+    `max_useful_degree(k)`: enough for the series of orders k - 1 and
+    k + 1 that the driver expands."""
+    return _residue_powers(z_poly, P3 ** k, max_useful_degree(k), k + 1)
+
+
+def theta_components(series_coeffs: list, z, k: int) -> list:
+    """The four power-basis components of sum_j s_j Z^j mod 3^k, z the Poly
+    of `z_linear_combo` or its `_z_powers`.  Each s_j is 3-integral under
+    assumption 1 (`_residues` raises otherwise, as on Z), and reduction mod
+    3^k is a ring map (see `reduction_order`), so they are those of
+    `_substitute(series_coeffs, z, max_useful_degree(k))` reduced."""
+    return _residue_components(
+        series_coeffs, _z_powers(z, k) if isinstance(z, Poly) else z, P3 ** k)
 
 
 # --- Strassman and Skolem ------------------------------------------------------
@@ -307,32 +307,6 @@ def skolem_check(system: SkolemSystem) -> dict:
     res = int(resultant(*forms))
     return {"kind": "linear" if system.d1 == system.d2 == 1 else "resultant",
             "resultant": res, "unique": res % P3 != 0}
-
-
-def poly_shift(poly: Poly, shifts: tuple) -> Poly:
-    """Substitute x_i -> x_i + shifts[i]."""
-    if not any(shifts):
-        return poly
-    n = poly.nvars
-    powers = []       # powers[i][p] = (x_i + shifts[i])^p, built once
-    for i in range(n):
-        step = Poly.variable(i, n) + Poly.constant(n, shifts[i])
-        powers.append([Poly.constant(n, 1)])
-        for _ in range(max((e[i] for e in poly.terms), default=0)):
-            powers[i].append(powers[i][-1] * step)
-    out = Poly(n)
-    for e, c in poly.terms.items():
-        term = Poly.constant(n, c)
-        for i, p in enumerate(e):
-            if p:
-                term = term * powers[i][p]
-        out = out + term
-    return out
-
-
-def poly_mod(poly: Poly, modulus: int) -> Poly:
-    return Poly(poly.nvars, {e: c % modulus for e, c in poly.terms.items()
-                             if c % modulus})
 
 
 def divide_out_3(polys: list, k: int) -> tuple:
@@ -421,15 +395,27 @@ def lift_roots(polys: list, k: int, levels: int) -> tuple:
     return j + i, [tuple(x - m if x > m // 2 else x for x in r) for r in roots]
 
 
-def _excluded_mod_3(curve: CurveInstance, x: FieldElement) -> bool:
-    """Whether the coset of a base P with 3-integral X(P) = x is excluded
-    mod 3 (`lift_roots` on its theta components ends at level 1 with no
-    zero), read from s_0 = beta x + gamma alone.  Each monomial of
-    z(sum n_i Q_i) has degree d >= 1 and valuation >= fact2_floor(d) >= 1,
-    and each s_j, j >= 1, of beta X(P + R) + gamma is 3-integral, so
-    theta = s_0 mod 3 as a polynomial in the n_i: it has no zero mod 3
-    exactly when a nonrational component of s_0 is a 3-unit."""
-    return any(_residues(curve.beta * x + curve.gamma, P3)[1:])
+def _excluded_mod_3(curve: CurveInstance, walk: list) -> dict:
+    """{(c, eps): whether `lift_roots` on the theta components of the coset
+    c G (+T), c in [0, N), not O, would end at level 1 with no zero}.  Each
+    monomial of z(sum n_i Q_i) has degree d >= 1 and valuation >= 1, and
+    each s_j, j >= 1, of beta X(P + R) + gamma is 3-integral, so theta =
+    s_0 = beta x + gamma mod 3, x = X(c G (+T)), has a zero mod 3 exactly
+    when x = (r - gamma)/beta mod 3, r in F_3.  x = X/Z at c G and B Z/X
+    at c G + T (`add_torsion`), from walk[c - 1] = (X, Y, Z); X(T) = 0.
+    None where eps = 1 and X = 0 mod 3, which `_coset_base` raises on."""
+    beta, gamma, b = (_Residue.of(v, P3)
+                      for v in (curve.beta, curve.gamma, curve.b))
+    rational = [(-gamma + r) * beta.inv() for r in range(P3)]
+    # the X(c G) mod 3 at which c G, then c G + T, is kept
+    at_g = {x.n for x in rational}
+    at_g_t = {(b * x.inv()).n for x in rational if x.unit_mod(P3)}
+    out = {(0, 1): (0, 0, 0, 0) not in at_g}
+    for c, (X, _, Z) in enumerate(walk[:-1], 1):
+        x = tuple([v % P3 for v in (X * Z.inv()).n])
+        out[c, 0] = x not in at_g
+        out[c, 1] = x not in at_g_t if any(x) else None
+    return out
 
 
 def _known_count_strassman(components: list, k: int, known: int,
@@ -498,26 +484,26 @@ def reduction_order(curve: CurveInstance, G: CurvePoint, j: int,
     triple is the image of the exact one.  While Z is a 3-unit it is
     primitive, the point affine and outside the kernel; at the first
     Z = 0 mod 3, Y must be a 3-unit, so it is primitive and reduces to O."""
-    def red(x):
-        return reduce_element(x, j)
-    a, b, x, y = (red(v) for v in (curve.a, curve.b, G.x, G.y))
-    walk = [(red((P or G).x), red((P or G).y), curve.field.one())]
-    while three_adic_valuation(walk[-1][2]) == 0:
+    m, start = P3 ** j, P or G
+    a, b, x, y, x0, y0 = (_Residue.of(v, m) for v in (
+        curve.a, curve.b, G.x, G.y, start.x, start.y))
+    walk = [(x0, y0, _Residue(curve.field, (1, 0, 0, 0), m))]
+    while walk[-1][2].unit_mod(P3):
         if len(walk) == limit:
             raise ValueError(f"{curve.id}: no kernel point in {limit} steps")
         X, Y, Z = walk[-1]
         if len(walk) == 1 and P is None:        # slope w/s at G
             s, w = 2 * y, 3 * x * x + 2 * a * x + b
-            h = w * w - (a + 2 * x) * s * s
-            step = (s * h, w * (x * s * s - h) - y * s ** 3, s ** 3)
+            ss = s * s
+            h = w * w - (a + 2 * x) * ss
+            walk.append((s * h, w * (x * ss - h) - y * s * ss, s * ss))
         else:                                   # slope u/v to G
-            u, v = red(y * Z - Y), red(x * Z - X)
-            vv = red(v * v)
-            vvv, vvx = red(vv * v), red(vv * X)
-            A = red((u * u - a * vv) * Z - 2 * vvx - vvv)
-            step = (v * A, u * (vvx - A) - vvv * Y, vvv * Z)
-        walk.append(tuple(map(red, step)))
-    if three_adic_valuation(walk[-1][1]) != 0:
+            u, v = y * Z - Y, x * Z - X
+            vv = v * v
+            vvv, vvx = vv * v, vv * X
+            A = (u * u - a * vv) * Z - 2 * vvx - vvv
+            walk.append((v * A, u * (vvx - A) - vvv * Y, vvv * Z))
+    if not walk[-1][1].unit_mod(P3):
         raise ArithmeticError(f"{curve.id}: kernel point lost mod 3^{j}")
     return walk
 
@@ -556,7 +542,7 @@ def kernel_basis(curve: CurveInstance, j: int) -> tuple:
     walk = reduction_order(curve, G, j)
     walks = [reduction_order(curve, G, j, P, len(walk)) for P in others]
     return walk, [len(w) - 1 for w in walks], [
-        reduce_element(-X * Y.inv(), j)
+        (-X * Y.inv()).element()
         for X, Y, _ in (w[-1] for w in walks + [walk])]
 
 
@@ -568,8 +554,7 @@ def _coset_base(curve: CurveInstance, walk: list, c: int, eps: int,
     if not c:
         return curve.torsion
     X, Y, Z = walk[c - 1]
-    z_inv = Z.inv()
-    pt = CurvePoint(X * z_inv, Y * z_inv)
+    pt = CurvePoint(*((V * Z.inv()).element() for V in (X, Y)))
     if eps:
         if three_adic_valuation(pt.x) != 0:
             raise PrecisionError("coset base in kernel of reduction")
@@ -614,14 +599,14 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     and -P; each survivor is recorded with its negative.
 
     A coset without a common zero of the nonrational theta components mod 3
-    or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the
-    condition value at the base alone (`_excluded_mod_3`).  Otherwise rank
-    1 bounds the zeros by Strassman against the points of the coset that
-    `_scan_condition_points` finds from its theta components, and rank 2
-    proves by Skolem that the one zero lifted mod 3^(k-j) is the only one.
-    The identity coset holds O, at n = 0.  Rank-1 survivors are listed by
-    (|m|, m < 0, eps) over all cosets, which puts T first when it
-    qualifies."""
+    or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the walk,
+    through the condition value at the base mod 3 (`_excluded_mod_3`).
+    Otherwise rank 1 bounds the zeros by Strassman against the points of
+    the coset that `_scan_condition_points` finds from its theta
+    components, and rank 2 proves by Skolem that the one zero lifted mod
+    3^(k-j) is the only one.  The identity coset holds O, at n = 0.  Rank-1
+    survivors are listed by (|m|, m < 0, eps) over all cosets, which puts T
+    first when it qualifies."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
@@ -630,22 +615,22 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     known, survivors = {}, []     # known: (|m|, m < 0, eps) -> m G (+T)
     pack = derive_formal_series(curve, k + 5)
     logs = [padic_log(pack, z, k + 4) for z in zs]
-    zpoly = z_linear_combo(pack, logs, k)
-    reports = []
+    powers = _z_powers(z_linear_combo(pack, logs, k), k)
+    reports, excluded = [], _excluded_mod_3(curve, walk)
     for eps, c in itertools.product((0, 1), range(N if rank == 1
                                                   else N // 2 + 1)):
         identity = c == 0 and eps == 0
         try:
             if identity:
                 series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
+            elif excluded[c, eps]:
+                reports.append(CosetReport(c, eps, "excluded mod 3"))
+                continue
             else:
                 base = _coset_base(curve, walk, c, eps, k + 4)
-                if _excluded_mod_3(curve, base.x):
-                    reports.append(CosetReport(c, eps, "excluded mod 3"))
-                    continue
                 series = beta_x_series(curve, base.x, base.y, order=k - 1,
                                        pack=pack)
-            comps = theta_components(series, zpoly, k)[1:]
+            comps = theta_components(series, powers, k)[1:]
             if not identity:
                 level, lifted = lift_roots(comps, k, 2 if rank == 1 else k)
                 if not lifted:

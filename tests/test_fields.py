@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lucassq.fields import (EPS1, EPS2, ETA1, ETA2, K1, K2, ONE_PLUS_THETA,
-                            PI, FieldDescriptor, adjugate, charpoly,
-                            three_adic_valuation, two_adic_valuation,
-                            two_factorization_holds)
+                            PI, FieldDescriptor, _Residue, _residues,
+                            adjugate, charpoly, three_adic_valuation,
+                            two_adic_valuation, two_factorization_holds)
 
 coords = st.tuples(*(st.fractions(min_value=-20, max_value=20,
                                   max_denominator=8) for _ in range(4)))
@@ -95,6 +95,25 @@ def test_ring_operations_match_reference(fld, a, b):
                       (x + Fraction(2, 3), (a[0] + Fraction(2, 3),) + a[1:])):
         assert got.coords == want
         assert _canonical(got)
+
+
+@given(fields, coords, coords, st.integers(1, 9))
+@settings(max_examples=100)
+def test_residue_ring_matches_exact_arithmetic(fld, a, b, j):
+    """In Z[alpha]/3^j, each `_Residue` operation on the residues of two
+    3-integral elements gives the residue of the exact result, and the
+    inverse of a 3-unit is the residue of the exact inverse."""
+    m = 3 ** j
+    x, y = fld.element(*a), fld.element(*b)
+    assume(x._d % 3 and y._d % 3)
+    rx, ry = _Residue.of(x, m), _Residue.of(y, m)
+    for got, want in ((rx + ry, x + y), (rx - ry, x - y), (rx * ry, x * y),
+                      (-rx, -x), (2 * rx, 2 * x)):
+        assert got.n == _residues(want, m)
+    assert rx.element() == fld.integral(_residues(x, m))
+    assert rx.unit_mod(3) == (three_adic_valuation(x) == 0)
+    if rx.unit_mod(3):
+        assert rx.inv().n == _residues(x.inv(), m)
 
 
 @given(fields, wide, st.integers(1, 3))

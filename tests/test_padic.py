@@ -11,8 +11,9 @@ from lucassq import padic
 from lucassq.curves import (CURVE_BY_ID, CURVES, INFINITY, CurvePoint,
                             add_points, add_torsion, condition_value,
                             scalar_mul)
-from lucassq.exact import Poly, poly_add, poly_mul, poly_scale
-from lucassq.fields import K2, three_adic_valuation
+from lucassq.exact import (Poly, poly_add, poly_diff, poly_mul,
+                           poly_scale)
+from lucassq.fields import K2, _residues, three_adic_valuation
 from lucassq.padic import (PrecisionError, _coset_base, _cosets_once,
                            _excluded_mod_3, _known_count_strassman,
                            _scan_condition_points, _skolem_coset,
@@ -128,6 +129,7 @@ def test_residue_walk_matches_exact_walk(k, exact_walks, monkeypatch):
         assert all(args[4] == j for args, _ in calls["_coset_base"])
         driver = {(args[2], args[3]): base for args, base in
                   calls["_coset_base"]}
+        excluded = _excluded_mod_3(curve, walk)
         for c, eps in itertools.product(range(N), (0, 1)):
             if c or eps:
                 exact = mults[c - 1] if c else curve.torsion
@@ -135,6 +137,26 @@ def test_residue_walk_matches_exact_walk(k, exact_walks, monkeypatch):
                                 else exact, j)
                 assert _coset_base(curve, walk, c, eps, j) == want
                 assert driver.get((c, eps), want) == want
+                # the verdict read from the walk is that of the exact base
+                assert excluded[c, eps] == any(_residues(
+                    curve.beta * want.x + curve.gamma, 3)[1:]), (c, eps)
+
+
+def test_coset_base_in_kernel_is_left_to_coset_base():
+    """With G + T for the generator of E11 (N = 17), the walk has length
+    34 and 17 (G + T) + T = 17 G lies in the kernel of reduction: X = 0
+    mod 3 at walk[16].  The mod-3 verdict leaves that coset undecided, and
+    the driver stops at it with `_coset_base`'s PrecisionError."""
+    E11 = CURVE_BY_ID["E11"]
+    curve = dataclasses.replace(E11, gens=(add_torsion(E11, E11.gens[0]),))
+    walk = kernel_basis(curve, K + 4)[0]
+    assert len(walk) == 34
+    assert _excluded_mod_3(curve, walk)[17, 1] is None
+    with pytest.raises(PrecisionError, match="kernel of reduction"):
+        _coset_base(curve, walk, 17, 1, K + 4)
+    with pytest.raises(PrecisionError,
+                       match="E11 coset 17,1: coset base in kernel"):
+        _cosets_once(curve, K)
 
 
 def test_driver_rank_guard():
@@ -291,8 +313,8 @@ def test_scan_filter_only_filters(cid, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_early_mod3_verdict_matches_full_theta(k):
     """On all twelve curves, for every non-identity coset whose base is not
-    in the kernel, the verdict read from beta X(base) + gamma equals
-    `lift_roots` on the fully expanded theta components: no zero mod 3."""
+    in the kernel, the verdict read from the walk equals `lift_roots` on
+    the fully expanded theta components: no zero mod 3."""
     total = excluded = 0
     for curve in CURVES:
         cid, rank = curve.id, curve.rank
@@ -310,7 +332,7 @@ def test_early_mod3_verdict_matches_full_theta(k):
                                        pack=pack)
                 comps = theta_components(series, zpoly, k)[1:]
                 full = lift_roots(comps, k, 2 if rank == 1 else k)
-                early = _excluded_mod_3(curve, base.x)
+                early = _excluded_mod_3(curve, walk)[c, eps]
                 assert early == (full == (1, [])), (cid, c, eps)
                 total += 1
                 excluded += early
@@ -319,25 +341,53 @@ def test_early_mod3_verdict_matches_full_theta(k):
 
 # --- the 3-adic truncation orders -------------------------------------------
 
-def _series_cosets(curve, k):
-    """(c, eps, nonrational theta components mod 3^k) for every coset on
-    which the driver at 3^k expands theta, in its order: the identity, and
-    each coset that the mod-3 test keeps, by the steps of `_cosets_once`."""
+def _coset_series(curve, k):
+    """(c, eps, z-series, z Poly) for every coset on which the driver at 3^k
+    expands theta, in its order: the identity, and each coset that the
+    mod-3 test keeps, by the steps of `_cosets_once`."""
     walk, _, zs = kernel_basis(curve, k + 4)
     N = len(walk)
     pack = derive_formal_series(curve, k + 5)
     zpoly = z_linear_combo(pack, [padic_log(pack, z, k + 4) for z in zs], k)
+    excluded = _excluded_mod_3(curve, walk)
     for eps, c in itertools.product(
             (0, 1), range(N if curve.rank == 1 else N // 2 + 1)):
-        base = _coset_base(curve, walk, c, eps, k + 4) if c or eps else None
-        if base is None:
+        if not (c or eps):
             series = inverse_beta_x_series(curve, order=k + 1, pack=pack)
-        elif _excluded_mod_3(curve, base.x):
+        elif excluded[c, eps]:
             continue
         else:
+            base = _coset_base(curve, walk, c, eps, k + 4)
             series = beta_x_series(curve, base.x, base.y, order=k - 1,
                                    pack=pack)
+        yield c, eps, series, zpoly
+
+
+def _series_cosets(curve, k):
+    """(c, eps, nonrational theta components mod 3^k) for the cosets of
+    `_coset_series`."""
+    for c, eps, series, zpoly in _coset_series(curve, k):
         yield c, eps, theta_components(series, zpoly, k)[1:]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_theta_from_residue_powers_matches_exact(k):
+    """On all twelve curves, at every coset whose theta the driver expands
+    (the identity included), the components from the powers of z mod 3^k
+    that the driver builds once per curve are those of the exact
+    substitution reduced mod 3^k.  The mod-3 verdicts do not depend on k,
+    so the same 43 cosets (12 identity, 31 others) reach theta."""
+    total = 0
+    for curve in CURVES:
+        powers = None
+        for c, eps, series, zpoly in _coset_series(curve, k):
+            powers = powers or padic._z_powers(zpoly, k)
+            exact = poly_components_mod(
+                padic._substitute(series, zpoly, max_useful_degree(k)), k)
+            assert theta_components(series, powers, k) == exact, (
+                curve.id, c, eps)
+            total += 1
+    assert total == 43
 
 
 def test_theta_truncation_orders(monkeypatch):
@@ -463,6 +513,49 @@ def test_formal_series_identities(cid):
         power = poly_mul(power, pack.exp, order)
         composed = poly_add(composed, poly_scale(power, c))
     assert composed == [0, one] + [0] * (order - 1)
+
+
+def _formal_series_by_products(curve, order):
+    """u, u_inv, log and exp by whole products, the reference for
+    `derive_formal_series`: a truncated product per degree, and d power
+    products for the d-th coefficient of exp (O(d^4) in all)."""
+    one = curve.field.one()
+    A, B = curve.a, curve.b
+    u, u_inv = [one], [one]
+    for d in range(1, order + 1):
+        u.append((A * u[d - 2] if d >= 2 else 0)
+                 + (B * poly_mul(u, u, d - 4)[d - 4] if d >= 4 else 0))
+    for d in range(1, order + 1):
+        u_inv.append(-poly_mul(u, u_inv, d)[d])
+    zdu = [0] + poly_diff(u)
+    logp = poly_add([one], poly_scale(poly_mul(zdu, u_inv, order - 1),
+                                      Fraction(1, 2)))
+    log = [0] + [c / (d + 1) if c else 0 for d, c in enumerate(logp)]
+    exp = [0, one]
+    for d in range(2, order + 1):
+        exp.append(0)
+        comp, power = 0, [one]
+        for c in log[1:d + 1]:
+            power = poly_mul(power, exp, d)
+            if c:
+                comp = comp + c * power[d]
+        exp[d] = -comp
+    return u, u_inv, log, exp
+
+
+@pytest.mark.parametrize("order", [10, 12])
+def test_formal_series_match_product_recurrence(order):
+    """On all twelve curves, u, u_inv, log and exp equal those of the
+    product recurrence, coefficient by coefficient."""
+    for curve in CURVES:
+        pack = derive_formal_series(curve, order)
+        want = _formal_series_by_products(curve, order)
+        for name, got, ref in zip(("u", "u_inv", "log", "exp"),
+                                  (pack.u, pack.u_inv, pack.log, pack.exp),
+                                  want):
+            assert len(got) == len(ref) == order + 1, (curve.id, name)
+            for d, (a, b) in enumerate(zip(got, ref)):
+                assert a == b, (curve.id, name, d)
 
 
 def test_exp_log_round_trip():
