@@ -112,10 +112,10 @@ def fork_map(fn, items, workers: int) -> list:
 
 # --- square search ----------------------------------------------------------
 
-# (P, Q) pairs per sieve block, which sets the memory of a scan.  Larger
-# blocks run no faster: the 200/200/50 census takes the same time at 5,000
-# to 100,000, and about a quarter longer at 2,500, where the per-block numpy
-# calls add up.  Its peak RSS grows by 3.4 MiB from 10,000 to 100,000.
+# (P, Q) pairs per sieve block, which sets the memory of a scan.  With one
+# worker, the 200/200/50 census runs about a tenth faster at 20,000, but its
+# peak RSS grows by 0.15 MiB (3.4 MiB at 100,000).  It runs about 3% slower
+# at 5,000 and a fifth slower at 2,500, where the per-block numpy calls add up.
 SEARCH_BLOCK_PAIRS = 10_000
 SEARCH_EXAMPLES = 4           # smallest (p, q, r) reported per index
 

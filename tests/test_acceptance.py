@@ -5,7 +5,9 @@ differs from a published claim, the test asserts the exact result and each
 point of difference, and its docstring states the facts behind them.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -37,7 +39,14 @@ def test_criterion_1_theorem_values():
 
 # --- 2. search reproduction ---------------------------------------------------
 
+# sha256 of the 200/200/50 report without elapsed_s, as
+# json.dumps(report, sort_keys=True); CI checks the command's output too.
+CENSUS_DIGEST = "daf2571d95b22efcb1a6c93b99ae412d830d8276343cd3a392451091c742c62b"
+
+
 def test_criterion_2_search_box():
+    """The 200/200/50 census: its indices, counts and U_8 pairs, and the
+    whole report (examples included) through its pinned digest."""
     from lucassq.cli import cmd_search, cpu_count
     t0 = time.monotonic()
     rep = cmd_search(200, 200, 50, workers=cpu_count())
@@ -46,6 +55,9 @@ def test_criterion_2_search_box():
     assert rep["n8_pairs"] == [(1, -4), (4, -17)]
     assert rep["hits_per_n"] == {"2": 3533, "3": 800, "4": 90, "5": 28,
                                  "6": 8, "7": 8, "8": 2, "12": 1}
+    del rep["elapsed_s"]
+    report = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(report).hexdigest() == CENSUS_DIGEST
 
 
 # --- 3. the n = 7 family ------------------------------------------------------

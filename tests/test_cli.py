@@ -17,7 +17,7 @@ from lucassq import cli, lucas, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
 from lucassq.curves import CURVE_BY_ID
-from lucassq.lucas import (LucasParams, is_degenerate, square_mask_table,
+from lucassq.lucas import (LucasParams, is_degenerate, square_mask_tables,
                            square_terms)
 
 
@@ -112,13 +112,15 @@ def test_search_matches_scalar_scan(p_max, q_max, n_max, block):
         assert rep[key] == value
 
 
-@pytest.mark.parametrize("factors", [(), (64,), (47,), lucas.SIEVE_FACTORS])
+@pytest.mark.parametrize("factors",
+                         [(), (64,), (47,), lucas.SIEVE_FACTORS, (181,)])
 @pytest.mark.parametrize("box", [(3, 4, 66), (2, 3, 130)])
 def test_sieve_only_filters(factors, box):
     """The census equals the scalar scan with no sieve factor (every index
-    live), with one factor, and with all of them, on boxes whose indices
-    run past the 64- and 128-index word boundaries of the mask tables: the
-    sieve drops only terms that are not squares."""
+    live), with one factor (181 exceeds every |P| and |Q| of the boxes),
+    and with all of them, on boxes whose indices run past the 64- and
+    128-index word boundaries of the mask tables: the sieve drops only
+    terms that are not squares."""
     p_max, q_max, n_max = box
     ps = [p for p in range(-p_max, p_max + 1) if p]
     with mock.patch.object(lucas, "SIEVE_FACTORS", factors):
@@ -131,7 +133,7 @@ def test_search_workers():
     six blocks."""
     want = _report_fields(_scalar_census(6, 5, 70))
     for workers in (1, 2, 3):
-        square_mask_table.cache_clear()
+        square_mask_tables.cache_clear()
         with mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
             rep = cmd_search(6, 5, 70, workers=workers)
         for key, value in want.items():

@@ -615,11 +615,14 @@ def test_discriminant_formula():
 @example(K1, (3, 0, 41, 0))                     # degree 2
 @example(K2, (Fraction(-7, 16), 0, 0, 0))       # degree 1
 @example(K1, (Fraction(1, 16), Fraction(-1, 16), Fraction(5, 16), Fraction(3, 16)))
+@example(K2, (0, Fraction(-17, 16), Fraction(97, 16), Fraction(159, 16)))  # late
 def test_sieve_keeps_and_reconstructs_minimal_polynomials(fld, cs):
     """For x with coordinates in (1/16)Z, the minimal polynomial of x is
     a product of linear factors at every sieve prime and at later split
     primes, so the sieve keeps it, and the reconstruction from its roots
-    mod p returns x exactly."""
+    mod p returns x exactly.  It is rebuilt after the sieve primes exactly
+    when all of them divide its discriminant, as 41, 113 and 137 do for
+    the K2 example marked late."""
     _check_keep_and_reconstruct(fld.element(*cs))
 
 
@@ -632,13 +635,18 @@ def test_sieve_late_split_path(monkeypatch):
         _check_keep_and_reconstruct(x, late=True)
 
 
-def _check_keep_and_reconstruct(x, late=False):
+def _check_keep_and_reconstruct(x, late=None):
+    """`late`: whether x must be rebuilt after the sieve primes; None reads
+    it from the discriminant."""
     fld = x.field
     num, den = _as_num_den(_minimal_polynomial(x))
     pre, col = heights._sieve(fld, num[:, :-1], num[:, -1], den)
     assert list(pre) == [0] and list(col) == [0]
     disc = heights._discriminant(num, den)
     assert disc[0] != 0
+    if late is None:
+        late = all(int(disc[0]) % split_prime(fld, j)[0] == 0
+                   for j in range(heights.SIEVE_PRIMES))
     for i in range(heights.SIEVE_PRIMES + 4):                   # later primes too
         p, _ = split_prime(fld, i)
         c = _monic_mod(num, den, p)

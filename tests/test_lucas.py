@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lucassq.lucas import (SIEVE_FACTORS, Degeneracy, LucasParams,
                            classify_degenerate, is_degenerate, lucas_u,
-                           lucas_u_iter, lucas_v, square_mask_table,
+                           lucas_u_iter, lucas_v, square_mask_tables,
                            square_residue_table, square_term_indices,
                            square_terms)
 
@@ -87,12 +87,11 @@ def test_square_term_indices_theorem_pairs():
 
 
 def test_square_residue_tables():
-    """Each sieve table holds x^2 mod m for every x, and nothing else."""
+    """Each sieve table holds 1 at x^2 mod m for every x, and 0 elsewhere."""
     for m in SIEVE_FACTORS:
         table = square_residue_table(m)
         squares = {x * x % m for x in range(m)}
-        assert len(table) == m and int(table.sum()) == len(squares)
-        assert all(table[s] for s in squares)
+        assert table.tolist() == [int(r in squares) for r in range(m)]
 
 
 def test_square_mask_tables():
@@ -100,8 +99,9 @@ def test_square_mask_tables():
     whether U_n(P, Q) mod m, by the scalar recurrence, is a square mod m, for
     every residue pair and every n <= 130: three words, two word boundaries."""
     n_max = 130
-    for m in SIEVE_FACTORS:
-        table = square_mask_table(m, n_max)
+    tables = square_mask_tables(SIEVE_FACTORS, n_max)
+    assert len(tables) == len(SIEVE_FACTORS)
+    for m, table in zip(SIEVE_FACTORS, tables):
         assert table.shape == (m * m, 3) and not table.flags.writeable
         squares = {x * x % m for x in range(m)}
         for p in range(m):
@@ -113,4 +113,20 @@ def test_square_mask_tables():
                 got = sum(int(w) << 64 * j
                           for j, w in enumerate(table[p * m + q]))
                 assert got == want, (m, p, q)
+
+
+def test_square_mask_tables_split_by_crt():
+    """A residue is a square mod 63 (65) iff it is one mod 7 and 9 (5 and
+    13), so on every residue pair the mask of 63 is the AND of the masks of
+    7 and 9, and that of 65 the AND of those of 5 and 13: the factors that
+    replaced 63 and 65 keep the same indices."""
+    import numpy as np
+    for whole, parts in ((63, (7, 9)), (65, (5, 13))):
+        tables = square_mask_tables((whole,) + parts, 130)
+        p, q = np.divmod(np.arange(whole * whole), whole)
+        want = tables[0]
+        got = np.bitwise_and(*(t[p % m * m + q % m]
+                               for m, t in zip(parts, tables[1:])))
+        assert want.shape == got.shape == (whole * whole, 3)
+        assert np.array_equal(want, got), whole
 
