@@ -15,16 +15,16 @@ z(sum n_i Q_i), the theta components and the Skolem systems.
 One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
 Diophantine Equations*).  The last generator G has reduction order N; each
 earlier P_i becomes P_i + b_i G, b_i in [0, N), in the kernel of reduction,
-and N G completes the kernel basis.  The cosets are c G (+T), c in [0, N);
-one is excluded mod 3 when the condition value at its base, read from the
-walk triple of c G, has a nonrational 3-unit component; only the rest get
-a base mod 3^(k+4) and a theta expansion.  Rank 1 bounds each coset left
-by Strassman in one variable, against its points m G (+T), |m| <= 2N, that
+and N G completes the kernel basis.  The cosets are c G (+T), c in [0, N),
+but only c in [0, N/2] are listed: T = -T, so the coset of (N - c) G (+T)
+is the negative of that of c G (+T), and P and -P share X, hence the
+condition value, so each +-P pair is proved and recorded once.  A coset is
+excluded mod 3 when the condition value at its base, read from the walk
+triple of c G, has a nonrational 3-unit component; only the rest get a
+base mod 3^(k+4) and a theta expansion.  Rank 1 bounds each coset left by
+Strassman in one variable, against its points m G (+T), |m| <= 2N, that
 pass the exact test, tried only where its theta components vanish mod 3^k.
-Rank 2 lists c in [0, N/2] and solves each one left by Skolem at the zero
-found by Hensel lifting.  The fold is sound because T = -T: the coset of
-(N - c) G (+T) is the negative of that of c G (+T), and P and -P share X,
-hence the condition value.
+Rank 2 solves each one left by Skolem at the zero found by Hensel lifting.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ class CosetReport:
 class DriverResult:
     curve_id: str
     precision: int
-    m0: Optional[int]     # reduction order of the generator (rank 1 only)
+    m0: int               # N, the reduction order of the last generator
     reports: tuple
     survivors: tuple      # exact CurvePoints with rational condition value
 
@@ -593,10 +593,10 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
 
     With the basis Q_i of `kernel_basis`, the kernel points are
     sum n_i Q_i and the cosets are c G (+T), c in [0, N); their bases and
-    z(Q_i) come from the walk mod 3^(k+4).  On rank 2 only c in [0, N/2]
-    are listed: T = -T, so the coset of (N - c) G (+T) is the negative of
-    that of c G (+T), and X, hence the condition value, is the same at P
-    and -P; each survivor is recorded with its negative.
+    z(Q_i) come from the walk mod 3^(k+4).  Only c in [0, N/2] are listed:
+    T = -T, so the coset of (N - c) G (+T) is the negative of that of
+    c G (+T), and X, hence the condition value, is the same at P and -P;
+    each survivor stands for itself and its negative.
 
     A coset without a common zero of the nonrational theta components mod 3
     or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the walk,
@@ -605,20 +605,19 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     the coset that `_scan_condition_points` finds from its theta
     components, and rank 2 proves by Skolem that the one zero lifted mod
     3^(k-j) is the only one.  The identity coset holds O, at n = 0.  Rank-1
-    survivors are listed by (|m|, m < 0, eps) over all cosets, which puts T
-    first when it qualifies."""
+    survivors are the |m| G (+T), listed by (|m|, eps) over all cosets,
+    which puts T first when it qualifies."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
     walk, b, zs = kernel_basis(curve, k + 4)
     N = len(walk)
-    known, survivors = {}, []     # known: (|m|, m < 0, eps) -> m G (+T)
+    known, survivors = {}, []     # known: (|m|, eps) -> |m| G (+T)
     pack = derive_formal_series(curve, k + 5)
     logs = [padic_log(pack, z, k + 4) for z in zs]
     powers = _z_powers(z_linear_combo(pack, logs, k), k)
     reports, excluded = [], _excluded_mod_3(curve, walk)
-    for eps, c in itertools.product((0, 1), range(N if rank == 1
-                                                  else N // 2 + 1)):
+    for eps, c in itertools.product((0, 1), range(N // 2 + 1)):
         identity = c == 0 and eps == 0
         try:
             if identity:
@@ -639,7 +638,8 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
                     continue
             if rank == 1:
                 found = _scan_condition_points(curve, comps, c, eps, N, k)
-                known.update(((abs(m), m < 0, eps), pt) for m, pt in found)
+                known.update(((abs(m), eps), -pt if m < 0 else pt)
+                             for m, pt in found)
                 roots = tuple((m - c) // N for m, _ in found)
                 # the identity coset's series is even in n: in m = n^2 the
                 # pairs +-n collapse, and n = 0 (O itself) is always a root
@@ -664,9 +664,9 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
             pt = add_torsion(curve, pt) if eps else pt
             if condition_value(curve, pt) is None:
                 raise PrecisionError(f"root {root} fails the exact check")
-            survivors += [pt, -pt]
+            survivors.append(pt)
         except PrecisionError as exc:
             raise PrecisionError(f"{curve.id} coset {c},{eps}: {exc}") from None
-    return DriverResult(curve.id, k, N if rank == 1 else None, tuple(reports),
+    return DriverResult(curve.id, k, N, tuple(reports),
                         tuple(pt for _, pt in sorted(known.items()))
                         + tuple(survivors))

@@ -128,9 +128,9 @@ def test_sieve_only_filters(factors, box):
 
 
 def test_search_workers():
-    """One worker, and two or three forked workers that build their own
-    two-word mask tables, give the scalar scan's report on a box cut into
-    six blocks."""
+    """One worker, and two or three forked workers that share the two-word
+    mask tables built before the fork, give the scalar scan's report on a
+    box cut into six blocks."""
     want = _report_fields(_scalar_census(6, 5, 70))
     for workers in (1, 2, 3):
         square_mask_tables.cache_clear()
@@ -138,6 +138,25 @@ def test_search_workers():
             rep = cmd_search(6, 5, 70, workers=workers)
         for key, value in want.items():
             assert rep[key] == value
+
+
+def test_search_builds_mask_tables_before_the_fork():
+    """Every block, in the calling process and in the forked worker, finds
+    the mask tables already built, under the key that `square_terms` uses:
+    the workers neither import numpy nor build tables after the fork."""
+    real = cli._search_block
+
+    def block(args):
+        info = square_mask_tables.cache_info()
+        assert info.currsize == 1
+        out = real(args)
+        assert square_mask_tables.cache_info().misses == info.misses
+        return out
+
+    square_mask_tables.cache_clear()
+    with mock.patch.object(cli, "_search_block", block), \
+            mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
+        cmd_search(6, 5, 70, workers=2)
 
 
 def test_fork_map_keeps_input_order():
@@ -348,10 +367,11 @@ def test_verify_theorem_out_prints_summary(monkeypatch, tmp_path, capsys):
 
 
 # sha256 of the `verify-theorem --out` certificate at the default precision,
-# as written at commit 6efe016.  The file is deterministic, so a refactor
-# that leaves the proof alone leaves this digest alone.
+# as written since the drivers of both ranks fold their cosets by
+# c -> N - c and record one point per +-P pair.  The file is deterministic,
+# so a refactor that leaves the proof alone leaves this digest alone.
 CERTIFICATE_SHA256 = (
-    "dbb9e6aa15b04c45565f8acb172dfb482cb9caf8cd42cf5f4593596768f6d27e")
+    "3080cd4625887efc31ef85079fb83b1426b2d3dda809d512c41ccff50c41de62")
 
 
 def test_verify_theorem_certificate_digest(tmp_path, capsys):
@@ -371,13 +391,13 @@ def test_verify_theorem_stdout_is_the_certificate(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text() + "\n"
 
 
-# sha256 of the certificates at --precision 1 and 2 (partial) and 3, as
-# written at commit dd03355.  At these precisions the drivers escalate from
-# k to k + 2 after a coset the truncation cannot decide.
+# sha256 of the certificates at --precision 1 and 2 (partial) and 3, with
+# the folded cosets.  At these precisions the drivers escalate from k to
+# k + 2 after a coset the truncation cannot decide.
 LOW_PRECISION_SHA256 = {
-    1: "a5134cd55aca354e1265ed19493bb7163f62ec682967f66a07a9bc1eed105d64",
-    2: "08d85e43758ea001fd01ca2fa16d254f2724bdfdc06d9de7d667aae60eaa01b7",
-    3: "93b9ebd99066540e5d418871a020159deae0d5e726478f29408d2237c34cb660",
+    1: "d0f54825812ed331c43c84bb983b9e1383e6f20f8746995e12e368a319c790ae",
+    2: "d8193feb1f95670d306e40aae2502a462b1d10fc1de7b26bd4df3fe9ddacf482",
+    3: "619fad447772f705d6e47121e09a6a9f6e2126a882c75f15c8f01913e654a779",
 }
 
 
@@ -391,13 +411,12 @@ def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
         LOW_PRECISION_SHA256[k])
 
 
-# sha256 of the complete certificates at --precision 4, 6 and 7, as written
-# at commit ab79d08, before the drivers walked the multiples of G mod
-# 3^(k+4): the walk must leave the proof alone at every precision.
+# sha256 of the complete certificates at --precision 4, 6 and 7, with the
+# folded cosets: a refactor must leave the proof alone at every precision.
 HIGHER_PRECISION_SHA256 = {
-    4: "e7e0ff6f14458db58477a4c2b7437440f3ef6fdbef7e4cf43fb9fe285cf8f5b7",
-    6: "72df893b80b0048cf49a3993788eec6eeb0ccefe234244a2c03098aa8edec543",
-    7: "470f40cc84ca9292eb3f390acca6fd700f1c5b986cfc2390cb70bd12418f8b00",
+    4: "547814ab593948ca9cd55a69299d711f26834ebbe3cc078b3809d21819970595",
+    6: "a1cd90e6cd679a8007f4e547714d692574d14129c1483c8ce2917c13e5c84bd7",
+    7: "4fe51bb6d26be2edd0444aa997f8f46f5ef32a59efd0246a576cc149f7fc0a45",
 }
 
 
@@ -409,6 +428,18 @@ def test_verify_theorem_higher_precision_digests(k, tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         HIGHER_PRECISION_SHA256[k])
+
+
+def test_verify_theorem_one_descent_per_x():
+    """Each +-P pair is proved and recorded once: at k = 5 the certificate
+    holds 226 coset reports and 10 descent records, no two of which share
+    a curve and an x-coordinate, and no `search` key."""
+    cert, code = cmd_verify_theorem()
+    assert code == 0 and "search" not in cert
+    assert sum(len(d["cosets"]) for d in cert["drivers"]) == 226
+    keys = [(rec["curve"], json.dumps(rec["point"]["x"]))
+            for rec in cert["descents"]]
+    assert len(keys) == len(set(keys)) == 10
 
 
 def test_cli_import_leaves_mpmath_out():

@@ -200,9 +200,19 @@ def _keyed_roots(found, N):
     return out
 
 
+def _folded(found, N):
+    """The oracle folded by c -> N - c: its points m G (+T) with m >= 0,
+    one per +-P pair, in its key order, and the roots of its cosets with
+    c <= N/2.  The oracle holds -P with each P, which the fold stands on."""
+    assert all(found.get((-m, eps)) == -q for (m, eps), q in found.items())
+    return ([q for (m, _), q in found.items() if m >= 0],
+            {key: roots for key, roots in _keyed_roots(found, N).items()
+             if key[0] <= N // 2})
+
+
 RANK1 = [c.id for c in CURVES if c.rank == 1]
-# the (m, eps) with m > 0 whose condition value is rational; the scan
-# records each at -m too
+# the (m, eps) with m > 0 whose condition value is rational; each stands
+# for -m too
 SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
              "E5": {(2, 0)}, "E7": {(2, 0)}, "E8": {(2, 0)}, "E12": {(2, 0)}}
 
@@ -212,32 +222,34 @@ SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
 def test_scan_matches_group_law_oracle(cid, rank1_results):
     """On every rank-1 curve with N <= 17, the driver's survivors and the
     roots of its cosets are the points of the generic-law scan over
-    [-2N, 2N], in its key order.  N is taken from `REDUCTION_ORDERS`, so a
-    wrong walk cannot lengthen the oracle's span."""
+    [-2N, 2N] folded by c -> N - c: one point per +-P pair, m >= 0, in its
+    key order, and the roots of the cosets c <= N/2.  N is taken from
+    `REDUCTION_ORDERS`, so a wrong walk cannot lengthen the oracle's span."""
     curve, N = CURVE_BY_ID[cid], REDUCTION_ORDERS[cid]
-    found = _brute_scan(curve, 2 * N)
+    survivors, roots = _folded(_brute_scan(curve, 2 * N), N)
     result = rank1_results[cid]
-    assert list(result.survivors) == list(found.values())
-    assert _roots(result) == _keyed_roots(found, N)
+    assert list(result.survivors) == survivors
+    assert _roots(result) == roots
 
 
 def test_scan_keys_e7_e9(rank1_results):
-    """E7 and E9 (N = 34): the known points, asserted directly."""
+    """E7 and E9 (N = 34): the known points, asserted directly.  -2 G of
+    E7 lies in coset 32 at n = -1, the negative of coset 2."""
     E7 = rank1_results["E7"]
-    assert _roots(E7) == {(2, 0): (0,), (32, 0): (-1,)}
+    assert _roots(E7) == {(2, 0): (0,)}
     G = CURVE_BY_ID["E7"].gens[0]
-    two_g = scalar_mul(CURVE_BY_ID["E7"], 2, G)
-    assert E7.survivors == (two_g, -two_g)
+    assert E7.survivors == (scalar_mul(CURVE_BY_ID["E7"], 2, G),)
     assert _roots(rank1_results["E9"]) == {}
     assert rank1_results["E9"].survivors == ()
 
 
 def test_scan_hits_on_translates():
     """Conditions moved so that G + T, T itself, 7G, and both G + T and
-    3G meet them: the scan decides mG + T as well as mG, finds 7G and -7G
-    at n = 1 and n = -2 of their cosets, and 3G and -3G at n = 0 and -1 of
-    one coset, in the oracle's key order over all cosets.  Moved through
-    T, gamma = 0 is not a 3-unit, so the driver refuses that curve, and
+    3G meet them: the scan decides mG + T as well as mG, finds 7G at n = 1
+    of coset 1 (-7G, at n = -2 of coset 5, is its negative), and 3G and
+    -3G at n = 0 and -1 of coset 3, its own negative, in the folded
+    oracle's key order over all cosets.  Moved through T, gamma = 0 is not
+    a 3-unit, so the driver refuses that curve, and
     `_scan_condition_points` is run on T's coset alone."""
     E1 = CURVE_BY_ID["E1"]
     G, T = E1.gens[0], E1.torsion
@@ -247,14 +259,13 @@ def test_scan_hits_on_translates():
         E1, gamma=-E1.beta * scalar_mul(E1, 7, G).x)
     beta = (g_t.x - g3.x).inv()
     through_g_t_3g = dataclasses.replace(E1, beta=beta, gamma=-beta * g_t.x)
-    for curve, roots in ((through_g_t, {(1, 1): (0,), (5, 1): (-1,)}),
-                         (through_7g, {(1, 0): (1,), (5, 0): (-2,)}),
-                         (through_g_t_3g, {(1, 1): (0,), (5, 1): (-1,),
-                                           (3, 0): (0, -1)})):
+    for curve, roots in ((through_g_t, {(1, 1): (0,)}),
+                         (through_7g, {(1, 0): (1,)}),
+                         (through_g_t_3g, {(1, 1): (0,), (3, 0): (0, -1)})):
         result = rank1_driver(curve)
-        found = _brute_scan(curve, 12)
-        assert _roots(result) == _keyed_roots(found, 6) == roots
-        assert list(result.survivors) == list(found.values())
+        survivors, folded_roots = _folded(_brute_scan(curve, 12), 6)
+        assert _roots(result) == folded_roots == roots
+        assert list(result.survivors) == survivors
     through_t = dataclasses.replace(E1, gamma=E1.field.zero())
     assert not padic.curve_satisfies_assumption1(through_t)
     [comps] = [comps for c, eps, comps in _series_cosets(through_t, K)
@@ -267,15 +278,16 @@ def test_scan_hits_on_translates():
 def test_sieve_keeps_survivors(cid, monkeypatch):
     """The theta filter in front of the exact test keeps every survivor,
     and at k = 5 nothing else: the driver tests exactly the (m, eps) of
-    SURVIVORS and their negatives, each once."""
+    SURVIVORS, each once, and not their negatives, which lie in the cosets
+    c > N/2 that the fold leaves out."""
     curve = CURVE_BY_ID[cid]
     calls = []
     _spy(monkeypatch, "condition_value", calls)
     result = _cosets_once(curve, K)
     assert all(value is not None for _, value in calls)
     assert list(result.survivors) == [
-        scalar_mul(curve, s * m, curve.gens[0])         # every eps is 0
-        for m, _ in sorted(SURVIVORS.get(cid, ())) for s in (1, -1)]
+        scalar_mul(curve, m, curve.gens[0])             # every eps is 0
+        for m, _ in sorted(SURVIVORS.get(cid, ()))]
     assert len(calls) == len(result.survivors)
 
 
@@ -339,12 +351,39 @@ def test_early_mod3_verdict_matches_full_theta(k):
     assert (total, excluded) == (378, 347)
 
 
+# --- the fold c -> N - c ----------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_mod3_verdict_is_even_under_the_fold(k):
+    """The fold's premise as the driver sees it: on all twelve curves the
+    mod-3 verdict read from the walk is the same at (c, eps) and
+    (N - c, eps), since X(-P) = X(P)."""
+    for curve in CURVES:
+        walk = kernel_basis(curve, k + 4)[0]
+        N, excluded = len(walk), _excluded_mod_3(curve, walk)
+        for c, eps in itertools.product(range(1, N), (0, 1)):
+            assert excluded[c, eps] == excluded[N - c, eps], (curve.id, c, eps)
+
+
+def test_folded_cosets_cover_every_coset(rank1_results, rank2_result):
+    """At k = 5 on both ranks, m0 is N, every report has c <= N/2, and the
+    reported cosets with their negatives (N - c, eps) cover [0, N) x {0, 1}."""
+    for result in [*rank1_results.values(), rank2_result]:
+        N = result.m0
+        assert N == len(kernel_basis(CURVE_BY_ID[result.curve_id], 9)[0])
+        keys = {(r.coset, r.eps) for r in result.reports}
+        assert all(c <= N // 2 for c, _ in keys), result.curve_id
+        assert keys | {((N - c) % N, eps) for c, eps in keys} == set(
+            itertools.product(range(N), (0, 1))), result.curve_id
+
+
 # --- the 3-adic truncation orders -------------------------------------------
 
 def _coset_series(curve, k):
-    """(c, eps, z-series, z Poly) for every coset on which the driver at 3^k
-    expands theta, in its order: the identity, and each coset that the
-    mod-3 test keeps, by the steps of `_cosets_once`."""
+    """(c, eps, z-series, z Poly) for the identity and each coset that the
+    mod-3 test keeps, c in [0, N) on rank 1 and [0, N/2] on rank 2, in the
+    order and by the steps of `_cosets_once`, which expands those with
+    c <= N/2."""
     walk, _, zs = kernel_basis(curve, k + 4)
     N = len(walk)
     pack = derive_formal_series(curve, k + 5)
@@ -391,11 +430,11 @@ def test_theta_from_residue_powers_matches_exact(k):
 
 
 def test_theta_truncation_orders(monkeypatch):
-    """The theta components that the drivers at k = 5 expand, on the 43
-    cosets that reach a series (12 identity, 31 others), are the same mod
-    3^5 when every order (the pack of order k + 5, the logs mod 3^(k+4),
-    the degrees up to `max_useful_degree(k)` under `fact2_floor`, the
-    series orders k - 1 and k + 1) is raised to that of k = 8."""
+    """The theta components that the drivers at k = 5 expand, on the 29
+    cosets c <= N/2 that reach a series (12 identity, 17 others), are the
+    same mod 3^5 when every order (the pack of order k + 5, the logs mod
+    3^(k+4), the degrees up to `max_useful_degree(k)` under `fact2_floor`,
+    the series orders k - 1 and k + 1) is raised to that of k = 8."""
     seen = []
 
     def record(series, zpoly, k):
@@ -409,13 +448,14 @@ def test_theta_truncation_orders(monkeypatch):
         seen.clear()
         result = (rank1_driver if curve.rank == 1 else rank2_driver)(curve)
         assert result.precision == K
-        at8 = list(_series_cosets(curve, 8))
+        at8 = [coset for coset in _series_cosets(curve, 8)
+               if coset[0] <= result.m0 // 2]
         assert [(c, eps) for c, eps, _ in at8] == [
             (r.coset, r.eps) for r in result.reports
             if r.verdict != "excluded mod 3"], curve.id
         assert [[poly_mod(p, M) for p in comps] for _, _, comps in at8] == seen
         total += len(seen)
-    assert total == 43
+    assert total == 29
 
 
 # --- golden 3-adic coordinates ----------------------------------------------
