@@ -7,7 +7,7 @@ Library layout:
 * ``elementary``  -- square criteria and solution families for n = 2..7
 * ``fields``      -- the two quartic fields, their units and ideals
 * ``curves``      -- the descent curve catalog over those fields
-* ``padic``       -- 3-adic formal groups, Strassman/Skolem drivers
+* ``padic``       -- 3-adic formal groups, Skolem drivers
 * ``heights``     -- archimedean/canonical heights, generator certification
 * ``cli``         -- command-line front end and theorem certificates
 """

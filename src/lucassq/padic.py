@@ -1,5 +1,5 @@
-"""3-adic engine: formal-group series, theta-coefficient systems, Strassman
-bounds, and the Skolem-style solver.
+"""3-adic engine: formal-group series, theta-coefficient systems, and the
+Skolem test that decides each coset of the kernel of reduction.
 
 The prime 3 is inert in both quartic fields, so Z_3[alpha]/3^k is the right
 finite model.  The formal-group series are exact; the multiples of the
@@ -21,10 +21,11 @@ is the negative of that of c G (+T), and P and -P share X, hence the
 condition value, so each +-P pair is proved and recorded once.  A coset is
 excluded mod 3 when the condition value at its base, read from the walk
 triple of c G, has a nonrational 3-unit component; only the rest get a
-base mod 3^(k+4) and a theta expansion.  Rank 1 bounds each coset left by
-Strassman in one variable, against its points m G (+T), |m| <= 2N, that
-pass the exact test, tried only where its theta components vanish mod 3^k.
-Rank 2 solves each one left by Skolem at the zero found by Hensel lifting.
+base mod 3^(k+4) and a theta expansion.  Each of those is excluded mod 3^i
+when Hensel lifting finds no common zero of its theta components, or else
+decided by one rule on both ranks: Skolem's test on the residue disk of
+each lifted root (of the root 0 on the identity coset), then the exact
+point of each root, which must pass the exact test.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .curves import (CurveInstance, CurvePoint, add_points, add_torsion,
                      condition_value, scalar_mul)
@@ -238,75 +239,47 @@ def theta_components(series_coeffs: list, z, k: int) -> list:
         series_coeffs, _z_powers(z, k) if isinstance(z, Poly) else z, P3 ** k)
 
 
-# --- Strassman and Skolem ------------------------------------------------------
-
-def strassman_bound(series: Poly, k: int,
-                    floor: Callable[[int], int] = fact2_floor) -> int:
-    """Largest index attaining the minimal coefficient valuation mu of a
-    one-variable series known mod 3^k whose coefficients beyond the stored
-    ones have valuation >= floor(d) at degree d (floor nondecreasing).
-    Raises PrecisionError unless mu < k and floor(dmax + 1) > mu."""
-    if series.nvars != 1:
-        raise ValueError("one-variable series required")
-    if series.is_zero():
-        raise PrecisionError("series vanishes mod 3^k")
-    vals = {e[0]: min(_ord3(c), k) for e, c in series.terms.items()}
-    mu = min(vals.values())
-    if mu >= k:
-        raise PrecisionError("precision insufficient")
-    tail = max(vals) + 1
-    if floor(tail) <= mu:
-        raise PrecisionError(f"tail degree {tail} not dominated")
-    return max(d for d, v in vals.items() if v == mu)
-
+# --- Skolem -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SkolemSystem:
-    f1: Poly                  # int coefficients mod 3^k
-    f2: Poly
-    lowest1: Poly
-    lowest2: Poly
-    d1: int
-    d2: int
+    polys: tuple              # 1 or 2 Polys, int coefficients, 3^j divided out
+    lowest: tuple             # each poly mod 3, a nonzero form
+    degrees: tuple            # the degree of each form
 
 
-def build_skolem_system(f1: Poly, f2: Poly) -> SkolemSystem:
-    """Extract lowest homogeneous parts and verify the structural
-    hypotheses (homogeneity, no lower-degree monomials)."""
-    lows = []
-    degs = []
-    for f in (f1, f2):
+def build_skolem_system(polys: list) -> SkolemSystem:
+    """The lowest parts of one or two polys in as many variables: each
+    reduction mod 3 must be a nonzero form of some degree d >= 1."""
+    lows, degs = [], []
+    for f in polys:
         f0 = poly_mod(f, P3)
         if f0.is_zero():
-            raise ValueError("series vanishes mod 3: hypothesis (1) fails")
+            raise ValueError("series vanishes mod 3")
         d = min(sum(e) for e in f0.terms)
         if any(sum(e) != d for e in f0.terms):
             raise ValueError(
                 f"lowest part not homogeneous: monomials {sorted(f0.terms)}")
         if d < 1:
             raise ValueError("lowest part has degree 0")
-        bad = [e for e in f.terms if sum(e) < d]
-        if bad:
-            raise ValueError(f"hypothesis (2) violated by monomial {bad[0]}")
         lows.append(f0)
         degs.append(d)
-    return SkolemSystem(f1, f2, lows[0], lows[1], degs[0], degs[1])
+    return SkolemSystem(tuple(polys), tuple(lows), tuple(degs))
 
 
 def skolem_check(system: SkolemSystem) -> dict:
-    """Decide whether the only 3-adic solution of F1 = F2 = 0 is zero.
-
-    The lowest parts are binary forms mod 3, and zero is the only solution
-    when they share no zero over the algebraic closure of F_3, that is when
-    their resultant is nonzero mod 3.  For linear parts a11 n1 + a12 n2 and
-    a21 n1 + a22 n2 the resultant is the determinant a11 a22 - a12 a21.
-    """
-    forms = [[low.coefficient((i, d - i)) for i in range(d + 1)]
-             for low, d in ((system.lowest1, system.d1),
-                            (system.lowest2, system.d2))]
-    res = int(resultant(*forms))
-    return {"kind": "linear" if system.d1 == system.d2 == 1 else "resultant",
-            "resultant": res, "unique": res % P3 != 0}
+    """Whether the lowest parts share no zero but 0 over the algebraic
+    closure of F_3.  One form a t^d does not, a being nonzero mod 3.  Two
+    binary forms do not when their resultant is nonzero mod 3; for linear
+    parts a11 n1 + a12 n2 and a21 n1 + a22 n2 it is the determinant
+    a11 a22 - a12 a21."""
+    if len(system.polys) == 1:
+        [res] = system.lowest[0].terms.values()
+    else:
+        res = int(resultant(*(
+            [low.coefficient((i, d - i)) for i in range(d + 1)]
+            for low, d in zip(system.lowest, system.degrees))))
+    return {"resultant": res, "unique": res % P3 != 0}
 
 
 def divide_out_3(polys: list, k: int) -> tuple:
@@ -357,11 +330,9 @@ def curve_satisfies_assumption1(curve: CurveInstance) -> bool:
 class CosetReport:
     coset: int
     eps: int
-    verdict: str          # 'excluded mod 3^i' | 'strassman' | 'skolem'
-    roots: tuple = ()
-    component: Optional[int] = None
-    bound: Optional[int] = None
-    detail: str = ""
+    verdict: str          # 'excluded mod 3^i' | 'skolem'
+    roots: tuple = ()     # the proved roots (n_1, ..., n), one per disk
+    detail: str = ""      # the Skolem degree: 'linear' | 'quadratic'
 
 
 @dataclass(frozen=True)
@@ -373,20 +344,20 @@ class DriverResult:
     survivors: tuple      # exact CurvePoints with rational condition value
 
 
-def lift_roots(polys: list, k: int, levels: int) -> tuple:
+def lift_roots(polys: list, k: int) -> tuple:
     """Common zeros of integer polynomials known mod 3^k.  Their common
     factor 3^j is divided out, and the zeros of the quotients are lifted one
     power of 3 at a time, so level i of the polynomials is level i - j of
     the quotients.
 
     Returns (i, roots).  If roots is empty, the polynomials have no common
-    zero mod 3^i.  Otherwise i = min(levels, k) and roots are the zeros of
-    the quotients mod 3^(i - j), as symmetric residues."""
+    zero mod 3^i.  Otherwise i = k and roots are the zeros of the quotients
+    mod 3^(k - j), as symmetric residues."""
     nvars = polys[0].nvars
     polys, j = divide_out_3(polys, k)
     digits = list(itertools.product(range(P3), repeat=nvars))
     roots, i = [(0,) * nvars], 0
-    while roots and j + i < min(levels, k):
+    while roots and j + i < k:
         step, i = P3 ** i, i + 1
         roots = [r for base in roots for d in digits
                  for r in (tuple(b + step * x for b, x in zip(base, d)),)
@@ -397,7 +368,7 @@ def lift_roots(polys: list, k: int, levels: int) -> tuple:
 
 def _excluded_mod_3(curve: CurveInstance, walk: list) -> dict:
     """{(c, eps): whether `lift_roots` on the theta components of the coset
-    c G (+T), c in [0, N), not O, would end at level 1 with no zero}.  Each
+    c G (+T), c in [0, N), not O, returns (1, []): no zero mod 3}.  Each
     monomial of z(sum n_i Q_i) has degree d >= 1 and valuation >= 1, and
     each s_j, j >= 1, of beta X(P + R) + gamma is 3-integral, so theta =
     s_0 = beta x + gamma mod 3, x = X(c G (+T)), has a zero mod 3 exactly
@@ -418,55 +389,51 @@ def _excluded_mod_3(curve: CurveInstance, walk: list) -> dict:
     return out
 
 
-def _known_count_strassman(components: list, k: int, known: int,
-                           even_in_var: bool = False) -> tuple:
-    """Try each nonrational component; return (idx, bound) once one certifies
-    at most `known` roots.  Raises PrecisionError if none does."""
-    last_err = None
-    for i, comp in enumerate(components):
-        if comp.is_zero():
-            continue
-        divided, j = divide_out_3([comp], k)
-        ser = divided[0]
-        try:
-            if even_in_var:
-                # substitute m = n^2; tail floor becomes e + 1 - j
-                if any(e[0] % 2 for e in ser.terms):
-                    raise PrecisionError("series not even")
-                ser_m = Poly(1, {(e[0] // 2,): c for e, c in ser.terms.items()})
-                bound = strassman_bound(ser_m, k - j, lambda e: e + 1 - j)
+def _skolem_coset(components: list, roots: list, k: int,
+                  identity: bool = False) -> str:
+    """Prove that each candidate root r is the only 3-adic zero of the
+    components on its residue disk r + 3^s Z_3^rank, s the least level at
+    which the roots are pairwise distinct (0 for one root), and return the
+    kind of the test: 'linear' or 'quadratic'.
+
+    With n = r + 3^s t, some `rank` of the components, their common 3^j
+    divided out, must reduce mod 3 to forms of one degree d with no common
+    zero but t = 0 (`skolem_check`).  d = 1 holds anywhere: then
+    F(t) - F(t') = (L + 3 M) (t - t') with L invertible mod 3, so F is
+    one-to-one on the disk.  d = 2 holds only on the identity coset (one
+    root, 0, and s = 0), whose components are even and vanish at 0, so
+    have no monomial of degree 0 or 1: at a zero t = 3^v u, u primitive,
+    the forms would vanish at u mod 3.  Elsewhere such monomials may hide
+    below 3^k, and with them a second zero (27 n1 + n1^2 + n2^2 and
+    27 n2 + n1 n2 read mod 27 also vanish at (-27, 0)), so any other
+    degree raises PrecisionError."""
+    rank = components[0].nvars
+    s = next(s for s in itertools.count()
+             if len({tuple(x % P3 ** s for x in r) for r in roots})
+             == len(roots))
+    for root in roots:
+        disk = [poly_mod(Poly(rank, {e: c * P3 ** (s * sum(e)) for e, c in
+                                     poly_shift(comp, root).terms.items()}),
+                         P3 ** k)
+                for comp in components if not comp.is_zero()]
+        last = "every component vanishes mod 3^k"
+        for combo in itertools.combinations(disk, rank):
+            try:
+                system = build_skolem_system(divide_out_3(list(combo), k)[0])
+            except ValueError as exc:
+                last = exc
+                continue
+            degrees = set(system.degrees)
+            if not (degrees == {1} or identity and degrees == {2}):
+                last = f"lowest parts of degrees {system.degrees}"
+            elif not skolem_check(system)["unique"]:
+                last = "lowest parts share a zero mod 3"
             else:
-                bound = strassman_bound(ser, k - j,
-                                        lambda d: fact2_floor(d) - j)
-        except PrecisionError as exc:
-            last_err = exc
-            continue
-        if bound <= known:
-            return i + 1, bound
-    raise last_err or PrecisionError("no component certifies the root count")
-
-
-def _skolem_coset(components: list, roots: list, k: int) -> tuple:
-    """Prove that the one candidate root is the only 3-adic zero of the
-    components: shift it to the origin and find a pair of components whose
-    Skolem system has no other zero.  Returns (root, kind of the check)."""
-    if len(roots) != 1:
-        raise PrecisionError(f"{len(roots)} candidate roots")
-    root = roots[0]
-    shifted = [poly_mod(poly_shift(c, root), P3 ** k)
-               for c in components if not c.is_zero()]
-    last = None
-    for pair in itertools.combinations(shifted, 2):
-        (f1, f2), _ = divide_out_3(list(pair), k)
-        try:
-            system = build_skolem_system(f1, f2)
-        except ValueError as exc:
-            last = exc
-            continue
-        res = skolem_check(system)
-        if res["unique"]:
-            return root, res["kind"]
-    raise PrecisionError(f"no Skolem pair at {root} ({last})")
+                kind = "linear" if degrees == {1} else "quadratic"
+                break
+        else:
+            raise PrecisionError(f"no Skolem test at {root} ({last})")
+    return kind
 
 
 def reduction_order(curve: CurveInstance, G: CurvePoint, j: int,
@@ -508,29 +475,23 @@ def reduction_order(curve: CurveInstance, G: CurvePoint, j: int,
     return walk
 
 
-def _scan_condition_points(curve: CurveInstance, comps: list, c: int,
-                           eps: int, N: int, k: int) -> list:
-    """The points m G (+T) of the coset c G (+T), m = c + n N, |m| <= 2N,
-    whose condition value is rational, as [(m, point)] ordered by |m|,
-    then m < 0 (G the generator, N its reduction order, m = 0 skipped on
-    the identity coset, where it is O).
-
-    Only an n at which every nonrational theta component in `comps`
-    vanishes mod 3^k gets the exact test, on the point built by
-    `scalar_mul` (and `add_torsion`).  The filter is sound: at a point with
-    rational condition value the exact components vanish, and their
-    truncation mod 3^k drops only terms of valuation >= k at every
-    n in Z_3, so the points found are all those of the coset."""
-    found = []
-    for m in sorted(range(c - 2 * N, 2 * N + 1, N),
-                    key=lambda m: (abs(m), m < 0)):
-        n = (m - c) // N
-        if (m or eps) and not any(p.evaluate((n,)) % P3 ** k for p in comps):
-            pt = scalar_mul(curve, m, curve.gens[0])
-            pt = add_torsion(curve, pt) if eps else pt
-            if condition_value(curve, pt) is not None:
-                found.append((m, pt))
-    return found
+def _scan_condition_points(curve: CurveInstance, c: int, eps: int,
+                           b: list, N: int, root: tuple) -> CurvePoint:
+    """The exact point c G (+T) + sum n_i (P_i + b_i G) + n N G of the
+    root (n_1, ..., n) of the coset c G (+T), for the generators P_i and G
+    (N the reduction order of G), negated if its first nonzero coefficient
+    on the generators is negative: a rank-1 point m G (+T) is kept with
+    m >= 0.  Raises PrecisionError unless its condition value is rational:
+    a root mod 3^k that is no exact zero is left undecided."""
+    *ns, n = root
+    m = c + n * N + sum(x * y for x, y in zip(ns, b))
+    pt = scalar_mul(curve, m, curve.gens[-1])
+    for x, P in zip(ns, curve.gens):
+        pt = add_points(curve, pt, scalar_mul(curve, x, P))
+    pt = add_torsion(curve, pt) if eps else pt
+    if condition_value(curve, pt) is None:
+        raise PrecisionError(f"root {root} fails the exact check")
+    return -pt if next((x for x in (*ns, m) if x), 0) < 0 else pt
 
 
 def kernel_basis(curve: CurveInstance, j: int) -> tuple:
@@ -564,7 +525,7 @@ def _coset_base(curve: CurveInstance, walk: list, c: int, eps: int,
 
 def rank1_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
     """Certify the complete list of points with rational condition value on
-    a rank-1 curve: Strassman on each coset of the kernel of reduction."""
+    a rank-1 curve: Skolem on each coset of the kernel of reduction."""
     return _driver(curve, k, 1)
 
 
@@ -598,25 +559,23 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     c G (+T), and X, hence the condition value, is the same at P and -P;
     each survivor stands for itself and its negative.
 
-    A coset without a common zero of the nonrational theta components mod 3
-    or mod 9 (mod 3^i on rank 2) is excluded; mod 3 is read from the walk,
-    through the condition value at the base mod 3 (`_excluded_mod_3`).
-    Otherwise rank 1 bounds the zeros by Strassman against the points of
-    the coset that `_scan_condition_points` finds from its theta
-    components, and rank 2 proves by Skolem that the one zero lifted mod
-    3^(k-j) is the only one.  The identity coset holds O, at n = 0.  Rank-1
-    survivors are the |m| G (+T), listed by (|m|, eps) over all cosets,
-    which puts T first when it qualifies."""
+    A coset is excluded mod 3 when its nonrational theta components have
+    no common zero mod 3, read from the walk through the condition value at
+    its base mod 3 (`_excluded_mod_3`), or mod 3^i when `lift_roots` finds
+    none.  Otherwise `_skolem_coset` proves each lifted root the only zero
+    on its disk, and `_scan_condition_points` builds its exact point, which
+    must pass the exact test; the +-P pair of the coset c = N/2, its own
+    negative, is kept once.  The identity coset holds O alone, at the root
+    n = 0, which it does not lift."""
     if not curve_satisfies_assumption1(curve):
         raise ValueError(f"{curve.id}: inert/integrality assumptions fail")
     rank = len(curve.gens)
     walk, b, zs = kernel_basis(curve, k + 4)
     N = len(walk)
-    known, survivors = {}, []     # known: (|m|, eps) -> |m| G (+T)
     pack = derive_formal_series(curve, k + 5)
     logs = [padic_log(pack, z, k + 4) for z in zs]
     powers = _z_powers(z_linear_combo(pack, logs, k), k)
-    reports, excluded = [], _excluded_mod_3(curve, walk)
+    reports, survivors, excluded = [], [], _excluded_mod_3(curve, walk)
     for eps, c in itertools.product((0, 1), range(N // 2 + 1)):
         identity = c == 0 and eps == 0
         try:
@@ -630,43 +589,20 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
                 series = beta_x_series(curve, base.x, base.y, order=k - 1,
                                        pack=pack)
             comps = theta_components(series, powers, k)[1:]
-            if not identity:
-                level, lifted = lift_roots(comps, k, 2 if rank == 1 else k)
-                if not lifted:
+            if identity:
+                roots = [(0,) * rank]
+            else:
+                level, roots = lift_roots(comps, k)
+                if not roots:
                     reports.append(CosetReport(c, eps,
                                                f"excluded mod {P3 ** level}"))
                     continue
-            if rank == 1:
-                found = _scan_condition_points(curve, comps, c, eps, N, k)
-                known.update(((abs(m), eps), -pt if m < 0 else pt)
-                             for m, pt in found)
-                roots = tuple((m - c) // N for m, _ in found)
-                # the identity coset's series is even in n: in m = n^2 the
-                # pairs +-n collapse, and n = 0 (O itself) is always a root
-                count = len(roots) // 2 + 1 if identity else len(roots)
-                idx, bound = _known_count_strassman(comps, k, count,
-                                                    even_in_var=identity)
-                reports.append(CosetReport(c, eps, "strassman", roots,
-                                           idx, bound))
-                continue
-            root, kind = _skolem_coset(
-                comps, [(0,) * rank] if identity else lifted, k)
-            reports.append(CosetReport(c, eps, "skolem", (root,),
-                                       detail=kind))
-            if identity:
-                continue
-            # c G (+T) + sum n_i (P_i + b_i G) + n N G, built exactly
-            *ns, n = root
-            pt = scalar_mul(curve, c + n * N + sum(x * y for x, y in zip(ns, b)),
-                            curve.gens[-1])
-            for n, P in zip(ns, curve.gens):
-                pt = add_points(curve, pt, scalar_mul(curve, n, P))
-            pt = add_torsion(curve, pt) if eps else pt
-            if condition_value(curve, pt) is None:
-                raise PrecisionError(f"root {root} fails the exact check")
-            survivors.append(pt)
+            kind = _skolem_coset(comps, roots, k, identity)
+            reports.append(CosetReport(c, eps, "skolem", tuple(roots), kind))
+            for root in () if identity else roots:
+                pt = _scan_condition_points(curve, c, eps, b, N, root)
+                if pt not in survivors:
+                    survivors.append(pt)
         except PrecisionError as exc:
             raise PrecisionError(f"{curve.id} coset {c},{eps}: {exc}") from None
-    return DriverResult(curve.id, k, N, tuple(reports),
-                        tuple(pt for _, pt in sorted(known.items()))
-                        + tuple(survivors))
+    return DriverResult(curve.id, k, N, tuple(reports), tuple(survivors))

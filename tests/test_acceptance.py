@@ -148,19 +148,16 @@ def test_criterion_7_series_golden(e10_kernel):
 def _skolem_system(comp_a, comp_b, shift, k=5):
     from lucassq.padic import (build_skolem_system, divide_out_3, poly_mod,
                                poly_shift, skolem_check)
-    m = 3 ** k
-    f1 = poly_mod(poly_shift(comp_a, shift), m)
-    f2 = poly_mod(poly_shift(comp_b, shift), m)
-    (f1, f2), _ = divide_out_3([f1, f2], k)
-    system = build_skolem_system(f1, f2)
+    pair = [poly_mod(poly_shift(comp, shift), 3 ** k)
+            for comp in (comp_a, comp_b)]
+    system = build_skolem_system(divide_out_3(pair, k)[0])
     return system, skolem_check(system)
 
 
 def _brute_force_origin_only(system):
     for n1 in range(27):
         for n2 in range(27):
-            if (system.f1.evaluate([n1, n2]) % 27 == 0
-                    and system.f2.evaluate([n1, n2]) % 27 == 0):
+            if all(f.evaluate([n1, n2]) % 27 == 0 for f in system.polys):
                 assert n1 % 3 == 0 and n2 % 3 == 0
 
 
@@ -179,19 +176,19 @@ def test_criterion_8_skolem_cases(e10_kernel):
     # Case 1.1: coset of 2 P2, linear parts (2 n1, n1 + n2), det 2 mod 3
     comps = coset_comps(2)
     system, res = _skolem_system(comps[2], comps[1], (0, 0))
-    assert res["unique"] and res["kind"] == "linear"
+    assert res["unique"] and system.degrees == (1, 1)
     assert res["resultant"] % 3 == 2
-    assert system.lowest1.terms == {(1, 0): 2}
-    assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}
+    assert system.lowest[0].terms == {(1, 0): 2}
+    assert system.lowest[1].terms == {(1, 0): 1, (0, 1): 1}
     _brute_force_origin_only(system)
 
     # Case 1.2: coset of 10 P2, same linear parts after the shift (2, -1)
     comps = coset_comps(10)
     system, res = _skolem_system(comps[2], comps[1], (2, -1))
-    assert res["unique"] and res["kind"] == "linear"
+    assert res["unique"] and system.degrees == (1, 1)
     assert res["resultant"] % 3 == 2
-    assert system.lowest1.terms == {(1, 0): 2}
-    assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}
+    assert system.lowest[0].terms == {(1, 0): 2}
+    assert system.lowest[1].terms == {(1, 0): 1, (0, 1): 1}
     _brute_force_origin_only(system)
 
     # Case 2: the identity coset, H1 = 2 n1^2 is the first lowest part and
@@ -199,9 +196,9 @@ def test_criterion_8_skolem_cases(e10_kernel):
     inv = inverse_beta_x_series(E10, order=6, pack=pack)
     comps = theta_components(inv, zpoly, 5)[1:]
     system, res = _skolem_system(comps[2], comps[0], (0, 0))
-    assert res["unique"] and res["kind"] == "resultant"
-    assert system.lowest1.terms == {(2, 0): 2}
-    assert system.lowest2.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
+    assert res["unique"] and system.degrees == (2, 2)
+    assert system.lowest[0].terms == {(2, 0): 2}
+    assert system.lowest[1].terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
     assert res["resultant"] == 16
     _brute_force_origin_only(system)
 

@@ -300,21 +300,26 @@ def test_parser_defaults():
 
 def test_driver_record_keeps_roots_and_components(rank1_results,
                                                    rank2_result):
-    """Each coset entry of the certificate carries the coset's Skolem root
-    or the theta component of its Strassman bound, so both steps can be
-    redone from the JSON alone."""
+    """Each Skolem entry of the certificate carries the roots it proves,
+    one per disk, and the degree of its test, on both ranks, so the test
+    can be redone from the JSON alone."""
     rec = json.loads(json.dumps(
         cli._driver_record(CURVE_BY_ID["E10"], rank2_result)))
-    skolem = {(c["coset"], c["eps"]): c["roots"] for c in rec["cosets"]
-              if c["verdict"] == "skolem"}
-    assert skolem == {(0, 0): [[0, 0]], (2, 0): [[0, 0]], (10, 0): [[2, -1]]}
-    result = rank1_results["E1"]
-    rec = json.loads(json.dumps(cli._driver_record(CURVE_BY_ID["E1"], result)))
-    strassman = [(c["component"], c["bound"], c["roots"])
-                 for c in rec["cosets"] if c["verdict"] == "strassman"]
-    assert strassman and all(comp is not None for comp, _, _ in strassman)
-    assert strassman == [(r.component, r.bound, list(r.roots))
-                         for r in result.reports if r.verdict == "strassman"]
+    skolem = {(c["coset"], c["eps"]): (c["roots"], c["detail"])
+              for c in rec["cosets"] if c["verdict"] == "skolem"}
+    assert skolem == {(0, 0): ([[0, 0]], "quadratic"),
+                      (2, 0): ([[0, 0]], "linear"),
+                      (10, 0): ([[2, -1]], "linear")}
+    for cid, result in [*rank1_results.items(), ("E10", rank2_result)]:
+        rec = json.loads(json.dumps(
+            cli._driver_record(CURVE_BY_ID[cid], result)))
+        entries = [c for c in rec["cosets"] if c["verdict"] == "skolem"]
+        assert entries and all(c["roots"] for c in entries), cid
+        assert [(c["roots"], c["detail"]) for c in entries] == [
+            ([list(root) for root in r.roots], r.detail)
+            for r in result.reports if r.verdict == "skolem"], cid
+        assert {c["verdict"] for c in rec["cosets"]} <= {
+            "skolem", "excluded mod 3", "excluded mod 9"}, cid
 
 
 def _driver_raising(exc):
@@ -367,11 +372,11 @@ def test_verify_theorem_out_prints_summary(monkeypatch, tmp_path, capsys):
 
 
 # sha256 of the `verify-theorem --out` certificate at the default precision,
-# as written since the drivers of both ranks fold their cosets by
-# c -> N - c and record one point per +-P pair.  The file is deterministic,
+# as written since the drivers of both ranks decide every coset by the one
+# Skolem test on the disk of each lifted root.  The file is deterministic,
 # so a refactor that leaves the proof alone leaves this digest alone.
 CERTIFICATE_SHA256 = (
-    "3080cd4625887efc31ef85079fb83b1426b2d3dda809d512c41ccff50c41de62")
+    "0b2c8c451c135bd7517a9462c8e5a9911d253e8ba7f7ccfc7e46be3706932628")
 
 
 def test_verify_theorem_certificate_digest(tmp_path, capsys):
@@ -391,13 +396,13 @@ def test_verify_theorem_stdout_is_the_certificate(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text() + "\n"
 
 
-# sha256 of the certificates at --precision 1 and 2 (partial) and 3, with
-# the folded cosets.  At these precisions the drivers escalate from k to
+# sha256 of the certificates at --precision 1 (partial), 2 and 3, with the
+# one Skolem test.  At these precisions the drivers escalate from k to
 # k + 2 after a coset the truncation cannot decide.
 LOW_PRECISION_SHA256 = {
-    1: "d0f54825812ed331c43c84bb983b9e1383e6f20f8746995e12e368a319c790ae",
-    2: "d8193feb1f95670d306e40aae2502a462b1d10fc1de7b26bd4df3fe9ddacf482",
-    3: "619fad447772f705d6e47121e09a6a9f6e2126a882c75f15c8f01913e654a779",
+    1: "4f1235c996eec39ce89c944c3493d949e4895ab8d2e25b1244725175fe5bb2b8",
+    2: "1ea9a5343749dbd09d4d58d66f0660f7a50e0f38ec819e12ae3eec8c3b4a3e53",
+    3: "236a6c46d314470550cb96de441b4190d8d59b7af6bd5805b91a5318cb59650e",
 }
 
 
@@ -405,18 +410,18 @@ LOW_PRECISION_SHA256 = {
 def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = main(["verify-theorem", "--precision", str(k), "--out", str(out)])
-    assert code == (2 if k < 3 else 0)
+    assert code == (2 if k == 1 else 0)
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         LOW_PRECISION_SHA256[k])
 
 
 # sha256 of the complete certificates at --precision 4, 6 and 7, with the
-# folded cosets: a refactor must leave the proof alone at every precision.
+# one Skolem test: a refactor must leave the proof alone at every precision.
 HIGHER_PRECISION_SHA256 = {
-    4: "547814ab593948ca9cd55a69299d711f26834ebbe3cc078b3809d21819970595",
-    6: "a1cd90e6cd679a8007f4e547714d692574d14129c1483c8ce2917c13e5c84bd7",
-    7: "4fe51bb6d26be2edd0444aa997f8f46f5ef32a59efd0246a576cc149f7fc0a45",
+    4: "9bb0415f32263018217fecdb09c988ab6a17bc01cb38cf2074660c557cc0303e",
+    6: "e326bca8f2d555291345e99ff4e50e62cd7186f7b445dfb2a70fb9bd34ff2f60",
+    7: "70bc6aedee16d6dbb8a8013defca1bf8420d691319ed7a763321b32a48e524a3",
 }
 
 

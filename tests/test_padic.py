@@ -1,5 +1,5 @@
-"""3-adic formal-group series, golden coordinate values, and the
-Strassman/Skolem machinery on the rank-2 curve."""
+"""3-adic formal-group series, golden coordinate values, and the Skolem
+test that decides the cosets of both ranks."""
 
 import dataclasses
 import itertools
@@ -15,16 +15,15 @@ from lucassq.exact import (Poly, poly_add, poly_diff, poly_mul,
                            poly_scale)
 from lucassq.fields import K2, _residues, three_adic_valuation
 from lucassq.padic import (PrecisionError, _coset_base, _cosets_once,
-                           _excluded_mod_3, _known_count_strassman,
-                           _scan_condition_points, _skolem_coset,
-                           beta_x_series, build_skolem_system,
+                           _excluded_mod_3, _scan_condition_points,
+                           _skolem_coset, beta_x_series, build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
                            max_useful_degree, padic_exp, padic_log,
                            poly_components_mod, poly_mod, poly_shift,
                            rank1_driver, rank2_driver, reduce_element,
-                           reduction_order, skolem_check, strassman_bound,
-                           theta_components, z_linear_combo)
+                           reduction_order, skolem_check, theta_components,
+                           z_linear_combo)
 
 E10 = CURVE_BY_ID["E10"]
 K = 5
@@ -166,7 +165,7 @@ def test_driver_rank_guard():
         rank2_driver(CURVE_BY_ID["E1"])
 
 
-# --- the exact scan of +-m G (+T) -------------------------------------------
+# --- the proved roots against the exact scan of +-m G (+T) ----------------
 
 def _brute_scan(curve, span):
     """The scan by the generic chord law alone: every (m, eps) in
@@ -186,26 +185,34 @@ def _brute_scan(curve, span):
 
 
 def _roots(result):
-    """{(c, eps): roots} of a rank-1 driver's cosets with known points."""
-    return {(r.coset, r.eps): r.roots for r in result.reports if r.roots}
+    """{(c, eps): sorted roots n} of a rank-1 driver's cosets other than
+    the identity, whose root 0 is O, with points of rational value."""
+    return {(r.coset, r.eps): tuple(sorted(n for (n,) in r.roots))
+            for r in result.reports if r.roots and (r.coset or r.eps)}
 
 
 def _keyed_roots(found, N):
-    """{(c, eps): roots} that the oracle's keys put on each coset, as n
-    with m = c + n N, in the oracle's order."""
+    """{(c, eps): sorted roots} that the oracle's keys put on each coset,
+    as n with m = c + n N."""
     out = {}
     for m, eps in found:
         c = m % N
-        out[(c, eps)] = out.get((c, eps), ()) + ((m - c) // N,)
+        out[(c, eps)] = tuple(sorted(out.get((c, eps), ()) + ((m - c) // N,)))
     return out
+
+
+def _points(pts):
+    """A list of points as a sorted list of coordinates, so that two lists
+    compare as multisets."""
+    return sorted((p.x.coords, p.y.coords) for p in pts)
 
 
 def _folded(found, N):
     """The oracle folded by c -> N - c: its points m G (+T) with m >= 0,
-    one per +-P pair, in its key order, and the roots of its cosets with
-    c <= N/2.  The oracle holds -P with each P, which the fold stands on."""
+    one per +-P pair, and the roots of its cosets with c <= N/2.  The
+    oracle holds -P with each P, which the fold stands on."""
     assert all(found.get((-m, eps)) == -q for (m, eps), q in found.items())
-    return ([q for (m, _), q in found.items() if m >= 0],
+    return (_points(q for (m, _), q in found.items() if m >= 0),
             {key: roots for key, roots in _keyed_roots(found, N).items()
              if key[0] <= N // 2})
 
@@ -221,14 +228,15 @@ SURVIVORS = {"E1": {(1, 0)}, "E2": {(1, 0)}, "E3": {(1, 0)}, "E4": {(1, 0)},
                                  "E11", "E12"])
 def test_scan_matches_group_law_oracle(cid, rank1_results):
     """On every rank-1 curve with N <= 17, the driver's survivors and the
-    roots of its cosets are the points of the generic-law scan over
-    [-2N, 2N] folded by c -> N - c: one point per +-P pair, m >= 0, in its
-    key order, and the roots of the cosets c <= N/2.  N is taken from
-    `REDUCTION_ORDERS`, so a wrong walk cannot lengthen the oracle's span."""
+    proved roots of its cosets are the points of the generic-law scan over
+    [-2N, 2N] folded by c -> N - c: one point per +-P pair, m >= 0, and
+    the roots of the cosets c <= N/2.  N is taken from `REDUCTION_ORDERS`,
+    so a wrong walk cannot lengthen the oracle's span."""
     curve, N = CURVE_BY_ID[cid], REDUCTION_ORDERS[cid]
     survivors, roots = _folded(_brute_scan(curve, 2 * N), N)
     result = rank1_results[cid]
-    assert list(result.survivors) == survivors
+    assert _points(result.survivors) == survivors
+    assert len(set(result.survivors)) == len(result.survivors)
     assert _roots(result) == roots
 
 
@@ -245,12 +253,14 @@ def test_scan_keys_e7_e9(rank1_results):
 
 def test_scan_hits_on_translates():
     """Conditions moved so that G + T, T itself, 7G, and both G + T and
-    3G meet them: the scan decides mG + T as well as mG, finds 7G at n = 1
-    of coset 1 (-7G, at n = -2 of coset 5, is its negative), and 3G and
-    -3G at n = 0 and -1 of coset 3, its own negative, in the folded
-    oracle's key order over all cosets.  Moved through T, gamma = 0 is not
-    a 3-unit, so the driver refuses that curve, and
-    `_scan_condition_points` is run on T's coset alone."""
+    3G meet them: the driver decides mG + T as well as mG, proves 7G at
+    n = 1 of coset 1 (-7G, at n = -2 of coset 5, is its negative), and 3G
+    and -3G at n = 0 and -1 of coset 3, its own negative, each alone on its
+    disk 3 Z_3 and -1 + 3 Z_3, keeping the pair once as 3G.  Moved through
+    T, gamma = 0 is not a 3-unit, so the driver refuses that curve.  Its
+    coset of T is its own negative at n -> -n, so the components are even,
+    with a double zero at T: the degree rule refuses the quadratic test
+    there, and the exact point of the root 0 is T."""
     E1 = CURVE_BY_ID["E1"]
     G, T = E1.gens[0], E1.torsion
     g_t, g3 = add_points(E1, G, T), scalar_mul(E1, 3, G)
@@ -261,25 +271,31 @@ def test_scan_hits_on_translates():
     through_g_t_3g = dataclasses.replace(E1, beta=beta, gamma=-beta * g_t.x)
     for curve, roots in ((through_g_t, {(1, 1): (0,)}),
                          (through_7g, {(1, 0): (1,)}),
-                         (through_g_t_3g, {(1, 1): (0,), (3, 0): (0, -1)})):
+                         (through_g_t_3g, {(1, 1): (0,), (3, 0): (-1, 0)})):
         result = rank1_driver(curve)
         survivors, folded_roots = _folded(_brute_scan(curve, 12), 6)
         assert _roots(result) == folded_roots == roots
-        assert list(result.survivors) == survivors
+        assert _points(result.survivors) == survivors
+        assert len(result.survivors) == len(survivors)
     through_t = dataclasses.replace(E1, gamma=E1.field.zero())
     assert not padic.curve_satisfies_assumption1(through_t)
     [comps] = [comps for c, eps, comps in _series_cosets(through_t, K)
                if (c, eps) == (0, 1)]
-    assert _scan_condition_points(through_t, comps, 0, 1, 6, K) == [(0, T)]
+    assert all(e[0] % 2 == 0 for comp in comps for e in comp.terms)
+    level, roots = lift_roots(comps, K)
+    assert level == K and (0,) in roots
+    with pytest.raises(PrecisionError, match=r"no Skolem test at \(0,\)"):
+        _skolem_coset(comps, roots, K)
+    assert _scan_condition_points(through_t, 0, 1, [], 6, (0,)) == T
     assert list(_brute_scan(through_t, 12)) == [(0, 1)]
 
 
 @pytest.mark.parametrize("cid", RANK1)
 def test_sieve_keeps_survivors(cid, monkeypatch):
-    """The theta filter in front of the exact test keeps every survivor,
-    and at k = 5 nothing else: the driver tests exactly the (m, eps) of
-    SURVIVORS, each once, and not their negatives, which lie in the cosets
-    c > N/2 that the fold leaves out."""
+    """The exact test runs once per proved root, and at k = 5 every root
+    is a survivor: the driver tests exactly the (m, eps) of SURVIVORS, each
+    once, and not their negatives, which lie in the cosets c > N/2 that the
+    fold leaves out."""
     curve = CURVE_BY_ID[cid]
     calls = []
     _spy(monkeypatch, "condition_value", calls)
@@ -291,33 +307,29 @@ def test_sieve_keeps_survivors(cid, monkeypatch):
     assert len(calls) == len(result.survivors)
 
 
-def _outcome(curve, k):
-    """The rank-1 driver's result at 3^k, or its PrecisionError message."""
-    try:
-        return rank1_driver(curve, k)
-    except PrecisionError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("cid", RANK1)
-def test_scan_filter_only_filters(cid, monkeypatch):
-    """With the theta filter off, every candidate of a coset goes to the
-    exact test, and nothing changes: the driver at k = 1 (which escalates
-    to 3) and at k = 5 ends the same, and at k = 1 each coset's scan finds
-    the same points.  N is checked first, since a wrong walk would send
-    multiples far beyond 2N to the exact test."""
+def test_scan_filter_only_filters(cid):
+    """The theta components only filter: at k = 1 and 5, every (m, eps)
+    with |m| <= 2N whose exact point has a rational condition value lies in
+    a coset that the mod-3 test keeps, and its n (m = c + n N) is one of
+    the roots that `lift_roots` finds there, mod 3^(k - j).  N is checked
+    first, since a wrong walk would send multiples far beyond 2N to the
+    exact test."""
     curve, N = CURVE_BY_ID[cid], REDUCTION_ORDERS[cid]
     assert [len(kernel_basis(curve, k + 4)[0]) for k in (1, 3, 5)] == [N] * 3
-    outcomes = [_outcome(curve, k) for k in (1, 5)]
-    scans = [(c, eps, _scan_condition_points(curve, comps, c, eps, N, 1))
-             for c, eps, comps in _series_cosets(curve, 1)]
-    real = padic._scan_condition_points
-    monkeypatch.setattr(padic, "_scan_condition_points",
-                        lambda curve, comps, *rest: real(curve, [], *rest))
-    assert [_outcome(curve, k) for k in (1, 5)] == outcomes
-    assert isinstance(outcomes[1], padic.DriverResult)
-    assert [(c, eps, real(curve, [], c, eps, N, 1))
-            for c, eps, _ in _series_cosets(curve, 1)] == scans
+    exact = _keyed_roots(_brute_scan(curve, 2 * N), N)
+    assert (0, 0) not in exact          # O alone, by the quadratic test
+    for k in (1, 5):
+        kept = {}
+        for c, eps, comps in _series_cosets(curve, k):
+            if c or eps:
+                level, roots = lift_roots(comps, k)
+                kept[c, eps] = roots, 3 ** (level - divide_out_3(comps, k)[1])
+        for key, ns in exact.items():
+            assert key in kept, (k, key)
+            roots, modulus = kept[key]
+            assert all(any((n - r) % modulus == 0 for (r,) in roots)
+                       for n in ns), (k, key)
 
 
 # --- the mod-3 verdict from the coset base ----------------------------------
@@ -343,7 +355,7 @@ def test_early_mod3_verdict_matches_full_theta(k):
                 series = beta_x_series(curve, base.x, base.y, order=k - 1,
                                        pack=pack)
                 comps = theta_components(series, zpoly, k)[1:]
-                full = lift_roots(comps, k, 2 if rank == 1 else k)
+                full = lift_roots(comps, k)
                 early = _excluded_mod_3(curve, walk)[c, eps]
                 assert early == (full == (1, [])), (cid, c, eps)
                 total += 1
@@ -627,8 +639,8 @@ def test_max_useful_degree_is_last_degree_below_k():
 
 def test_theta_series_respect_fact2_floor(e10_kernel):
     """Every computed theta-series coefficient in total degree d carries
-    3-adic valuation at least fact2_floor(d) = floor(d/2) + 1, which is
-    what Strassman consumes."""
+    3-adic valuation at least fact2_floor(d) = floor(d/2) + 1, which the
+    truncation orders rest on."""
     inv = inverse_beta_x_series(E10, order=K + 1, pack=e10_kernel.pack)
     thetas = theta_components(inv, e10_kernel.zpoly, K)
     assert any(not t.is_zero() for t in thetas)
@@ -643,35 +655,7 @@ def test_theta_series_respect_fact2_floor(e10_kernel):
             assert v >= min(fact2_floor(d), K), (e, c)
 
 
-# --- Strassman / Skolem -------------------------------------------------------
-
-def test_strassman_bound_basic():
-    # 3x + x^2 (unit coefficient in degree 2): at most 2 roots, and with one
-    # known the bound certifies completeness
-    f = Poly(1, {(1,): 3, (2,): 1})
-    assert strassman_bound(f, K) >= 1
-
-
-def test_strassman_bound_tail_not_dominated():
-    # 9x: mu = 2, but the tail floor at degree 2 is fact2_floor(2) = 2
-    f = Poly(1, {(1,): 9})
-    with pytest.raises(PrecisionError, match="tail degree 2"):
-        strassman_bound(f, K)
-    assert strassman_bound(f, K, floor=lambda d: d + 1) == 1
-    with pytest.raises(PrecisionError):
-        strassman_bound(Poly(1, {(1,): M}), K)       # vanishes mod 3^K
-
-
-def test_known_count_strassman_even_floor():
-    """After 3^j is divided out of a series even in n, the substitution
-    m = n^2 bounds the tail by e + 1 - j, not by fact2_floor(d) - j."""
-    comp = Poly(1, {(2,): 9})                        # 9 n^2: j = 2, m
-    assert _known_count_strassman([comp], K, 1, even_in_var=True) == (1, 1)
-    with pytest.raises(PrecisionError):              # floor(3) - 2 = 0
-        _known_count_strassman([comp], K, 1)
-    with pytest.raises(PrecisionError):              # j = 3: 2 + 1 - 3 = 0
-        _known_count_strassman([Poly(1, {(2,): 27})], K, 1, even_in_var=True)
-
+# --- Skolem -------------------------------------------------------------------
 
 def _coset_thetas(pack, zpoly, c, eps):
     T = CurvePoint(E10.field.zero(), E10.field.zero())
@@ -689,10 +673,8 @@ def _nonzero(polys):
 
 
 def _system_for(comp_a, comp_b, shift):
-    f1 = poly_mod(poly_shift(comp_a, shift), M)
-    f2 = poly_mod(poly_shift(comp_b, shift), M)
-    (f1, f2), _ = divide_out_3([f1, f2], K)
-    system = build_skolem_system(f1, f2)
+    pair = [poly_mod(poly_shift(comp, shift), M) for comp in (comp_a, comp_b)]
+    system = build_skolem_system(divide_out_3(pair, K)[0])
     return system, skolem_check(system)
 
 
@@ -700,8 +682,7 @@ def _brute_force_only_origin(system):
     """All solutions of f1 = f2 = 0 mod 27 must reduce to (0,0) mod 3."""
     for n1 in range(27):
         for n2 in range(27):
-            if (system.f1.evaluate([n1, n2]) % 27 == 0
-                    and system.f2.evaluate([n1, n2]) % 27 == 0):
+            if all(f.evaluate([n1, n2]) % 27 == 0 for f in system.polys):
                 assert n1 % 3 == 0 and n2 % 3 == 0, (n1, n2)
 
 
@@ -711,9 +692,9 @@ def test_skolem_case_1_1(e10_kernel):
     comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 2, 0))
     system, res = _system_for(comps[2], comps[1], (0, 0))
     assert res["unique"]
-    assert res["kind"] == "linear" and res["resultant"] % 3 == 2
-    assert system.lowest1.terms == {(1, 0): 2}            # 2 n1
-    assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}  # n1 + n2
+    assert system.degrees == (1, 1) and res["resultant"] % 3 == 2
+    assert system.lowest[0].terms == {(1, 0): 2}            # 2 n1
+    assert system.lowest[1].terms == {(1, 0): 1, (0, 1): 1}  # n1 + n2
     _brute_force_only_origin(system)
 
 
@@ -723,9 +704,9 @@ def test_skolem_case_1_2(e10_kernel):
     comps = _nonzero(_coset_thetas(e10_kernel.pack, e10_kernel.zpoly, 10, 0))
     system, res = _system_for(comps[2], comps[1], (2, -1))
     assert res["unique"]
-    assert res["kind"] == "linear" and res["resultant"] % 3 == 2
-    assert system.lowest1.terms == {(1, 0): 2}            # 2 x1
-    assert system.lowest2.terms == {(1, 0): 1, (0, 1): 1}  # x1 + x2
+    assert system.degrees == (1, 1) and res["resultant"] % 3 == 2
+    assert system.lowest[0].terms == {(1, 0): 2}            # 2 x1
+    assert system.lowest[1].terms == {(1, 0): 1, (0, 1): 1}  # x1 + x2
     _brute_force_only_origin(system)
 
 
@@ -737,9 +718,9 @@ def test_skolem_case_2(e10_kernel):
     comps = theta_components(inv, e10_kernel.zpoly, K)[1:]
     system, res = _system_for(comps[2], comps[0], (0, 0))
     assert res["unique"]
-    assert res["kind"] == "resultant"
-    assert system.lowest1.terms == {(2, 0): 2}                       # 2 n1^2
-    assert system.lowest2.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
+    assert system.degrees == (2, 2)
+    assert system.lowest[0].terms == {(2, 0): 2}                     # 2 n1^2
+    assert system.lowest[1].terms == {(2, 0): 1, (1, 1): 1, (0, 2): 2}
     assert res["resultant"] == 16                                    # H2
     _brute_force_only_origin(system)
 
@@ -777,7 +758,7 @@ def test_skolem_check_is_coprimality_of_forms_mod_3():
     outcomes = set()
     for (a, f), (b, g) in itertools.product(zip(forms, polys), repeat=2):
         shared = _gcd_degree_mod3(a, b) > 0 or not (a[-1] or b[-1])
-        unique = skolem_check(build_skolem_system(f, g))["unique"]
+        unique = skolem_check(build_skolem_system([f, g]))["unique"]
         assert unique != shared, (a, b)
         outcomes.add(unique)
     assert outcomes == {True, False}
@@ -820,33 +801,65 @@ def _system(root, scale=1):
 
 
 def test_lift_roots_outside_small_box():
-    assert lift_roots(_system((7, -11)), K, K) == (K, [(7, -11)])
+    assert lift_roots(_system((7, -11)), K) == (K, [(7, -11)])
     # symmetric residues mod 3^5 = 243 run from -121 to 121
-    assert lift_roots(_system((121, -121)), K, K) == (K, [(121, -121)])
-    assert lift_roots(_system((122, 0)), K, K) == (K, [(-121, 0)])
+    assert lift_roots(_system((121, -121)), K) == (K, [(121, -121)])
+    assert lift_roots(_system((122, 0)), K) == (K, [(-121, 0)])
 
 
 def test_lift_roots_divides_out_common_power_of_3():
     # 3 * system: the zero is known mod 3^(K-1) = 81 and is still unique
-    assert lift_roots(_system((7, -11), scale=3), K, K) == (K, [(7, -11)])
+    assert lift_roots(_system((7, -11), scale=3), K) == (K, [(7, -11)])
     # 9 * system: known mod 27, where 13 is the largest symmetric residue
-    assert lift_roots(_system((13, -13), scale=9), K, K) == (K, [(13, -13)])
+    assert lift_roots(_system((13, -13), scale=9), K) == (K, [(13, -13)])
 
 
 def test_lift_roots_excluded_mod_9():
     polys = [poly_mod(X1 * X1 - 3, M), X2]
-    assert lift_roots(polys, K, K) == (2, [])
-    assert lift_roots(polys, K, 1) == (1, [(0, 0)])
+    assert lift_roots(polys, K) == (2, [])
     # with the common factor 3 the first level without a zero is mod 27
-    assert lift_roots([poly_mod(3 * p, M) for p in polys], K, K) == (3, [])
+    assert lift_roots([poly_mod(3 * p, M) for p in polys], K) == (3, [])
 
 
 def test_two_lifted_roots_raise():
+    """Two roots apart mod 3 are decided on their disks 1 + 3 Z_3 and
+    2 + 3 Z_3 (x2 in 3 Z_3 on both), where each system is linear mod 3.  A
+    double root raises: the zeros of (x1 - 1)^2 mod 3^K are the nine
+    1 + 27 i, apart only mod 3^K, and on each disk 1 + 27 i + 3^K Z_3 the
+    first component vanishes mod 3^K."""
     polys = [poly_mod((X1 - 1) * (X1 - 2), M), X2]
-    level, roots = lift_roots(polys, K, K)
+    level, roots = lift_roots(polys, K)
     assert level == K and sorted(roots) == [(1, 0), (2, 0)]
-    with pytest.raises(PrecisionError, match="2 candidate roots"):
+    assert _skolem_coset(polys, roots, K) == "linear"
+    polys = [poly_mod((X1 - 1) ** 2, M), X2]
+    level, roots = lift_roots(polys, K)
+    assert sorted(roots) == [(1 + 27 * i - (243 if i > 4 else 0), 0)
+                             for i in (5, 6, 7, 8, 0, 1, 2, 3, 4)]
+    with pytest.raises(PrecisionError, match="no Skolem test at"):
         _skolem_coset(polys, roots, K)
+
+
+def test_skolem_rule_refuses_degree_2_off_the_identity():
+    """The degree rule: a lowest part of degree 2 is accepted only on the
+    identity coset, whose components are even and vanish at 0.  Read mod
+    27, 27 n1 + n1^2 + n2^2 and 27 n2 + n1 n2 have lowest parts with
+    resultant 1 mod 3, yet (-27, 0) is an exact common zero, as 27 n + n^2
+    has -27 beside 0; off the identity both raise.  The even n^2 + 27 n^4
+    passes on the identity."""
+    found = [poly_mod(27 * X1 + X1 * X1 + X2 * X2, 27),
+             poly_mod(27 * X2 + X1 * X2, 27)]
+    assert all(f.evaluate((-27, 0)) == 0 for f in
+               (27 * X1 + X1 * X1 + X2 * X2, 27 * X2 + X1 * X2))
+    assert skolem_check(build_skolem_system(found))["unique"]
+    with pytest.raises(PrecisionError, match=r"degrees \(2, 2\)"):
+        _skolem_coset(found, [(0, 0)], 3)
+    n = Poly.variable(0, 1)
+    with pytest.raises(PrecisionError, match=r"degrees \(2,\)"):
+        _skolem_coset([poly_mod(27 * n + n * n, 27)], [(0,)], 3)
+    even = poly_mod(n * n + 27 * n ** 4, M)
+    assert _skolem_coset([even], [(0,)], K, identity=True) == "quadratic"
+    with pytest.raises(PrecisionError):
+        _skolem_coset([even], [(0,)], K)
 
 
 def test_rank2_skolem_roots(rank2_result):
