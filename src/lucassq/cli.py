@@ -20,7 +20,8 @@ from .elementary import u7_solutions
 from .exact import is_perfect_square, perfect_square_root
 from .jsonio import dump, encode_point, encode_rational
 from .lucas import (SIEVE_FACTORS, LucasParams, classify_degenerate,
-                    is_degenerate, lucas_u, square_mask_tables, square_terms)
+                    coprime_table, is_degenerate, lucas_u, square_mask_tables,
+                    square_terms)
 
 
 # --- worker processes -------------------------------------------------------
@@ -53,7 +54,6 @@ def fork_map(fn, items, workers: int) -> list:
     if workers <= 1:
         return [fn(x) for x in items]
     import pickle
-    import traceback
 
     tasks = min(len(items), FORK_TASKS)
     bounds = [len(items) * t // tasks for t in range(tasks + 1)]
@@ -86,6 +86,7 @@ def fork_map(fn, items, workers: int) -> list:
                         pickle.dump(work(), fh)
                     code = 0
                 except BaseException:
+                    import traceback
                     traceback.print_exc()
                 finally:
                     os._exit(code)
@@ -123,9 +124,9 @@ SEARCH_EXAMPLES = 4           # smallest (p, q, r) reported per index
 def _search_block(args) -> tuple:
     """For one block of P values: n -> (hit count, up to SEARCH_EXAMPLES
     smallest (p, q, r)), and the pairs whose U_8 is a square."""
-    ps, q_max, n_max = args
+    ps, p_max, q_max, n_max = args
     per_n: dict = {}
-    for p, q, n, r in square_terms(ps, q_max, n_max):
+    for p, q, n, r in square_terms(ps, q_max, n_max, p_max):
         per_n.setdefault(n, []).append((p, q, r))
     return ({n: (len(v), v[:SEARCH_EXAMPLES]) for n, v in per_n.items()},
             [(p, q) for p, q, _ in per_n.get(8, [])])
@@ -137,18 +138,21 @@ def cmd_search(p_max: int, q_max: int, n_max: int, workers: int) -> dict:
 
     The box is cut into blocks of whole P values of about
     SEARCH_BLOCK_PAIRS pairs each, scanned by `square_terms` in `workers`
-    processes (`fork_map`) that share the mask tables built here before
-    the fork.  A block returns only counts, examples and n = 8 pairs, so
-    the memory of a scan does not grow with the box.  The merge is
-    order-independent, so the report does not depend on the worker count.
+    processes (`fork_map`) that share the mask tables and the coprimality
+    table built here before the fork.  A block returns only counts,
+    examples and n = 8 pairs, so the memory of a scan does not grow with
+    the box.  The merge is order-independent, so the report does not
+    depend on the worker count.
     """
     if min(p_max, q_max, n_max, workers) < 1:
         raise ValueError("all bounds must be >= 1")
     t0 = time.monotonic()
-    square_mask_tables(SIEVE_FACTORS, n_max)    # square_terms' cache key
+    square_mask_tables(SIEVE_FACTORS, n_max)    # square_terms' cache keys
+    coprime_table(p_max, q_max)
     ps = [p for p in range(-p_max, p_max + 1) if p != 0]
     step = max(1, SEARCH_BLOCK_PAIRS // (2 * q_max))
-    blocks = [(ps[i:i + step], q_max, n_max) for i in range(0, len(ps), step)]
+    blocks = [(ps[i:i + step], p_max, q_max, n_max)
+              for i in range(0, len(ps), step)]
     results = fork_map(_search_block, blocks, workers)
     counts: dict = {}
     examples: dict = {}

@@ -953,8 +953,8 @@ def _labels(curve: CurveInstance) -> list:
                                           range(1, curve.rank + 1)]
 
 
-def _names_for_survivors(curve: CurveInstance, survivors):
-    """Match survivor X-coordinates against the combinations of the stored
+def _small_combinations(curve: CurveInstance) -> dict:
+    """name -> point for the 2 * 5^rank combinations of the stored
     generators with coefficients in [-2, 2], plus torsion."""
     combos, labels = {}, _labels(curve)
     for ms in itertools.product(range(-2, 3), repeat=curve.rank):
@@ -963,18 +963,19 @@ def _names_for_survivors(curve: CurveInstance, survivors):
                    (scalar_mul(curve, m, g) for m, g in zip(ms, curve.gens)))
         combos[name] = p
         combos[name + "+T"] = add_torsion(curve, p)
-    return [next((name for name, p in combos.items()
-                  if not p.at_infinity and p.x == x), None) for x in survivors]
+    return combos
 
 
-def _named_survivors(curve: CurveInstance, box: list, B, what: str) -> tuple:
+def _named_survivors(curve: CurveInstance, box: list, B, what: str,
+                     combos: dict) -> tuple:
     """The survivors for cap B, kept from box, the `_search_box` of a cap
     >= B, by their rows (`shape_ranges` grows with the cap), and their
-    names; raise if one of them is not a small combination of the
-    generators and torsion."""
+    names, matched by X-coordinate against combos, the curve's
+    `_small_combinations`; raise if one of them is none of these."""
     ranges = dict(_ranges(curve, B))
     survivors = [x for tag, row, x in box if (abs(row) <= ranges[tag]).all()]
-    names = _names_for_survivors(curve, survivors)
+    names = [next((name for name, p in combos.items()
+                   if not p.at_infinity and p.x == x), None) for x in survivors]
     if None in names:
         bad = survivors[names.index(None)]
         raise ArithmeticError(
@@ -1064,9 +1065,9 @@ def certify_generators(curve: CurveInstance) -> HeightCertificate:
         names, points = zip(*classes[:2 ** curve.rank - 1])
         m, iv, bounds, decided = _decided_caps(curve, points)
         caps = [mp.e ** (C + 2 * b) for b in bounds]
-        box = _search_box(curve, max(caps))
+        box, combos = _search_box(curve, max(caps)), _small_combinations(curve)
         (survivors, survivor_names), *more = [
-            _named_survivors(curve, box, cap, what) for cap, what in
+            _named_survivors(curve, box, cap, what, combos) for cap, what in
             zip(caps, ("certification", "second enumeration"))]
         cert = HeightCertificate(
             curve.id, eps_dict, float(C), float(height_upper_bound(curve.id)),

@@ -122,6 +122,10 @@ def square_residue_table(m: int):
     return table
 
 
+def _is_odd_prime(m: int) -> bool:
+    return m > 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
 @functools.lru_cache(maxsize=1)
 def square_mask_tables(factors: tuple, n_max: int) -> tuple:
     """One read-only numpy uint64 array per factor m: row (P mod m)*m +
@@ -129,47 +133,118 @@ def square_mask_tables(factors: tuple, n_max: int) -> tuple:
     is a square mod m, for 2 <= n <= n_max.  U_n mod m depends on P and Q
     mod m alone.
 
-    Each step ORs into every row the square table shifted to bit n - 2.
-    The arithmetic stays in the int64 and uint64 loops that the sieve runs
+    An odd prime's table is read off 2m recurrence rows, not m^2.  Since
+    U_n(lP, l^2 Q) = l^(n-1) U_n(P, Q), the row of (p, q) with p != 0 mod m
+    is that of (1, q/p^2), except that for a non-residue p the bits of even
+    n, where l^(n-1) is a non-residue, say "U_n(1, q/p^2) is 0 or a
+    non-residue"; the rows (0, q) are run as they are.  Any other factor
+    (64, 9, or a composite that a caller passes) runs all its m^2 rows.
+
+    One recurrence runs the rows of every factor at once and keeps, per
+    row, a square mask and a zero mask: each step ORs into them the
+    residue tables of the rows' factors, shifted to bit n - 2.  The
+    arithmetic stays in the int64 and uint64 loops that the sieve runs
     anyway (hence the uint64 `square_residue_table`): an int16 build of the
     same tables pages in 128-256 KiB more of numpy's code, which the
     census's peak RSS shows."""
     import numpy as np
-    shifts = np.arange(64, dtype=np.uint64)[:, None]
-    tables = []
-    for m in factors:
-        p, q = np.divmod(np.arange(m * m, dtype=np.int64), m)
-        square = square_residue_table(m) << shifts  # square[k][r] = t[r] << k
-        words = np.zeros((max(0, (n_max + 62) // 64), m * m), dtype=np.uint64)
-        a, b = np.zeros_like(p), np.ones_like(p)    # U_0, U_1
-        for n in range(2, n_max + 1):
-            a, b = b, (p * b - q * a) % m           # b = U_n mod m
-            words[(n - 2) // 64] |= square[(n - 2) % 64][b]
-        table = words.T.copy()
+    if not factors:
+        return ()
+    words = max(0, (n_max + 62) // 64)
+    orbit = [_is_odd_prime(m) for m in factors]
+    counts = [(2 if o else m) * m for m, o in zip(factors, orbit)]
+    pq = [np.divmod(np.arange(c, dtype=np.int64), m)
+          for m, c in zip(factors, counts)]
+    p = np.concatenate([x for x, _ in pq])
+    q = np.concatenate([y for _, y in pq])
+    mod = np.repeat(np.array(factors, dtype=np.int64), counts)
+    start = np.cumsum((0,) + factors[:-1])              # of m's residues
+    base = np.repeat(start, counts)
+    square = np.concatenate([square_residue_table(m) for m in factors])
+    zero = np.zeros_like(square)
+    zero[start] = 1
+    sq = np.zeros((words, p.size), dtype=np.uint64)
+    zr = np.zeros_like(sq)
+    a, b = np.zeros_like(p), np.ones_like(p)            # U_0, U_1
+    for n in range(2, n_max + 1):
+        a, b = b, (p * b - q * a) % mod                 # b = U_n mod m
+        w, k = divmod(n - 2, 64)
+        at, k = base + b, np.uint64(k)
+        sq[w] |= square[at] << k
+        zr[w] |= zero[at] << k
+    sq, zr = sq.T, zr.T
+    # The bits of even n <= n_max.  There a non-residue p turns a square
+    # bit of (1, q/p^2) off and a non-residue bit on; a zero stays a zero.
+    even = np.array([0x5555555555555555 & ((1 << min(64, n_max - 1 - 64 * w)) - 1)
+                     for w in range(words)], dtype=np.uint64)
+    tables, row = [], 0
+    for m, o, c in zip(factors, orbit, counts):
+        own = sq[row:row + c]
+        if o:       # own is the rows (0, q), then (1, q)
+            flipped = own[m:] ^ (even & ~zr[row + m:row + c])
+            r = np.arange(m, dtype=np.int64)
+            inv2 = np.array([pow(x, -2, m) for x in range(1, m)], dtype=np.int64)
+            # (1, q/p^2) is row m + q/p^2 of [own, flipped] for a residue
+            # p, and row 2m + q/p^2 for a non-residue.
+            lift = np.where(square_residue_table(m)[1:] == 1, m, 2 * m)
+            index = np.concatenate([r, (inv2[:, None] * r % m
+                                        + lift[:, None]).ravel()])
+            table = np.concatenate([own, flipped])[index]
+        else:
+            table = own.copy()
         table.flags.writeable = False
         tables.append(table)
+        row += c
     return tuple(tables)
 
 
-def _coprime_nondegenerate_pairs(ps, q_max: int):
+@functools.lru_cache(maxsize=1)
+def coprime_table(p_max: int, q_max: int):
+    """Read-only numpy bool array c of shape (p_max + 1, q_max + 1) with
+    c[a, b] true iff gcd(a, b) = 1.
+
+    Every entry starts true, and c[::r, ::r] is cleared for each prime
+    r <= min(p_max, q_max), the primes that can divide both of a >= 1 and
+    b >= 1.  The table is its own prime sieve: when r comes up, c[r, r] is
+    still true exactly when no smaller prime divides r.  Row and column 0
+    are then set from gcd(0, b) = b."""
+    import numpy as np
+    c = np.ones((p_max + 1, q_max + 1), dtype=bool)
+    for r in range(2, min(p_max, q_max) + 1):
+        if c[r, r]:
+            c[::r, ::r] = False
+    c[0] = c[:, 0] = False
+    c[0, 1:2] = c[1:2, 0] = True
+    c.flags.writeable = False
+    return c
+
+
+def _coprime_nondegenerate_pairs(ps, p_max: int, q_max: int):
     """int64 arrays (P, Q) of the coprime nondegenerate pairs with P in ps
-    and 0 < |Q| <= q_max, in (P, Q) order.  The degeneracy test is
-    `classify_degenerate`'s: P = 0, or Q = 1 with |P| <= 2."""
+    (|P| <= p_max) and 0 < |Q| <= q_max, in (P, Q) order: the nonzero
+    entries, row by row, of the 2-D mask that reads
+    `coprime_table(p_max, q_max)` at (|P|, |Q|) for Q = -q_max..-1,
+    1..q_max.  The degeneracy test is `classify_degenerate`'s: P = 0, or
+    Q = 1 with |P| <= 2."""
     import numpy as np
     p = np.asarray(ps, dtype=np.int64)
     q = np.arange(-q_max, q_max + 1, dtype=np.int64)
     q = q[q != 0]
-    P, Q = np.repeat(p, q.size), np.tile(q, p.size)
-    keep = ((np.gcd(P, Q) == 1) & (P != 0)
-            & ~((Q == 1) & (np.abs(P) <= 2)))
-    return P[keep], Q[keep]
+    a = np.abs(p)
+    keep = coprime_table(p_max, q_max)[a[:, None], np.abs(q)]
+    keep[a == 0] = False
+    keep[a <= 2, q_max] = False                     # column q_max is Q = 1
+    i, j = np.nonzero(keep)
+    return p[i], q[j]
 
 
-def square_terms(ps, q_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
+def square_terms(ps, q_max: int, n_max: int,
+                 p_max: Optional[int] = None) -> list[tuple[int, int, int, int]]:
     """All (p, q, n, r), sorted, with p in ps, 0 < |q| <= q_max, (p, q)
     coprime and nondegenerate, 2 <= n <= n_max and U_n(p, q) = r^2 (r >= 0).
     Indices 0 and 1 are omitted: U_0 = 0 and U_1 = 1 are squares for every
-    pair.
+    pair.  p_max bounds |p| and keys the coprimality table, so that the
+    blocks of one census share it; by default it is the largest |p| in ps.
 
     Each pair starts with every index live and keeps those that every
     SIEVE_FACTORS mask table keeps.  After each factor the pairs with no
@@ -181,7 +256,9 @@ def square_terms(ps, q_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     if n_max < 2:
         return []
     tables = square_mask_tables(SIEVE_FACTORS, n_max)
-    P, Q = _coprime_nondegenerate_pairs(ps, q_max)
+    if p_max is None:
+        p_max = max(map(abs, ps), default=0)
+    P, Q = _coprime_nondegenerate_pairs(ps, p_max, q_max)
     width = 8 * ((n_max + 62) // 64)                # bytes of mask per pair
     every = (1 << (n_max - 1)) - 1                  # bit n - 2 for each n
     kept = np.broadcast_to(np.frombuffer(every.to_bytes(width, "little"),

@@ -17,8 +17,8 @@ from lucassq import cli, lucas, padic
 from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
                          cmd_heights, cmd_search, cmd_verify_theorem, main)
 from lucassq.curves import CURVE_BY_ID
-from lucassq.lucas import (LucasParams, is_degenerate, square_mask_tables,
-                           square_terms)
+from lucassq.lucas import (LucasParams, coprime_table, is_degenerate,
+                           square_mask_tables, square_terms)
 
 
 def test_classify_reports():
@@ -142,18 +142,22 @@ def test_search_workers():
 
 def test_search_builds_mask_tables_before_the_fork():
     """Every block, in the calling process and in the forked worker, finds
-    the mask tables already built, under the key that `square_terms` uses:
-    the workers neither import numpy nor build tables after the fork."""
+    the mask tables and the coprimality table already built, under the keys
+    that `square_terms` uses: the workers neither import numpy nor build
+    tables after the fork."""
     real = cli._search_block
+    cached = (square_mask_tables, coprime_table)
 
     def block(args):
-        info = square_mask_tables.cache_info()
-        assert info.currsize == 1
+        infos = [f.cache_info() for f in cached]
+        assert [info.currsize for info in infos] == [1, 1]
         out = real(args)
-        assert square_mask_tables.cache_info().misses == info.misses
+        assert [f.cache_info().misses for f in cached] == [
+            info.misses for info in infos]
         return out
 
-    square_mask_tables.cache_clear()
+    for f in cached:
+        f.cache_clear()
     with mock.patch.object(cli, "_search_block", block), \
             mock.patch.object(cli, "SEARCH_BLOCK_PAIRS", 20):
         cmd_search(6, 5, 70, workers=2)

@@ -801,9 +801,9 @@ def test_smaller_cap_survivors_filtered_from_larger_box():
     their rows, are those of its own enumeration, in the same order."""
     box = heights._search_box(E10, 2.5)
     assert len(box) == 11
-    sizes = []
+    sizes, combos = [], heights._small_combinations(E10)
     for cap in (1.2, 1.5, 1.8):
-        kept, _ = heights._named_survivors(E10, box, cap, "test")
+        kept, _ = heights._named_survivors(E10, box, cap, "test", combos)
         assert kept == [x for *_, x in heights._search_box(E10, cap)]
         sizes.append(len(kept))
     assert sizes == [5, 6, 8]

@@ -2,11 +2,13 @@
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
+from lucassq import lucas
 from lucassq.lucas import (SIEVE_FACTORS, Degeneracy, LucasParams,
-                           classify_degenerate, is_degenerate, lucas_u,
-                           lucas_u_iter, lucas_v, square_mask_tables,
+                           classify_degenerate, coprime_table, is_degenerate,
+                           lucas_u, lucas_u_iter, lucas_v, square_mask_tables,
                            square_residue_table, square_term_indices,
                            square_terms)
 
@@ -95,13 +97,17 @@ def test_square_residue_tables():
 
 
 def test_square_mask_tables():
-    """Bit n - 2 of row P*m + Q of each sieve factor's mask table says
-    whether U_n(P, Q) mod m, by the scalar recurrence, is a square mod m, for
-    every residue pair and every n <= 130: three words, two word boundaries."""
+    """Bit n - 2 of row P*m + Q of each factor's mask table says whether
+    U_n(P, Q) mod m, by the scalar recurrence, is a square mod m, for every
+    residue pair and every n <= 130: three words, two word boundaries.  The
+    factors are the sieve's, the odd primes 3, 61 and 181, whose tables are
+    read off the rows (0, Q) and (1, Q), and the composites 15, 63 and 65,
+    whose tables run every row, all built in one call."""
     n_max = 130
-    tables = square_mask_tables(SIEVE_FACTORS, n_max)
-    assert len(tables) == len(SIEVE_FACTORS)
-    for m, table in zip(SIEVE_FACTORS, tables):
+    factors = SIEVE_FACTORS + (3, 61, 181, 15, 63, 65)
+    tables = square_mask_tables(factors, n_max)
+    assert len(tables) == len(factors)
+    for m, table in zip(factors, tables):
         assert table.shape == (m * m, 3) and not table.flags.writeable
         squares = {x * x % m for x in range(m)}
         for p in range(m):
@@ -130,3 +136,31 @@ def test_square_mask_tables_split_by_crt():
         assert want.shape == got.shape == (whole * whole, 3)
         assert np.array_equal(want, got), whole
 
+
+
+def test_coprime_table():
+    """Entry (a, b) of the coprimality table is gcd(a, b) = 1, row and
+    column 0 included, for tables wider than tall, taller than wide, and
+    with no prime up to the smaller bound."""
+    for p_max, q_max in ((9, 4), (4, 9), (1, 6), (0, 3), (30, 30)):
+        c = coprime_table(p_max, q_max)
+        assert c.shape == (p_max + 1, q_max + 1) and not c.flags.writeable
+        assert c.tolist() == [[math.gcd(a, b) == 1 for b in range(q_max + 1)]
+                              for a in range(p_max + 1)]
+
+
+@pytest.mark.parametrize("ps, p_max, q_max", [
+    (range(-7, 8), 7, 5),                   # negative P, P = 0, |P| > q_max
+    (range(-3, 4), 3, 12),                  # q_max > |P|
+    ([-12, -11, -10, 2, 9], 12, 12),        # a block inside a larger box
+    ([-1, 1, 2], 20, 1),                    # every Q = 1 pair degenerate
+])
+def test_coprime_nondegenerate_pairs(ps, p_max, q_max):
+    """The census pairs of a block are those that `math.gcd` and
+    `classify_degenerate` keep, in (P, Q) order."""
+    P, Q = lucas._coprime_nondegenerate_pairs(ps, p_max, q_max)
+    assert P.dtype == Q.dtype == "int64"
+    want = [(p, q) for p in ps for q in range(-q_max, q_max + 1)
+            if q and math.gcd(p, q) == 1
+            and classify_degenerate(LucasParams(p, q)) is Degeneracy.NONE]
+    assert list(zip(P.tolist(), Q.tolist())) == want
