@@ -7,10 +7,12 @@ generators are walked in Z[alpha]/3^(k+4) (`reduction_order`), and the
 theta components sum the exact series coefficients times the powers of
 z(sum n_i Q_i) mod 3^k, built once per curve (`_z_powers`), all on
 `fields._Residue`.  Truncation orders are certified by the valuation
-floor v(coeff of total degree d) >= floor(d/2)+1.  Series in one variable
-(u, 1/u, log, exp, the z-expansions of beta X + gamma) are coefficient
-lists indexed by degree (`exact.poly_*`); the multivariate `Poly` holds
-z(sum n_i Q_i), the theta components and the Skolem systems.
+floor v(coeff of total degree d) >= floor(d/2)+1, so z(sum n_i Q_i) and
+the exp series it comes from are built only to degree
+`max_useful_degree(k)`, 2k - 3 from k = 2 on (`_series_pack`).  Series in
+one variable (u, 1/u, log, exp, the z-expansions of beta X + gamma) are
+coefficient lists indexed by degree (`exact.poly_*`); the multivariate
+`Poly` holds z(sum n_i Q_i), the theta components and the Skolem systems.
 
 One coset driver serves both ranks (Smart, *The Algorithmic Resolution of
 Diophantine Equations*).  The last generator G has reduction order N; each
@@ -20,12 +22,12 @@ but only c in [0, N/2] are listed: T = -T, so the coset of (N - c) G (+T)
 is the negative of that of c G (+T), and P and -P share X, hence the
 condition value, so each +-P pair is proved and recorded once.  A coset is
 excluded mod 3 when the condition value at its base, read from the walk
-triple of c G, has a nonrational 3-unit component; only the rest get a
-base mod 3^(k+4) and a theta expansion.  Each of those is excluded mod 3^i
-when Hensel lifting finds no common zero of its theta components, or else
-decided by one rule on both ranks: Skolem's test on the residue disk of
-each lifted root (of the root 0 on the identity coset), then the exact
-point of each root, which must pass the exact test.
+triple of c G reduced mod 3, has a nonrational 3-unit component; only the
+rest get a base mod 3^(k+4) and a theta expansion.  Each of those is
+excluded mod 3^i when Hensel lifting finds no common zero of its theta
+components, or else decided by one rule on both ranks: Skolem's test on the
+residue disk of each lifted root (of the root 0 on the identity coset),
+then the exact point of each root, which must pass the exact test.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def reduce_element(x: FieldElement, k: int) -> FieldElement:
 
 @dataclass(frozen=True)
 class FormalSeriesPack:
-    """Coefficient lists indexed by degree, 0..order."""
+    """Coefficient lists indexed by degree: u, u_inv and log to `order`,
+    exp to its own order, len(exp) - 1."""
     curve: CurveInstance
     order: int
     u: list          # w(z)/z^3 = 1 + ... (even degrees, FieldElement coeffs)
@@ -70,9 +73,13 @@ class FormalSeriesPack:
     exp: list
 
 
-def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPack:
+def derive_formal_series(curve: CurveInstance, order: int = 7,
+                         exp_order: Optional[int] = None) -> FormalSeriesPack:
     """Formal-group data for Y^2 = X(X^2 + A X + B): w = z^3 u with
-    u = 1 + A z^2 u + B z^4 u^2, then log = int dx/(2y) and exp = log^(-1).
+    u = 1 + A z^2 u + B z^4 u^2, then log = int dx/(2y) and exp = log^(-1),
+    u, u_inv and log to degree `order` and exp to degree `exp_order`
+    (default `order`, at most `order`).  exp costs cubic in its order, so
+    the driver builds it only to the degrees `z_linear_combo` reads.
 
     u, u_inv and exp are found one degree at a time.  The z^d coefficient
     of A z^2 u + B z^4 u^2 needs only lower coefficients of u.  Those of
@@ -80,6 +87,9 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
     plus terms in lower ones (u starts 1, log starts t), and must vanish
     for d >= 1 and d >= 2; powers[j][d] = [t^d] exp^j needs exp only below
     degree d for j >= 2, as exp^(j-1) starts at t^(j-1)."""
+    exp_order = order if exp_order is None else exp_order
+    if not 1 <= exp_order <= order:
+        raise ValueError(f"exp order {exp_order} not in [1, {order}]")
     one = curve.field.one()
     A, B = curve.a, curve.b
     u, u_inv = [one], [one]
@@ -95,8 +105,9 @@ def derive_formal_series(curve: CurveInstance, order: int = 7) -> FormalSeriesPa
                                       Fraction(1, 2)))
     log = [0] + [c / (d + 1) if c else 0 for d, c in enumerate(logp)]
     exp = [0, one]
-    powers = [None, exp] + [[0] * (order + 1) for _ in range(2, order + 1)]
-    for d in range(2, order + 1):
+    powers = [None, exp] + [[0] * (exp_order + 1)
+                            for _ in range(2, exp_order + 1)]
+    for d in range(2, exp_order + 1):
         for j in range(2, d + 1):
             powers[j][d] = _poly_coeff(exp, powers[j - 1], d, 1)
         exp.append(-sum((log[j] * powers[j][d] for j in range(2, d + 1)
@@ -138,12 +149,25 @@ def z_linear_combo(pack: FormalSeriesPack, logs: list, k: int) -> Poly:
 
     `logs` holds the exact (small-representative) log values; they must be
     correct mod 3^(k+4), which covers the /3-type denominators in exp.
+    Raises ValueError if `pack.exp` stops below degree
+    `max_useful_degree(k)`: the missing terms would be dropped unchecked.
     """
     nvars = len(logs)
     dmax = max_useful_degree(k)
+    if len(pack.exp) <= dmax:
+        raise ValueError(f"exp known to degree {len(pack.exp) - 1}, "
+                         f"needed to {dmax} at 3^{k}")
     s = Poly(nvars, {tuple(int(i == j) for i in range(nvars)): logs[j]
                      for j in range(nvars)})
     return _substitute(pack.exp[:dmax + 1], s, dmax)
+
+
+def _series_pack(curve: CurveInstance, k: int) -> FormalSeriesPack:
+    """The driver's pack at 3^k: u, u_inv and log to degree k + 5, and exp
+    only to `max_useful_degree(k)`, the degrees `z_linear_combo` reads;
+    all four go that far when it exceeds k + 5 (k >= 9)."""
+    dmax = max_useful_degree(k)
+    return derive_formal_series(curve, max(k + 5, dmax), dmax)
 
 
 def _substitute(series: list, poly: Poly, dmax: int) -> Poly:
@@ -374,7 +398,9 @@ def _excluded_mod_3(curve: CurveInstance, walk: list) -> dict:
     s_0 = beta x + gamma mod 3, x = X(c G (+T)), has a zero mod 3 exactly
     when x = (r - gamma)/beta mod 3, r in F_3.  x = X/Z at c G and B Z/X
     at c G + T (`add_torsion`), from walk[c - 1] = (X, Y, Z); X(T) = 0.
-    None where eps = 1 and X = 0 mod 3, which `_coset_base` raises on."""
+    None where eps = 1 and X = 0 mod 3, which `_coset_base` raises on.
+    Only x mod 3 is read, so X and Z are reduced mod 3 before Z, a 3-unit
+    on walk[:-1], is inverted."""
     beta, gamma, b = (_Residue.of(v, P3)
                       for v in (curve.beta, curve.gamma, curve.b))
     rational = [(-gamma + r) * beta.inv() for r in range(P3)]
@@ -383,7 +409,8 @@ def _excluded_mod_3(curve: CurveInstance, walk: list) -> dict:
     at_g_t = {(b * x.inv()).n for x in rational if x.unit_mod(P3)}
     out = {(0, 1): (0, 0, 0, 0) not in at_g}
     for c, (X, _, Z) in enumerate(walk[:-1], 1):
-        x = tuple([v % P3 for v in (X * Z.inv()).n])
+        x = (_Residue(X.field, X.n, P3)
+             * _Residue(Z.field, Z.n, P3).inv()).n
         out[c, 0] = x not in at_g
         out[c, 1] = x not in at_g_t if any(x) else None
     return out
@@ -537,14 +564,18 @@ def rank2_driver(curve: CurveInstance, k: int = 5) -> DriverResult:
 
 def _driver(curve: CurveInstance, k: int, rank: int) -> DriverResult:
     """Run the coset driver at 3^k, and once more at 3^(k+2) if the
-    truncation cannot decide some coset."""
+    truncation cannot decide some coset.  Below k = 3 it starts at k + 2:
+    the identity coset's components have no term below degree 2, so at
+    `max_useful_degree(k)` < 2 they all vanish and no Skolem test exists."""
     if len(curve.gens) != rank:
         raise ValueError(f"{curve.id} has {len(curve.gens)} generator(s); "
                          f"the rank-{rank} driver needs {rank}")
-    try:
-        return _cosets_once(curve, k)
-    except PrecisionError:
-        return _cosets_once(curve, k + 2)
+    if max_useful_degree(k) >= 2:
+        try:
+            return _cosets_once(curve, k)
+        except PrecisionError:
+            pass
+    return _cosets_once(curve, k + 2)
 
 
 def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
@@ -572,7 +603,7 @@ def _cosets_once(curve: CurveInstance, k: int) -> DriverResult:
     rank = len(curve.gens)
     walk, b, zs = kernel_basis(curve, k + 4)
     N = len(walk)
-    pack = derive_formal_series(curve, k + 5)
+    pack = _series_pack(curve, k)
     logs = [padic_log(pack, z, k + 4) for z in zs]
     powers = _z_powers(z_linear_combo(pack, logs, k), k)
     reports, survivors, excluded = [], [], _excluded_mod_3(curve, walk)

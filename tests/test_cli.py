@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lucassq import cli, lucas, padic
-from lucassq.cli import (build_parser, cmd_catalog, cmd_classify,
-                         cmd_heights, cmd_search, cmd_verify_theorem, main)
-from lucassq.curves import CURVE_BY_ID
+from lucassq.cli import (DEFAULT_PRECISION, build_parser, cmd_catalog,
+                         cmd_classify, cmd_heights, cmd_search,
+                         cmd_verify_theorem, main)
+from lucassq.curves import CURVE_BY_ID, CURVES
 from lucassq.lucas import (LucasParams, coprime_table, is_degenerate,
                            square_mask_tables, square_terms)
 
@@ -294,7 +295,7 @@ def test_parser_defaults():
     args = build_parser().parse_args(["search"])
     assert args.p_max == 200 and args.q_max == 200 and args.n_max == 50
     args = build_parser().parse_args(["verify-theorem"])
-    assert args.precision == 5 and args.out is None
+    assert args.precision == DEFAULT_PRECISION == 4 and args.out is None
     for argv in (["verify-theorem", "--float-digits", "9"],
                  ["heights", "E1", "--tol", "1e-3"],
                  ["heights", "E1", "--float-digits", "9"]):
@@ -375,12 +376,13 @@ def test_verify_theorem_out_prints_summary(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["partial"] is True
 
 
-# sha256 of the `verify-theorem --out` certificate at the default precision,
-# as written since the drivers of both ranks decide every coset by the one
-# Skolem test on the disk of each lifted root.  The file is deterministic,
-# so a refactor that leaves the proof alone leaves this digest alone.
+# sha256 of the `verify-theorem --out` certificate at the default precision
+# k = 4, as written since the drivers of both ranks decide every coset by the
+# one Skolem test on the disk of each lifted root: HIGHER_PRECISION_SHA256[4].
+# The file is deterministic, so a refactor that leaves the proof alone leaves
+# this digest alone.
 CERTIFICATE_SHA256 = (
-    "0b2c8c451c135bd7517a9462c8e5a9911d253e8ba7f7ccfc7e46be3706932628")
+    "9bb0415f32263018217fecdb09c988ab6a17bc01cb38cf2074660c557cc0303e")
 
 
 def test_verify_theorem_certificate_digest(tmp_path, capsys):
@@ -389,6 +391,22 @@ def test_verify_theorem_certificate_digest(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(
         "final_pairs [(1, -4), (4, -17)] partial false")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_SHA256
+    assert CERTIFICATE_SHA256 == HIGHER_PRECISION_SHA256[DEFAULT_PRECISION]
+
+
+def test_default_precision_is_the_least_without_escalation():
+    """Why the default is 4: there every driver decides every coset at k
+    itself, while one lower E5 and E9 go on to k + 2 and the other curves
+    stay at k.  Both certificates are complete."""
+    k = DEFAULT_PRECISION
+    cert, code = cmd_verify_theorem()
+    assert code == 0 and cert["precision"]["padic_k"] == k
+    assert {d["curve"]: d["precision"] for d in cert["drivers"]} == {
+        c.id: k for c in CURVES}
+    cert, code = cmd_verify_theorem(k - 1)
+    assert code == 0
+    assert {d["curve"]: d["precision"] for d in cert["drivers"]} == {
+        c.id: k + 1 if c.id in ("E5", "E9") else k - 1 for c in CURVES}
 
 
 def test_verify_theorem_stdout_is_the_certificate(tmp_path, capsys):
@@ -420,10 +438,11 @@ def test_verify_theorem_low_precision_digests(k, tmp_path, capsys):
         LOW_PRECISION_SHA256[k])
 
 
-# sha256 of the complete certificates at --precision 4, 6 and 7, with the
-# one Skolem test: a refactor must leave the proof alone at every precision.
+# sha256 of the complete certificates at --precision 4 to 7, with the one
+# Skolem test: a refactor must leave the proof alone at every precision.
 HIGHER_PRECISION_SHA256 = {
     4: "9bb0415f32263018217fecdb09c988ab6a17bc01cb38cf2074660c557cc0303e",
+    5: "0b2c8c451c135bd7517a9462c8e5a9911d253e8ba7f7ccfc7e46be3706932628",
     6: "e326bca8f2d555291345e99ff4e50e62cd7186f7b445dfb2a70fb9bd34ff2f60",
     7: "70bc6aedee16d6dbb8a8013defca1bf8420d691319ed7a763321b32a48e524a3",
 }
@@ -440,9 +459,9 @@ def test_verify_theorem_higher_precision_digests(k, tmp_path, capsys):
 
 
 def test_verify_theorem_one_descent_per_x():
-    """Each +-P pair is proved and recorded once: at k = 5 the certificate
-    holds 226 coset reports and 10 descent records, no two of which share
-    a curve and an x-coordinate, and no `search` key."""
+    """Each +-P pair is proved and recorded once: at the default precision
+    the certificate holds 226 coset reports and 10 descent records, no two
+    of which share a curve and an x-coordinate, and no `search` key."""
     cert, code = cmd_verify_theorem()
     assert code == 0 and "search" not in cert
     assert sum(len(d["cosets"]) for d in cert["drivers"]) == 226
@@ -462,15 +481,14 @@ def test_cli_import_leaves_mpmath_out():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("k", [5, 1, 7])
+@pytest.mark.parametrize("k", [4, 5, 1, 7])
 def test_verify_theorem_certificate_on_any_cpu_count(k, tmp_path, monkeypatch,
                                                      capsys):
     """With 1, 2 or 3 CPUs, so with the drivers in one process or spread
     over forked workers, the certificate is byte for byte the same, the
     partial one at k = 1 included, with its exit code and failing order."""
     code = 2 if k == 1 else 0
-    digest = {5: CERTIFICATE_SHA256, **LOW_PRECISION_SHA256,
-              **HIGHER_PRECISION_SHA256}[k]
+    digest = {**LOW_PRECISION_SHA256, **HIGHER_PRECISION_SHA256}[k]
     failing = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",

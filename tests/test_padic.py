@@ -16,7 +16,8 @@ from lucassq.exact import (Poly, poly_add, poly_diff, poly_mul,
 from lucassq.fields import K2, _residues, three_adic_valuation
 from lucassq.padic import (PrecisionError, _coset_base, _cosets_once,
                            _excluded_mod_3, _scan_condition_points,
-                           _skolem_coset, beta_x_series, build_skolem_system,
+                           _series_pack, _skolem_coset, beta_x_series,
+                           build_skolem_system,
                            derive_formal_series, divide_out_3, fact2_floor,
                            inverse_beta_x_series, kernel_basis, lift_roots,
                            max_useful_degree, padic_exp, padic_log,
@@ -156,6 +157,34 @@ def test_coset_base_in_kernel_is_left_to_coset_base():
     with pytest.raises(PrecisionError,
                        match="E11 coset 17,1: coset base in kernel"):
         _cosets_once(curve, K)
+
+
+def test_driver_skips_precisions_below_the_identity_coset(monkeypatch):
+    """At k <= 2, max_useful_degree(k) = 1 and the identity coset's
+    components, which have no term below degree 2, all vanish, so every
+    curve raises there; the driver starts at k + 2 instead.  From k = 3 it
+    tries k first and escalates to k + 2 only on a PrecisionError."""
+    for k in (1, 2):
+        for curve in CURVES:
+            with pytest.raises(PrecisionError,
+                               match=f"{curve.id} coset 0,0: no Skolem"):
+                _cosets_once(curve, k)
+    calls = []
+
+    def once(curve, k):
+        calls.append(k)
+        if k < 4:
+            raise PrecisionError("too coarse")
+        return k
+
+    monkeypatch.setattr(padic, "_cosets_once", once)
+    for k, want in ((1, [3]), (2, [4]), (3, [3, 5]), (4, [4])):
+        calls.clear()
+        try:
+            rank1_driver(CURVE_BY_ID["E1"], k)
+        except PrecisionError:
+            assert k == 1
+        assert calls == want, k
 
 
 def test_driver_rank_guard():
@@ -505,6 +534,42 @@ def test_z_linear_combo_matches_group_law(e10_kernel):
                 want = reduce_element(-pt.x / pt.y, K).coords
             got = tuple(c.evaluate([n1, n2]) % M for c in comps)
             assert got == want, (n1, n2)
+
+
+def test_z_linear_combo_refuses_a_short_exp():
+    """At k = 12, max_useful_degree(k) = 21 exceeds k + 5: a pack of order
+    k + 5 would lose the degrees 18..21 unchecked, so z_linear_combo
+    raises, on a pack whose exp alone is short too."""
+    curve = CURVE_BY_ID["E1"]
+    logs = [padic_log(derive_formal_series(curve, 17), z, 16)
+            for z in kernel_basis(curve, 16)[2]]
+    for pack in (derive_formal_series(curve, 17),
+                 derive_formal_series(curve, 21, exp_order=20)):
+        with pytest.raises(ValueError, match=r"needed to 21 at 3\^12"):
+            z_linear_combo(pack, logs, 12)
+    with pytest.raises(ValueError, match="exp order 22"):
+        derive_formal_series(curve, 21, exp_order=22)
+
+
+@pytest.mark.parametrize("cid", ["E1", "E10"])
+def test_series_pack_reaches_max_useful_degree(cid):
+    """The driver's pack at 3^k has u, u_inv and log to degree
+    max(k + 5, max_useful_degree(k)) and exp to max_useful_degree(k), a
+    prefix of the full exp; at k = 12 z(sum n_i Q_i) keeps a nonzero term
+    of degree 21."""
+    curve = CURVE_BY_ID[cid]
+    full = derive_formal_series(curve, 21)
+    for k in range(1, 13):
+        dmax = max_useful_degree(k)
+        pack = _series_pack(curve, k)
+        order = max(k + 5, dmax)
+        assert pack.order == order, k
+        for series in (pack.u, pack.u_inv, pack.log):
+            assert len(series) == order + 1, k
+        assert pack.exp == full.exp[:dmax + 1], k
+    logs = [padic_log(pack, z, 16) for z in kernel_basis(curve, 16)[2]]
+    zpoly = z_linear_combo(pack, logs, 12)
+    assert max(sum(e) for e, c in zpoly.terms.items() if c) == 21
 
 
 # --- series golden values -----------------------------------------------------
